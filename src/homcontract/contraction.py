@@ -10,20 +10,27 @@ no such loop admits a uniformly negative measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-import scipy.optimize
-from scipy.stats import qmc
 
-from . import smallmat
-from .fields import HorizontalField, eval_coeff, linearize, rotate_field
+from .fields import HorizontalField, linearize, rotate_field
 from .spaces import Space, rotate_basis
 
 
-def matrix_measure(P) -> float:
-    """Logarithmic norm: largest eigenvalue of the symmetric part of P."""
-    return smallmat.sym_eig_max(P).lambda_max
+def matrix_measure(P):
+    """Logarithmic norm: largest eigenvalue of the symmetric part of P.
+
+    A stack P of shape (..., m, m) gives an array of shape (...); a single
+    matrix gives a float.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("matrix has non-finite entries")
+    mu = np.linalg.eigvalsh(0.5 * (P + np.swapaxes(P, -1, -2)))[..., -1]
+    return float(mu) if mu.ndim == 0 else mu
 
 
 @dataclass(frozen=True)
@@ -70,73 +77,100 @@ class ContractionCertificate:
         }
 
 
-def certify_region(F: HorizontalField, space: Space, samples: Sequence[np.ndarray],
+def certify_region(F: HorizontalField, space: Space, samples,
                    c: float, region: str = "", t: float = 0.0,
                    step: float = 1e-5, richardson: bool = False,
                    slack: float = 1e-9,
                    collect: Optional[list] = None) -> ContractionCertificate:
     """Evaluate the matrix measure at every sample and compare against c.
 
-    Deterministic: ties at the maximum resolve to the lowest sample index.
-    ``slack`` absorbs finite-difference noise when the true measure sits
-    exactly on the rate (region boundaries); it is recorded on the
-    certificate.  ``collect``, if given, receives the per-sample measures.
+    ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
+    checked and linearized as one stack.  Deterministic: ties at the
+    maximum resolve to the lowest sample index.  ``slack`` absorbs
+    finite-difference noise when the true measure sits exactly on the rate
+    (region boundaries); it is recorded on the certificate.  ``collect``,
+    if given, receives the per-sample measures in sample order.
     """
-    mu_max = -np.inf
-    arg = None
-    arg_idx = -1
-    count = 0
-    for idx, g in enumerate(samples):
-        space.check_group(g)
-        mu = matrix_measure(linearize(F, space, g, t=t, step=step, richardson=richardson))
-        if collect is not None:
-            collect.append(mu)
-        if mu > mu_max:
-            mu_max, arg, arg_idx = mu, np.asarray(g, dtype=float), idx
-        count += 1
-    if count == 0:
+    G = np.asarray(samples, dtype=float)
+    if G.size == 0:
         raise ValueError("no samples supplied")
+    space.check_group(G)
+    G = G.reshape((-1,) + G.shape[-2:])
+    mus = matrix_measure(linearize(F, space, G, t=t, step=step, richardson=richardson))
+    if collect is not None:
+        collect.extend(mus.tolist())
+    arg_idx = int(np.argmax(mus))  # first occurrence: ties go to the lowest index
+    mu_max = float(mus[arg_idx])
     return ContractionCertificate(
         space_id=space.name,
         field_id=F.name,
         region=region,
         rate_c=float(c),
-        mu_max=float(mu_max),
+        mu_max=mu_max,
         argmax_index=arg_idx,
-        mu_argmax=arg,
-        samples_evaluated=count,
+        mu_argmax=G[arg_idx].copy(),
+        samples_evaluated=len(G),
         verdict="PASS" if mu_max <= c + slack else "FAIL",
         slack=float(slack),
     )
 
 
+def _first_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(count: int, dim: int) -> np.ndarray:
+    """First ``count`` points of the unscrambled Halton sequence in [0, 1)^dim.
+
+    Column j is the radical inverse of 0, 1, 2, ... in the j-th prime base,
+    summed from the lowest digit up (the same points as scipy's
+    ``qmc.Halton(scramble=False)``).
+    """
+    out = np.zeros((count, dim))
+    for j, base in enumerate(_first_primes(dim)):
+        idx = np.arange(count)
+        scale = 1.0
+        while np.any(idx > 0):
+            scale /= base
+            out[:, j] += scale * (idx % base)
+            idx //= base
+    return out
+
+
 def generator_box_samples(space: Space, lows, highs, count: int,
-                          base=None, seed: int = 0) -> list[np.ndarray]:
-    """Low-discrepancy samples exp-mapped from a box in m-coordinates."""
+                          base=None, seed: int = 0) -> np.ndarray:
+    """Low-discrepancy samples exp-mapped from a box in m-coordinates.
+
+    Returns a (count, d, d) stack.
+    """
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
     m = space.dim_m
     if lows.shape != (m,) or highs.shape != (m,):
         raise ValueError("box bounds must match the m-dimension")
     # Halton is deterministic; the seed only relabels the certificate.
-    pts = qmc.Halton(d=m, scramble=False, seed=seed).random(count)
-    coords = lows + pts * (highs - lows)
+    coords = lows + _halton(count, m) * (highs - lows)
     base = space.identity() if base is None else np.asarray(base, dtype=float)
-    return [base @ space.algebra_exp(space.algebra_from_coords(x)) for x in coords]
+    return base @ space.algebra_exp(space.algebra_from_coords(coords))
 
 
 def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
-                    n_phi: int) -> list[np.ndarray]:
-    """Grid over the geodesic cap of the given angular radius about o."""
-    thetas = np.linspace(0.0, max_angle, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+                    n_phi: int) -> np.ndarray:
+    """Grid over the geodesic cap of the given angular radius about o.
+
+    Returns an (n_theta * n_phi, d, d) stack, polar angle major.
+    """
+    thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None, None]
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
     B = space.dec.m_basis
-    out = []
-    for th in thetas:
-        for ph in phis:
-            A = th * (np.cos(ph) * B[0] + np.sin(ph) * B[1])
-            out.append(space.algebra_exp(A))
-    return out
+    A = thetas * (np.cos(phis) * B[0] + np.sin(phis) * B[1])
+    return space.algebra_exp(A.reshape((-1,) + B.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -177,7 +211,8 @@ def find_period(space: Space, A, t_max: float = 20.0,
     """Smallest T in (0, t_max] with exp(T A) back at the identity.
 
     Coarse scan with t_max/1e4 steps, refined by bounded minimization of
-    the return distance.  None if the subgroup never returns.
+    the return distance.  None if the subgroup never returns.  ``exp`` is
+    the space's closed-form ``algebra_exp``.
     """
     A = np.asarray(A, dtype=float)
     if np.max(np.abs(A)) == 0.0:
@@ -185,7 +220,7 @@ def find_period(space: Space, A, t_max: float = 20.0,
     n = 10_000
     dt = t_max / n
     I = np.eye(A.shape[0])
-    E = smallmat.expm(dt * A)
+    E = space.algebra_exp(dt * A)
     norms = np.empty(n)
     g = I
     for k in range(n):
@@ -193,12 +228,12 @@ def find_period(space: Space, A, t_max: float = 20.0,
         norms[k] = np.max(np.abs(g - I))
 
     def miss(T):
-        return np.max(np.abs(smallmat.expm(T * A) - I))
+        return np.max(np.abs(space.algebra_exp(T * A) - I))
 
     def slope(T):
         # derivative of half the squared Frobenius return distance; smooth
         # through the minimum, so bisection nails the kink of the distance
-        E_T = smallmat.expm(T * A)
+        E_T = space.algebra_exp(T * A)
         return float(np.sum((E_T @ A) * (E_T - I)))
 
     armed = False  # the orbit must first leave the identity, else T -> 0 wins
@@ -300,10 +335,8 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     base = space.identity() if base is None else np.asarray(base, dtype=float)
 
     ts = np.linspace(0.0, period, n_quad + 1)
-    fs = np.empty(n_quad + 1)
-    for i, t in enumerate(ts):
-        g = base @ space.algebra_exp(t * A1)
-        fs[i] = linearize(F1, space1, g)[0, 0]
+    G = base @ space.algebra_exp(ts[:, None, None] * A1)
+    fs = linearize(F1, space1, G)[:, 0, 0]
     integral = float(np.trapezoid(fs, ts))
     max_f = float(np.max(fs))
     inconsistent = c if (c is not None and c < 0.0 and max_f <= c) else None

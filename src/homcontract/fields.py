@@ -4,14 +4,15 @@ A field is specified by a coefficient function g -> R^m giving the
 components in the left-invariant frame of the m-basis.  Frame-direction
 derivatives are taken by central differences along g exp(t A_j), with an
 optional Richardson step, and assemble into the m x m linearization used
-by the matrix-measure machinery.
+by the matrix-measure machinery.  Group elements may be stacked
+(..., d, d); a whole stack is linearized with one coefficient call.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,71 +25,81 @@ class HorizontalField:
 
     ``coeff`` maps (g, t) to an R^m coefficient vector and must accept
     stacked group elements of shape (..., d, d), returning (..., m).
-    ``frame_derivative``, if given, supplies analytic frame derivatives
-    (g, j, t) -> R^m and bypasses finite differencing entirely.
     """
 
     name: str
     space_name: str
     coeff: Callable[[np.ndarray, float], np.ndarray]
     time_varying: bool = False
-    frame_derivative: Optional[Callable[[np.ndarray, int, float], np.ndarray]] = None
 
 
 def eval_coeff(F: HorizontalField, g, t: float = 0.0, dim_m=None) -> np.ndarray:
+    """Coefficients of F at g of shape (..., d, d), returned as (..., m).
+
+    A non-finite coefficient raises, naming the first offending stack index.
+    """
     g = np.asarray(g, dtype=float)
     c = np.asarray(F.coeff(g, t), dtype=float)
     if dim_m is not None and c.shape != g.shape[:-2] + (dim_m,):
         raise ValueError(f"field {F.name}: coefficient shape {c.shape}, "
                          f"expected {g.shape[:-2] + (dim_m,)}")
-    if not np.all(np.isfinite(c)):
+    bad = ~np.all(np.isfinite(np.atleast_1d(c)), axis=-1)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at stack index {idx} of {bad.shape}" if idx else ""
         raise ValueError(
-            f"field {F.name}: non-finite coefficients at t={t}, g=\n{np.asarray(g)}"
-        )
+            f"field {F.name}: non-finite coefficients at t={t}{where}, g=\n{g[idx]}")
     return c
+
+
+def _frame_derivatives(F: HorizontalField, space: Space, g, t: float, step: float,
+                       richardson: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Frame derivatives (..., m, m) and coefficients (..., m) at g (..., d, d).
+
+    Column j of the first result is the central difference of the
+    coefficients along g exp(s A_j); Richardson halves the step once and
+    extrapolates.  All 2m (or 4m) shifted elements and g itself go to the
+    field in one stacked call.
+    """
+    g = np.asarray(g, dtype=float)
+    m, d = space.dim_m, space.embed_dim
+    batch = g.shape[:-2]
+    hs = np.array([step, step / 2.0] if richardson else [step])
+    signed = np.stack([hs, -hs], axis=-1)  # (n_h, 2)
+    E = space.algebra_exp(signed[..., None, None, None] * space.dec.m_basis)
+    moved = g[..., None, None, None, :, :] @ E  # (..., n_h, 2, m, d, d)
+    stack = np.concatenate(
+        [moved.reshape(batch + (-1, d, d)), g[..., None, :, :]], axis=-3)
+    c = eval_coeff(F, stack, t, dim_m=m)
+    shifted = c[..., :-1, :].reshape(batch + (len(hs), 2, m, m))  # [..., h, sign, j, i]
+    D = (shifted[..., 0, :, :] - shifted[..., 1, :, :]) / (2.0 * hs[:, None, None])
+    D = (4.0 * D[..., 1, :, :] - D[..., 0, :, :]) / 3.0 if richardson else D[..., 0, :, :]
+    return np.swapaxes(D, -1, -2), c[..., -1, :]
 
 
 def lie_derivative(F: HorizontalField, space: Space, j: int, g, t: float = 0.0,
                    step: float = 1e-5, richardson: bool = False) -> np.ndarray:
     """Derivative of the coefficients along the j-th frame flow at g.
 
-    Central difference of coeff(g exp(s A_j)) at s = 0; Richardson halves
-    the step once and extrapolates.
+    Column j of the frame derivatives; ``g`` may be stacked (..., d, d),
+    giving (..., m).
     """
     if j >= space.dim_m:
         raise IndexError(f"frame index {j} out of range for dim {space.dim_m}")
-    if F.frame_derivative is not None:
-        d = np.asarray(F.frame_derivative(np.asarray(g, dtype=float), j, t), dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError(f"field {F.name}: non-finite analytic derivative at g")
-        return d
-
-    def central(h):
-        return (
-            eval_coeff(F, space.frame_flow(g, j, h), t)
-            - eval_coeff(F, space.frame_flow(g, j, -h), t)
-        ) / (2.0 * h)
-
-    d1 = central(step)
-    if not richardson:
-        return d1
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return _frame_derivatives(F, space, g, t, step, richardson)[0][..., j]
 
 
 def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
               step: float = 1e-5, richardson: bool = False) -> np.ndarray:
     """The m x m frame linearization at g.
 
+    ``g`` may be a stack (..., d, d); the result is then (..., m, m), one
+    matrix per element, from a single stacked coefficient evaluation.
     Column j is the frame derivative of the coefficients plus the
     connection correction sum_k coeff_k alpha[:, j, k].
     """
-    m = space.dim_m
-    P = np.empty((m, m))
-    for j in range(m):
-        P[:, j] = lie_derivative(F, space, j, g, t=t, step=step, richardson=richardson)
-    c = eval_coeff(F, g, t, dim_m=m)
-    return P + np.einsum("ijk,k->ij", space.alpha, c)
+    P, c = _frame_derivatives(F, space, g, t, step, richardson)
+    return P + np.einsum("ijk,...k->...ij", space.alpha, c)
 
 
 def covariant_apply(F: HorizontalField, space: Space, g, v, t: float = 0.0,
@@ -117,14 +128,12 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None,
     """
     if h_samples is None:
         h_samples = space.h_samples()
-    base = linearize(F, space, g, t=t)
-    gap = 0.0
-    count = 0
-    for h in h_samples:
-        other = linearize(F, space, np.asarray(g, dtype=float) @ h, t=t)
-        gap = max(gap, float(np.max(np.abs(base - other))))
-        count += 1
-    return CosetReport(max_gap=gap, tol=tol, pairs_checked=count)
+    g = np.asarray(g, dtype=float)
+    d = space.embed_dim
+    hs = np.reshape(np.asarray(h_samples, dtype=float), (-1, d, d))
+    P = linearize(F, space, np.concatenate([g[None], g @ hs]), t=t)
+    gap = float(np.max(np.abs(P[1:] - P[0]))) if len(hs) else 0.0
+    return CosetReport(max_gap=gap, tol=tol, pairs_checked=len(hs))
 
 
 def rotate_field(F: HorizontalField, Q) -> HorizontalField:
@@ -134,17 +143,11 @@ def rotate_field(F: HorizontalField, Q) -> HorizontalField:
     def coeff(g, t):
         return np.asarray(F.coeff(g, t), dtype=float) @ Q
 
-    deriv = None
-    if F.frame_derivative is not None:
-        # frame direction j of the rotated basis is sum_a Q[a, j] old frames;
-        # only exact for linear-in-frame analytic derivatives, so skip it
-        deriv = None
     return HorizontalField(
         name=F.name + "@rot",
         space_name=F.space_name,
         coeff=coeff,
         time_varying=F.time_varying,
-        frame_derivative=deriv,
     )
 
 
@@ -226,14 +229,23 @@ def circle_sine(space: Space) -> HorizontalField:
     return HorizontalField("circle-sin", space.name, coeff)
 
 
+# Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
+_FIT_CHUNK = 256
+
+
 def tabulated_field(space: Space, path) -> HorizontalField:
     """Field interpolated from a CSV coefficient table.
 
     Header ``g00,...,g{d-1}{d-1},x1,...,xm``; each row is a flattened
-    group element followed by its m coefficients.  Queries use the nearest
-    tabulated point with a local-linear correction fitted on the d^2 + 1
-    nearest neighbors.
+    group element followed by its m coefficients.  A query takes the
+    intercept of a local-linear least-squares fit on its d^2 + 1 nearest
+    table points, or the tabulated value on an exact hit.  Queries may be
+    stacked (..., d, d); neighbours come from one k-d tree built over the
+    table, and the fits are solved in batches.  Neighbours tied at the
+    k-th distance are resolved by the tree, not by lowest row.
     """
+    from scipy.spatial import cKDTree  # only the table path pays this import
+
     d = space.embed_dim
     m = space.dim_m
     with open(path, newline="") as fh:
@@ -245,25 +257,30 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     points = data[:, : d * d]
     values = data[:, d * d:]
     k = min(len(points), d * d + 1)
+    tree = cKDTree(points)
+    # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
+    # explicitly because its default differs between numpy 1.x and 2.x
+    cutoff = max(k, d * d + 1) * np.finfo(float).eps
 
-    def query_one(flat):
-        dist = np.linalg.norm(points - flat, axis=1)
-        idx = np.argsort(dist, kind="stable")[:k]
-        base = idx[0]
-        if dist[base] < 1e-12 or k == 1:
-            return values[base]
-        A = np.hstack([np.ones((k, 1)), points[idx] - flat])
-        beta, _, _, _ = np.linalg.lstsq(A, values[idx], rcond=None)
-        return beta[0]
+    def fit(q):
+        dist, idx = tree.query(q, k=k)
+        dist, idx = dist.reshape(len(q), k), idx.reshape(len(q), k)
+        out = values[idx[:, 0]]
+        if k == 1:
+            return out
+        fitted = dist[:, 0] >= 1e-12
+        q, idx = q[fitted], idx[fitted]
+        A = np.concatenate([np.ones((len(q), k, 1)), points[idx] - q[:, None, :]], axis=-1)
+        intercept = np.linalg.pinv(A, rcond=cutoff)[:, 0, :]
+        out[fitted] = np.einsum("nk,nkm->nm", intercept, values[idx])
+        return out
 
     def coeff(g, t):
-        flat = g.reshape(g.shape[:-2] + (d * d,))
-        if flat.ndim == 1:
-            return query_one(flat)
-        out = np.empty(flat.shape[:-1] + (m,))
-        for i in np.ndindex(flat.shape[:-1]):
-            out[i] = query_one(flat[i])
-        return out
+        flat = g.reshape(-1, d * d)
+        out = np.empty((len(flat), m))
+        for lo in range(0, len(flat), _FIT_CHUNK):
+            out[lo:lo + _FIT_CHUNK] = fit(flat[lo:lo + _FIT_CHUNK])
+        return out.reshape(g.shape[:-2] + (m,))
 
     return HorizontalField(f"tabulated[{path}]", space.name, coeff)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .contraction import ContractionCertificate
 from .fields import HorizontalField, eval_coeff
-from .smallmat import logm_rotation
+from .smallmat import logm_rotation, vee3
 from .spaces import Space
 
 
@@ -91,10 +91,15 @@ def _translation(space: Space, g):
 
 
 def so3_angle(Ra, Rb) -> np.ndarray:
-    """Rotation angle between stacked rotations, via the trace formula."""
+    """Rotation angle between stacked rotations.
+
+    atan2 of sin (from the skew part) and cos (from the trace) of the
+    relative rotation, accurate at small angles and near pi alike.
+    """
     rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
-    tr = np.trace(rel, axis1=-2, axis2=-1)
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    sin = 0.5 * np.linalg.norm(vee3(rel - np.swapaxes(rel, -1, -2)), axis=-1)
+    cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(sin, cos)
 
 
 def distance(space: Space, p, q) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 
 class SymmetricEigenResult(NamedTuple):
@@ -89,6 +88,8 @@ def expm(A) -> np.ndarray:
     A = require_square(A)
     if A.shape == (3, 3) and np.max(np.abs(A + A.T)) < 1e-12:
         return so3_exp(A)
+    import scipy.linalg  # imported here: most runs never leave the closed form
+
     return scipy.linalg.expm(A)
 
 
@@ -105,14 +106,12 @@ def logm_rotation(R, tol: float = 1e-9) -> RotationLog:
     if np.max(np.abs(R.T @ R - np.eye(3))) > tol or abs(np.linalg.det(R) - 1.0) > tol:
         raise ValueError("input is not a rotation matrix within tolerance")
 
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    c = (np.trace(R) - 1.0) / 2.0  # cos(angle)
     w = vee3(0.5 * (R - R.T))  # sin(angle) * axis
     s = np.linalg.norm(w)
-    if c < -0.99:
-        # arccos is ill-conditioned near pi; recover the gap from sin instead
-        angle = np.pi - np.arcsin(min(s, 1.0))
-    else:
-        angle = float(np.arccos(c))
+    # atan2 keeps full relative precision at both ends, where arccos of the
+    # trace alone loses digits (a 1e-8 rotation would read as 0)
+    angle = float(np.arctan2(s, c))
     at_cut = abs(angle - np.pi) <= 1e-7
 
     if angle < 1e-8:

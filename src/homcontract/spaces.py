@@ -62,21 +62,25 @@ class Space:
         return np.eye(self.embed_dim)
 
     def check_group(self, g, tol: float = 1e-8) -> None:
-        """Raise if g violates the group's defining constraint."""
+        """Raise if g, or any element of a stack (..., d, d), violates the
+        group's defining constraint; the message names the first offender."""
         g = np.asarray(g, dtype=float)
         if g.shape[-2:] != (self.embed_dim, self.embed_dim):
             raise ValueError(f"group element has wrong shape {g.shape}")
         if self.kind == "euclidean":
             n = self.embed_dim - 1
-            block = g[..., :n, :n] - np.eye(n)
-            last = g[..., n, :] - np.eye(self.embed_dim)[n]
-            err = max(float(np.max(np.abs(block))), float(np.max(np.abs(last))))
+            block = np.abs(g[..., :n, :n] - np.eye(n)).max(axis=(-2, -1))
+            last = np.abs(g[..., n, :] - np.eye(self.embed_dim)[n]).max(axis=-1)
+            err = np.maximum(block, last)
         else:
             gtg = np.swapaxes(g, -1, -2) @ g - np.eye(self.embed_dim)
-            err = float(np.max(np.abs(gtg)))
-            err = max(err, float(np.max(np.abs(np.linalg.det(g) - 1.0))))
-        if err > tol:
-            raise ValueError(f"element violates the group constraint (error {err:.2e})")
+            err = np.maximum(np.abs(gtg).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0))
+        bad = ~(err <= tol)  # NaN entries count as violations
+        if np.any(bad):
+            idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+            where = f" at stack index {idx}" if idx else ""
+            raise ValueError(
+                f"element violates the group constraint (error {err[idx]:.2e}){where}")
 
     def algebra_from_coords(self, c) -> np.ndarray:
         return self.dec.from_coords(c)

@@ -193,3 +193,59 @@ class TestLoopObstruction:
         F = fields.constant_field(euclid2, [1.0, 0.0])
         with pytest.raises(ValueError, match="periodic"):
             contraction.loop_obstruction_check(F, euclid2, [1.0, 0.0])
+
+
+class TestStackedPath:
+    def test_cap_collect_is_minus_cos_theta_major(self, sphere):
+        # mu of the height gradient at polar angle theta is -cos(theta)
+        F = fields.sphere_height_gradient(sphere)
+        samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 5, 7)
+        assert samples.shape == (35, 3, 3)
+        mus = []
+        contraction.certify_region(F, sphere, samples, c=0.0, collect=mus)
+        thetas = np.linspace(0.0, np.radians(60.0), 5)
+        expected = np.repeat(-np.cos(thetas), 7)
+        assert np.max(np.abs(np.asarray(mus) - expected)) < 1e-8
+
+    def test_constant_euclidean_ties_go_to_first_sample(self, euclid2):
+        F = fields.constant_field(euclid2, [0.3, -0.7])
+        samples = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 16)
+        assert samples.shape == (16, 3, 3)
+        mus = []
+        cert = contraction.certify_region(F, euclid2, samples, c=0.0, collect=mus)
+        assert len(set(mus)) == 1
+        assert cert.argmax_index == 0
+        assert np.array_equal(cert.mu_argmax, samples[0])
+
+    def test_stacked_linearize_matches_single(self, sphere):
+        F = fields.sphere_height_gradient(sphere)
+        samples = contraction.sphere_cap_grid(sphere, 1.0, 3, 4).reshape(3, 4, 3, 3)
+        P = fields.linearize(F, sphere, samples, richardson=True)
+        assert P.shape == (3, 4, 2, 2)
+        for i in np.ndindex(3, 4):
+            single = fields.linearize(F, sphere, samples[i], richardson=True)
+            assert np.max(np.abs(P[i] - single)) < 1e-12
+        mus = contraction.matrix_measure(P)
+        assert mus.shape == (3, 4)
+        assert mus[1, 2] == pytest.approx(contraction.matrix_measure(P[1, 2]), abs=1e-15)
+
+    def test_loop_values_match_single_linearizations(self, sphere):
+        from homcontract.spaces import rotate_basis
+
+        F = fields.sphere_height_gradient(sphere)
+        rep = contraction.loop_obstruction_check(F, sphere, [1.0, 0.0], n_quad=8)
+        Q = contraction._extend_to_orthonormal(np.array([1.0, 0.0]))
+        A1 = sphere.algebra_from_coords([1.0, 0.0])
+        for t, f in zip(rep.times, rep.values):
+            P = fields.linearize(fields.rotate_field(F, Q), rotate_basis(sphere, Q),
+                                 sphere.algebra_exp(t * A1))
+            assert f == pytest.approx(P[0, 0], abs=1e-12)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_scipy_unscrambled(self, dim):
+        from scipy.stats import qmc
+
+        ref = qmc.Halton(d=dim, scramble=False).random(1024)
+        assert np.array_equal(contraction._halton(1024, dim), ref)

@@ -188,3 +188,71 @@ class TestTabulatedField:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             fields.tabulated_field(euclid2, path)
+
+
+class TestStackedErrors:
+    def _nan_at_x(self, euclid2, x_bad):
+        def coeff(g, t):
+            c = np.zeros(g.shape[:-2] + (2,))
+            c[np.abs(g[..., 0, 2] - x_bad) < 1e-3] = np.nan
+            return c
+
+        return fields.HorizontalField("nan-at-sample", euclid2.name, coeff)
+
+    def _stack(self, n):
+        G = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+        G[:, 0, 2] = np.arange(n) / 10.0
+        return G
+
+    def test_eval_coeff_names_first_bad_sample(self, euclid2):
+        F = self._nan_at_x(euclid2, 1.7)
+        with pytest.raises(ValueError, match=r"finite.*index \(17,\) of \(50,\)") as exc:
+            fields.eval_coeff(F, self._stack(50))
+        assert len(str(exc.value)) < 300  # one element is printed, not the stack
+
+    def test_linearize_names_first_bad_sample(self, euclid2):
+        from homcontract import contraction
+
+        F = self._nan_at_x(euclid2, 1.7)
+        with pytest.raises(ValueError, match=r"finite.*index \(17, 0\)"):
+            contraction.certify_region(F, euclid2, self._stack(50), c=0.0)
+
+
+class TestTabulatedStack:
+    M = np.array([[-1.0, 0.5], [0.0, -2.0]])
+
+    def _table(self, tmp_path):
+        xs = np.linspace(-1.0, 1.0, 21)
+        rows = []
+        for x in xs:
+            for y in xs:
+                g = np.eye(3)
+                g[:2, 2] = [x, y]
+                rows.append(list(g.ravel()) + list(self.M @ [x, y]))
+        header = [f"g{i}{j}" for i in range(3) for j in range(3)] + ["x1", "x2"]
+        path = tmp_path / "table.csv"
+        np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="")
+        return path
+
+    def test_stack_matches_closed_form_and_single_queries(self, euclid2, tmp_path):
+        F = fields.tabulated_field(euclid2, self._table(tmp_path))
+        rng = np.random.default_rng(5)
+        G = np.broadcast_to(np.eye(3), (5, 7, 3, 3)).copy()
+        G[..., :2, 2] = rng.uniform(-0.9, 0.9, size=(5, 7, 2))
+        hit = np.linspace(-1.0, 1.0, 21)[[13, 4]]  # a table point: the exact-hit shortcut
+        G[2, 3, :2, 2] = hit
+        got = fields.eval_coeff(F, G)
+        assert got.shape == (5, 7, 2)
+        assert np.max(np.abs(got - G[..., :2, 2] @ self.M.T)) < 1e-6
+        assert np.array_equal(got[2, 3], self.M @ hit)
+        for i in np.ndindex(5, 7):
+            assert np.max(np.abs(got[i] - fields.eval_coeff(F, G[i]))) < 1e-12
+
+    def test_stack_across_fit_chunks(self, euclid2, tmp_path):
+        F = fields.tabulated_field(euclid2, self._table(tmp_path))
+        G = np.broadcast_to(np.eye(3), (600, 3, 3)).copy()
+        G[:, :2, 2] = np.random.default_rng(6).uniform(-0.9, 0.9, size=(600, 2))
+        got = fields.eval_coeff(F, G)
+        assert np.max(np.abs(got - G[:, :2, 2] @ self.M.T)) < 1e-6
+        for i in (0, 255, 256, 599):
+            assert np.max(np.abs(got[i] - fields.eval_coeff(F, G[i]))) < 1e-12

@@ -186,3 +186,26 @@ class TestCsv:
         got = np.array([[data[f"s{i}"][k] for i in range(9)]
                         for k in range(len(traj.times))])
         assert np.max(np.abs(got - flat)) < 1e-12
+
+
+class TestSmallDistances:
+    def test_so3_angle_of_tiny_rotation(self, so3):
+        R = expm(1e-8 * (AX + 2.0 * AY) / np.sqrt(5.0))
+        assert reach.so3_angle(np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
+        assert reach.distance(so3, np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
+
+    def test_reach_with_micro_radius(self, so3):
+        # the demo flow is isometric, so distances to the center must hold
+        # the sampled ball radii to full relative precision for all time
+        r0 = 1e-6
+        F = fields.so3_demo_schedule(so3)
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
+        cert = contraction.certify_region(F, so3, samples, c=0.0)
+        tube = reach.reach_tube(F, so3, np.eye(3), r0, cert, 1.0, 0.01)
+        rep = reach.monte_carlo_containment(tube, F, so3, n_samples=20, seed=3)
+        assert rep.passed
+        assert rep.max_drift <= 1e-6 * r0
+        rng = np.random.default_rng(3)  # the ball radii drawn by sample_metric_ball
+        rng.standard_normal((20, 3))
+        radii = r0 * rng.random(20) ** (1.0 / 3.0)
+        assert np.max(np.abs(rep.distances[0] - radii)) <= 1e-9 * r0

@@ -165,3 +165,11 @@ class TestGramInner:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             smallmat.gram_inner([1.0, 0.0, 0.0], [0.0, 1.0], np.eye(2))
+
+
+class TestSmallAngleLog:
+    def test_tiny_rotation_keeps_its_angle(self):
+        A = 1e-8 * AZ
+        log = smallmat.logm_rotation(smallmat.expm(A))
+        assert log.angle == pytest.approx(1e-8, rel=1e-9)
+        assert np.max(np.abs(log.skew - A)) < 1e-20

@@ -134,3 +134,19 @@ class TestVerifySpace:
         sp = request.getfixturevalue(name)
         cls = spaces.verify_space(sp)
         assert cls.to_dict() == sp.classification.to_dict()
+
+
+class TestStackedCheckGroup:
+    def test_names_first_violating_sample(self, sphere):
+        G = sphere.algebra_exp(np.linspace(0.0, 1.0, 50)[:, None, None] * AX)
+        sphere.check_group(G)
+        G[23] *= 1.01
+        G[40] *= 1.01
+        with pytest.raises(ValueError, match=r"at stack index \(23,\)"):
+            sphere.check_group(G)
+
+    def test_nan_element_rejected(self, euclid2):
+        G = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+        G[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            euclid2.check_group(G)

@@ -36,15 +36,17 @@ class HorizontalField:
 def eval_coeff(F: HorizontalField, g, t: float = 0.0, dim_m=None) -> np.ndarray:
     """Coefficients of F at g of shape (..., d, d), returned as (..., m).
 
-    A non-finite coefficient raises, naming the first offending stack index.
+    With ``dim_m`` given, any other shape raises.  A non-finite coefficient
+    raises, naming the first offending stack index; the finite case costs
+    one ``isfinite`` pass, and the index is searched for only on failure.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(F.coeff(g, t), dtype=float)
     if dim_m is not None and c.shape != g.shape[:-2] + (dim_m,):
         raise ValueError(f"field {F.name}: coefficient shape {c.shape}, "
                          f"expected {g.shape[:-2] + (dim_m,)}")
-    bad = ~np.all(np.isfinite(np.atleast_1d(c)), axis=-1)
-    if np.any(bad):
+    if not np.isfinite(c).all():
+        bad = ~np.all(np.isfinite(np.atleast_1d(c)), axis=-1)
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f" at stack index {idx} of {bad.shape}" if idx else ""
         raise ValueError(
@@ -190,7 +192,9 @@ def constant_field(space: Space, u) -> HorizontalField:
         raise ValueError("input dimension does not match the space")
 
     def coeff(g, t):
-        return np.broadcast_to(u, g.shape[:-2] + u.shape)
+        out = np.empty(g.shape[:-2] + u.shape)
+        out[...] = u
+        return out
 
     label = ",".join(repr(float(x)) for x in u)
     return HorizontalField(f"constant[{label}]", space.name, coeff)
@@ -201,7 +205,9 @@ def so3_demo_schedule(space: Space) -> HorizontalField:
 
     def coeff(g, t):
         u = np.array([(5.0 - t) / 5.0, 1.0 - (t / 5.0) ** 2, np.sin(np.pi * t / 2.0)])
-        return np.broadcast_to(u, g.shape[:-2] + (3,))
+        out = np.empty(g.shape[:-2] + (3,))
+        out[...] = u
+        return out
 
     return HorizontalField("so3-demo-schedule", space.name, coeff, time_varying=True)
 
@@ -231,6 +237,13 @@ def circle_sine(space: Space) -> HorizontalField:
 
 # Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
 _FIT_CHUNK = 256
+# A coefficient call searches the table by brute force while queries x rows
+# stays at or below this; at about 16 ns per pair (2-CPU x86 host) that is
+# under 0.3 s, less than importing scipy.spatial for a k-d tree.
+_BRUTE_MAX_PAIRS = 2 ** 24
+# Distance entries per brute-force chunk (8-byte distance and index each),
+# so the search holds about 16 MB whatever the table size.
+_BRUTE_CHUNK_ENTRIES = 2 ** 20
 
 
 def tabulated_field(space: Space, path) -> HorizontalField:
@@ -240,12 +253,14 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     group element followed by its m coefficients.  A query takes the
     intercept of a local-linear least-squares fit on its d^2 + 1 nearest
     table points, or the tabulated value on an exact hit.  Queries may be
-    stacked (..., d, d); neighbours come from one k-d tree built over the
-    table, and the fits are solved in batches.  Neighbours tied at the
-    k-th distance are resolved by the tree, not by lowest row.
+    stacked (..., d, d) and are fitted in batches.  A call whose queries
+    times table rows is at most ``_BRUTE_MAX_PAIRS`` (the 5,120 queries of
+    a 1,024-sample certify on tables up to about 3,000 rows) finds the
+    neighbours by a brute-force search, with no scipy import; a larger call
+    builds one ``scipy.spatial.cKDTree`` over the table, kept for later
+    calls.  Either way the neighbours are ordered by exact distance; a
+    neighbour tied at the k-th distance is not chosen by lowest row.
     """
-    from scipy.spatial import cKDTree  # only the table path pays this import
-
     d = space.embed_dim
     m = space.dim_m
     with open(path, newline="") as fh:
@@ -256,15 +271,35 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     data = np.asarray(rows[1:], dtype=float)
     points = data[:, : d * d]
     values = data[:, d * d:]
-    k = min(len(points), d * d + 1)
-    tree = cKDTree(points)
+    n_rows = len(points)
+    k = min(n_rows, d * d + 1)
+    # brute force ranks rows by |p|^2 - 2 q.p, the squared distance less
+    # the query's own |q|^2; centring keeps these terms small, so rounding
+    # can reorder only near-ties
+    mean = points.mean(axis=0)
+    centred = points - mean
+    sq_norms = np.einsum("ij,ij->i", centred, centred)
+    trees = []
     # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
     # explicitly because its default differs between numpy 1.x and 2.x
     cutoff = max(k, d * d + 1) * np.finfo(float).eps
 
-    def fit(q):
-        dist, idx = tree.query(q, k=k)
-        dist, idx = dist.reshape(len(q), k), idx.reshape(len(q), k)
+    def brute_neighbours(q):
+        d2 = sq_norms - 2.0 * (q - mean) @ centred.T
+        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        dist = np.linalg.norm(points[idx] - q[:, None, :], axis=-1)
+        order = np.argsort(dist, axis=1, kind="stable")
+        return (np.take_along_axis(dist, order, axis=1),
+                np.take_along_axis(idx, order, axis=1))
+
+    def tree_neighbours(q):
+        if not trees:
+            from scipy.spatial import cKDTree
+            trees.append(cKDTree(points))
+        dist, idx = trees[0].query(q, k=k)
+        return dist.reshape(len(q), k), idx.reshape(len(q), k)
+
+    def fit(q, dist, idx):
         out = values[idx[:, 0]]
         if k == 1:
             return out
@@ -278,8 +313,14 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     def coeff(g, t):
         flat = g.reshape(-1, d * d)
         out = np.empty((len(flat), m))
-        for lo in range(0, len(flat), _FIT_CHUNK):
-            out[lo:lo + _FIT_CHUNK] = fit(flat[lo:lo + _FIT_CHUNK])
+        if len(flat) * n_rows <= _BRUTE_MAX_PAIRS:
+            neighbours = brute_neighbours
+            chunk = max(1, min(_FIT_CHUNK, _BRUTE_CHUNK_ENTRIES // n_rows))
+        else:
+            neighbours, chunk = tree_neighbours, _FIT_CHUNK
+        for lo in range(0, len(flat), chunk):
+            q = flat[lo:lo + chunk]
+            out[lo:lo + chunk] = fit(q, *neighbours(q))
         return out.reshape(g.shape[:-2] + (m,))
 
     return HorizontalField(f"tabulated[{path}]", space.name, coeff)

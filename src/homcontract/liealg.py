@@ -93,8 +93,10 @@ class ReductiveDecomposition:
         return np.einsum("i,iab->ab", ch, self.h_basis)
 
     def from_coords(self, c) -> np.ndarray:
-        """Algebra element with the given m-coordinates (broadcasts)."""
-        return np.einsum("...i,iab->...ab", np.asarray(c, dtype=float), self.m_basis)
+        """Algebra element with the given m-coordinates, shape (..., m) -> (..., d, d)."""
+        c = np.asarray(c, dtype=float)
+        basis = self.m_basis.reshape(len(self.m_basis), -1)
+        return (c @ basis).reshape(c.shape[:-1] + self.m_basis.shape[1:])
 
 
 def orthonormalize_basis(raw, gram=None, trace_scale: float = 0.5) -> np.ndarray:

@@ -57,7 +57,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     states[0] = g
 
     def xi(gg, t):
-        return space.algebra_from_coords(eval_coeff(F, gg, t))
+        return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
 
     if method == "lieeuler":
         for k in range(n_steps):
@@ -102,6 +102,15 @@ def so3_angle(Ra, Rb) -> np.ndarray:
     return np.arctan2(sin, cos)
 
 
+def _sphere_angle(p, q) -> np.ndarray:
+    """Great-circle angle between (stacked) embedded points.
+
+    atan2 of |p x q| and p . q keeps full relative precision at small
+    angles, where arccos of the dot product alone reads 1e-8 rad as 0.
+    """
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
+
+
 def distance(space: Space, p, q) -> float:
     """Riemannian distance for the shipped metrics.
 
@@ -122,7 +131,7 @@ def distance(space: Space, p, q) -> float:
             p = p @ space.base_point
         if q.ndim == 2:
             q = q @ space.base_point
-        return float(np.arccos(np.clip(p @ q, -1.0, 1.0)))
+        return float(_sphere_angle(p, q))
     if space.kind == "euclidean":
         return float(np.linalg.norm(_translation(space, p) - _translation(space, q)))
     if space.kind == "circle":
@@ -139,7 +148,7 @@ def _distance_batch(space: Space, center, samples) -> np.ndarray:
     if space.kind == "sphere":
         p = center @ space.base_point
         ps = samples @ space.base_point
-        return np.arccos(np.clip(ps @ p, -1.0, 1.0))
+        return _sphere_angle(ps, p)
     if space.kind == "euclidean":
         diff = _translation(space, samples) - _translation(space, center)
         return np.linalg.norm(diff, axis=-1)

@@ -69,18 +69,31 @@ def vee3(A) -> np.ndarray:
     return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
 
 
+_I3 = np.eye(3)
+
+
 def so3_exp(A) -> np.ndarray:
-    """Closed-form exponential of (possibly stacked) 3x3 skew matrices."""
+    """Closed-form (Rodrigues) exponential of (possibly stacked) 3x3 skew matrices.
+
+    For A = hat(w), A^2 = w w^T - |w|^2 I, so theta^2 = |w|^2 = -tr(A^2)/2
+    comes from the A @ A the formula needs anyway (clamped at 0 for inputs
+    that are skew only to rounding).  Below theta = 1e-8 the coefficients
+    switch to their Taylor series.
+    """
     A = np.asarray(A, dtype=float)
-    th = np.linalg.norm(vee3(A), axis=-1)[..., None, None]
     A2 = A @ A
+    th2 = np.maximum(-0.5 * A2.trace(axis1=-2, axis2=-1), 0.0)[..., None, None]
+    th = np.sqrt(th2)
     small = th < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - th ** 2 / 6.0, np.sin(th) / np.where(small, 1.0, th))
-        b = np.where(
-            small, 0.5 - th ** 2 / 24.0, (1.0 - np.cos(th)) / np.where(small, 1.0, th ** 2)
-        )
-    return np.broadcast_to(np.eye(3), A.shape) + a * A + b * A2
+    any_small = small.any()  # rare; without it the Taylor selects are skipped
+    if any_small:
+        th = np.where(small, 1.0, th)  # placeholder angle, no 0/0 below
+    a = np.sin(th) / th
+    b = (1.0 - np.cos(th)) / th ** 2
+    if any_small:
+        a = np.where(small, 1.0 - th2 / 6.0, a)
+        b = np.where(small, 0.5 - th2 / 24.0, b)
+    return _I3 + a * A + b * A2
 
 
 def expm(A) -> np.ndarray:

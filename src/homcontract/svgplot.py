@@ -46,6 +46,14 @@ def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
     return parts
 
 
+def _points(px, py) -> str:
+    """SVG polyline points "x1,y1 x2,y2 ...", each coordinate to 2 decimals."""
+    n = min(len(px), len(py))
+    xy = np.empty(2 * n)
+    xy[0::2], xy[1::2] = px[:n], py[:n]
+    return ("%.2f,%.2f " * n % tuple(xy.tolist()))[:-1]
+
+
 def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
     """Write a polyline plot; ``series`` is a list of (label, y-array)."""
     x = np.asarray(x, dtype=float)
@@ -55,15 +63,15 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     xlo, xhi = float(x.min()), float(x.max())
     parts = _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
+    px = _scale(x, xlo, xhi, _ML, _W - _MR)
     for i, (label, y) in enumerate(series):
         ya = np.atleast_2d(np.asarray(y, dtype=float))
         if ya.shape[0] != len(x):
             ya = ya.T if ya.shape[-1] == len(x) else ya
         color = _COLORS[i % len(_COLORS)]
         for col in np.atleast_2d(ya.T if ya.ndim > 1 and ya.shape[0] == len(x) else ya):
-            px = _scale(x, xlo, xhi, _ML, _W - _MR)
             py = _scale(col, ylo, yhi, _H - _MB, _MT)
-            pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+            pts = _points(px, py)
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
             )

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import homcontract
 from homcontract import cli
 
 
@@ -139,6 +143,39 @@ class TestTabulatedFieldCli:
         assert code == 0
         payload = json.loads((tmp_path / "certificate.json").read_text())
         assert payload["mu_max"] == pytest.approx(-1.0, abs=1e-4)
+
+
+class TestImports:
+    def test_table_certify_and_reach_load_no_scipy(self, tmp_path):
+        # the closed-form paths and the numpy table lookup need no scipy module
+        xs = np.linspace(-1.5, 1.5, 7)
+        rows = []
+        for x in xs:
+            for y in xs:
+                g = np.eye(3)
+                g[:2, 2] = [x, y]
+                rows.append(list(g.ravel()) + [-x, -y])
+        header = [f"g{i}{j}" for i in range(3) for j in range(3)] + ["x1", "x2"]
+        table = tmp_path / "field.csv"
+        np.savetxt(table, rows, delimiter=",", header=",".join(header), comments="")
+        script = (
+            "import sys\n"
+            "from homcontract import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['--out', out, 'certify', '--space', 'euclidean:2', '--field',"
+            f" {str(table)!r}, '--region', 'box:-1:1:16', '--c', '-0.9']) == 0\n"
+            "assert cli.main(['--out', out, 'reach', '--space', 'so3', '--field',"
+            " 'so3-demo-schedule', '--region', 'box:-2:2:16', '--horizon', '0.05',"
+            " '--dt', '0.005', '--samples', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homcontract.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestConfigEmbedding:

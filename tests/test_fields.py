@@ -256,3 +256,37 @@ class TestTabulatedStack:
         assert np.max(np.abs(got - G[:, :2, 2] @ self.M.T)) < 1e-6
         for i in (0, 255, 256, 599):
             assert np.max(np.abs(got[i] - fields.eval_coeff(F, G[i]))) < 1e-12
+
+
+class TestTabulatedNeighbours:
+    # default brute force; the k-d tree; brute force in chunks of 2 queries
+    @pytest.mark.parametrize("max_pairs, chunk_entries", [
+        (fields._BRUTE_MAX_PAIRS, fields._BRUTE_CHUNK_ENTRIES), (0, fields._BRUTE_CHUNK_ENTRIES),
+        (fields._BRUTE_MAX_PAIRS, 1000)])
+    def test_nonlinear_table_matches_sorted_reference(self, euclid2, tmp_path, monkeypatch,
+                                                      max_pairs, chunk_entries):
+        # on a curved field the intercept depends on which k rows are chosen
+        # and in what order, so compare with a full sort and lstsq per query
+        monkeypatch.setattr(fields, "_BRUTE_MAX_PAIRS", max_pairs)
+        monkeypatch.setattr(fields, "_BRUTE_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(8)
+        xy = rng.uniform(-1.2, 1.2, size=(400, 2))
+        vals = np.stack([np.sin(2.0 * xy[:, 0]) * xy[:, 1], np.cos(xy[:, 1]) - xy[:, 0] ** 2],
+                        axis=1)
+        G = np.broadcast_to(np.eye(3), (400, 3, 3)).copy()
+        G[:, :2, 2] = xy
+        header = [f"g{i}{j}" for i in range(3) for j in range(3)] + ["x1", "x2"]
+        path = tmp_path / "curved.csv"
+        np.savetxt(path, np.concatenate([G.reshape(400, 9), vals], axis=1), delimiter=",",
+                   header=",".join(header), comments="")
+        F = fields.tabulated_field(euclid2, path)
+        Q = np.broadcast_to(np.eye(3), (300, 3, 3)).copy()
+        Q[:, :2, 2] = rng.uniform(-1.0, 1.0, size=(300, 2))
+        Q[7] = G[123]  # an exact hit returns the tabulated row
+        got = fields.eval_coeff(F, Q)
+        points = G.reshape(400, 9)
+        for i, q in enumerate(Q.reshape(300, 9)):
+            idx = np.argsort(np.linalg.norm(points - q, axis=1), kind="stable")[:10]
+            A = np.concatenate([np.ones((10, 1)), points[idx] - q], axis=1)
+            want = vals[idx[0]] if i == 7 else np.linalg.lstsq(A, vals[idx], rcond=None)[0][0]
+            assert np.max(np.abs(got[i] - want)) < 1e-12

@@ -65,6 +65,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             reach.integrate(F, so3, np.eye(3), 1.0, dt=0.0)
 
+    def test_coefficient_shape_checked(self, so3):
+        # one coefficient too many, and an unstacked (m,) for a stack of states
+        too_many = fields.HorizontalField(
+            "m+1", so3.name, lambda g, t: np.zeros(g.shape[:-2] + (4,)))
+        unstacked = fields.HorizontalField(
+            "unstacked", so3.name, lambda g, t: np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="coefficient shape"):
+            reach.integrate(too_many, so3, np.eye(3), 0.1, 0.01)
+        g0s = np.stack([np.eye(3), expm(0.3 * AX)])
+        with pytest.raises(ValueError, match="coefficient shape"):
+            reach.integrate(unstacked, so3, g0s, 0.1, 0.01)
+
 
 class TestDistance:
     def test_so3_angle_examples(self, so3):
@@ -193,6 +205,12 @@ class TestSmallDistances:
         R = expm(1e-8 * (AX + 2.0 * AY) / np.sqrt(5.0))
         assert reach.so3_angle(np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
         assert reach.distance(so3, np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
+
+    def test_sphere_distance_of_tiny_angle(self, sphere):
+        R = expm(1e-8 * (AX - 3.0 * AY) / np.sqrt(10.0))
+        assert reach.distance(sphere, np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
+        got = reach._distance_batch(sphere, np.eye(3), np.stack([R, R.T, np.eye(3)]))
+        assert got == pytest.approx([1e-8, 1e-8, 0.0], rel=1e-9)
 
     def test_reach_with_micro_radius(self, so3):
         # the demo flow is isometric, so distances to the center must hold

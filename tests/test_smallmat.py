@@ -95,6 +95,42 @@ class TestExpm:
             smallmat.expm(np.ones((2, 3)))
 
 
+class TestSo3ExpStack:
+    # angles across the Taylor switch at 1e-8, and next to the half turn
+    ANGLES = [0.0, 1e-12, 1e-8 * (1.0 - 1e-6), 1e-8 * (1.0 + 1e-6), 1e-4, 1.0, np.pi - 1e-9]
+
+    def _stack(self):
+        axes = np.random.default_rng(11).normal(size=(len(self.ANGLES), 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        return smallmat.hat3(np.asarray(self.ANGLES)[:, None] * axes)
+
+    def test_stack_equals_single_elements(self):
+        A = self._stack()
+        R = smallmat.so3_exp(A)
+        for k in range(len(A)):
+            assert np.array_equal(R[k], smallmat.so3_exp(A[k]))
+
+    def test_matches_series_and_is_a_rotation(self):
+        A = self._stack()
+        R = smallmat.so3_exp(A)
+        for k in range(len(A)):
+            assert np.max(np.abs(R[k] - series_expm(A[k], terms=40))) <= 1e-14
+            assert np.max(np.abs(R[k].T @ R[k] - np.eye(3))) <= 1e-14
+            assert abs(np.linalg.det(R[k]) - 1.0) <= 1e-14
+
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           st.sampled_from([1.0, 1e-5, 1e-9, 1e-13]))
+    @settings(max_examples=100, deadline=None)
+    def test_rotation_property(self, w, scale):
+        w = scale * np.asarray(w)
+        R = smallmat.so3_exp(smallmat.hat3(w))
+        assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-14
+        assert abs(np.linalg.det(R) - 1.0) <= 1e-14
+        assert np.max(np.abs(R @ w - w)) <= 1e-14  # the axis is fixed
+        # the series' own terms reach about 7 at |w| = 2 sqrt(3), so it rounds near 1e-15
+        assert np.max(np.abs(R - series_expm(smallmat.hat3(w), terms=40))) <= 1e-12
+
+
 class TestLogmRotation:
     def test_identity(self):
         log = smallmat.logm_rotation(np.eye(3))

@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

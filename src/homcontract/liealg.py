@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import gram_inner  # noqa: F401  (re-exported kernel)
-
 
 def bracket(X, Y) -> np.ndarray:
     """Matrix commutator XY - YX."""
@@ -31,11 +29,6 @@ def adjoint(g, X) -> np.ndarray:
     if g.shape != X.shape:
         raise ValueError(f"adjoint of mismatched shapes {g.shape} and {X.shape}")
     return np.linalg.solve(g.T, (g @ X).T).T
-
-
-def trace_inner(X, Y, scale: float = 0.5) -> float:
-    """Trace-form pairing scale * trace(X^T Y)."""
-    return scale * float(np.sum(np.asarray(X) * np.asarray(Y)))
 
 
 @dataclass(frozen=True)
@@ -128,28 +121,33 @@ def orthonormalize_basis(raw, gram=None, trace_scale: float = 0.5) -> np.ndarray
 class AdInvarianceReport:
     max_leak: float
     tol: float
+    max_metric_gap: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.max_leak <= self.tol
+        return self.max_leak <= self.tol and self.max_metric_gap <= self.tol
 
 
 def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None,
                         tol: float = 1e-8) -> AdInvarianceReport:
-    """Verify Ad_h(m) stays inside m over sampled subgroup elements.
+    """Verify that Ad_h keeps m inside m and preserves its metric.
 
     ``in_h`` is an optional membership predicate; a sample failing it is an
-    error.  Reports the largest h-component norm of Ad_h(A) over the
-    m-basis.
+    error.  Reports the largest h-component entry of Ad_h(A) over the
+    m-basis, and the largest entry of C^T C - I, where column j of C holds
+    the m-coordinates of Ad_h(A_j) (the m-basis is orthonormal, so an
+    isometry gives C^T C = I).
     """
-    leak = 0.0
+    leak = gap = 0.0
+    m = dec.dim_m
     for h in h_samples:
         h = np.asarray(h, dtype=float)
         if in_h is not None and not in_h(h):
             raise ValueError("sample is not a member of the isotropy subgroup")
-        for A in dec.m_basis:
-            ch, _ = dec.split_coords(adjoint(h, A))
-            if ch.size:
-                P = np.einsum("i,iab->ab", ch, dec.h_basis)
-                leak = max(leak, float(np.max(np.abs(P))))
-    return AdInvarianceReport(max_leak=leak, tol=tol)
+        C = np.empty((m, m))
+        for j, A in enumerate(dec.m_basis):
+            ch, C[:, j] = dec.split_coords(adjoint(h, A))
+            P = np.einsum("i,iab->ab", ch, dec.h_basis)  # zeros when h = 0
+            leak = max(leak, float(np.max(np.abs(P))))
+        gap = max(gap, float(np.max(np.abs(C.T @ C - np.eye(m)))))
+    return AdInvarianceReport(max_leak=leak, tol=tol, max_metric_gap=gap)

@@ -9,14 +9,17 @@ checked empirically by Monte Carlo containment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .contraction import ContractionCertificate
 from .fields import HorizontalField, eval_coeff
-from .smallmat import logm_rotation, vee3
+from .smallmat import so3_angle  # noqa: F401  (the SO(3) distance kernel, public here too)
 from .spaces import Space
+
+# Time steps per distance call in the containment check: a chunk of 64 steps
+# of 100 samples keeps the temporaries near 0.5 MB.
+_DISTANCE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -85,74 +88,29 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     return Trajectory(times=times, states=states, integrator_id=method, step_size=dt)
 
 
-def _translation(space: Space, g):
-    n = space.embed_dim - 1
-    return np.asarray(g, dtype=float)[..., :n, n]
+def _require_distance(space: Space) -> None:
+    """Raise NotImplementedError unless the m-basis is orthonormal for the
+    trace form that the kind's closed-form distance measures."""
+    scale = space.ops.distance_scale
+    B = space.dec.m_basis.reshape(space.dim_m, -1)
+    if np.max(np.abs(scale * (B @ B.T) - np.eye(space.dim_m))) > 1e-10:
+        raise NotImplementedError(
+            f"no distance is shipped for the metric of {space.name}: the closed form "
+            f"needs an m-basis orthonormal for {scale:g}*tr(X^T Y)")
 
 
-def so3_angle(Ra, Rb) -> np.ndarray:
-    """Rotation angle between stacked rotations.
+def distance(space: Space, p, q) -> np.ndarray:
+    """Riemannian distance between states, broadcasting over stacks (..., d, d).
 
-    atan2 of sin (from the skew part) and cos (from the trace) of the
-    relative rotation, accurate at small angles and near pi alike.
+    Closed forms: the rotation angle on SO(3) (pi at the cut locus), the
+    great-circle angle of the embedded points g . o on the sphere (1-D
+    inputs are taken as points), the wrapped angle on the circle, and the
+    norm of the translation parts on flat space.  Metrics other than the
+    half trace on rotations and the trace on translations raise
+    NotImplementedError.
     """
-    rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
-    sin = 0.5 * np.linalg.norm(vee3(rel - np.swapaxes(rel, -1, -2)), axis=-1)
-    cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
-    return np.arctan2(sin, cos)
-
-
-def _sphere_angle(p, q) -> np.ndarray:
-    """Great-circle angle between (stacked) embedded points.
-
-    atan2 of |p x q| and p . q keeps full relative precision at small
-    angles, where arccos of the dot product alone reads 1e-8 rad as 0.
-    """
-    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
-
-
-def distance(space: Space, p, q) -> float:
-    """Riemannian distance for the shipped metrics.
-
-    SO(3) uses the bi-invariant rotation angle (cut-locus inputs are fine
-    and return pi); the sphere uses the great-circle angle of the embedded
-    points (rotations are pushed through the base point); flat space uses
-    the Euclidean norm of the translation parts.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if space.kind == "so3":
-        if space.gram is not None:
-            raise NotImplementedError("distance is only shipped for the bi-invariant metric")
-        log = logm_rotation(p.T @ q)
-        return log.angle
-    if space.kind == "sphere":
-        if p.ndim == 2:
-            p = p @ space.base_point
-        if q.ndim == 2:
-            q = q @ space.base_point
-        return float(_sphere_angle(p, q))
-    if space.kind == "euclidean":
-        return float(np.linalg.norm(_translation(space, p) - _translation(space, q)))
-    if space.kind == "circle":
-        rel = p.T @ q
-        ang = abs(float(np.arctan2(rel[1, 0], rel[0, 0])))
-        return ang
-    raise NotImplementedError(f"no distance for space kind {space.kind!r}")
-
-
-def _distance_batch(space: Space, center, samples) -> np.ndarray:
-    """Distances from one state to a stacked batch, without per-pair logs."""
-    if space.kind == "so3":
-        return so3_angle(center, samples)
-    if space.kind == "sphere":
-        p = center @ space.base_point
-        ps = samples @ space.base_point
-        return _sphere_angle(ps, p)
-    if space.kind == "euclidean":
-        diff = _translation(space, samples) - _translation(space, center)
-        return np.linalg.norm(diff, axis=-1)
-    return np.array([distance(space, center, s) for s in samples])
+    _require_distance(space)
+    return space.ops.distance(space, np.asarray(p, dtype=float), np.asarray(q, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -245,16 +203,18 @@ def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
                             n_samples: int = 100, seed: int = 0,
                             tol: float = 1e-4) -> ContainmentReport:
     """Integrate ball samples with the center's scheme and check containment."""
+    _require_distance(space)
     g0 = tube.center.states[0]
     samples0 = sample_metric_ball(space, g0, tube.r0, n_samples, seed=seed)
     traj = integrate(
         F, space, samples0, tube.center.horizon, tube.center.step_size,
         method=tube.center.integrator_id,
     )
-    T = len(tube.center.times)
-    dists = np.empty((T, n_samples))
-    for k in range(T):
-        dists[k] = _distance_batch(space, tube.center.states[k], traj.states[k])
+    center, states = tube.center.states, traj.states
+    dists = np.empty((len(center), n_samples))
+    for lo in range(0, len(center), _DISTANCE_CHUNK):
+        hi = lo + _DISTANCE_CHUNK
+        dists[lo:hi] = distance(space, center[lo:hi, None], states[lo:hi])
     margins = dists - tube.radius(tube.center.times)[:, None]
     drift = np.abs(dists - dists[0][None, :])
     return ContainmentReport(
@@ -268,12 +228,8 @@ def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
 
 
 def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
-    """Write (t, flattened state) rows; sphere states export as 3-vectors."""
-    states = traj.states
-    if space.kind == "sphere":
-        flat = states @ space.base_point
-    else:
-        flat = states.reshape(states.shape[0], -1)
+    """Write (t, state coordinates) rows; sphere states export as 3-vectors."""
+    flat = space.ops.project(space, traj.states).reshape(len(traj.times), -1)
     with open(path, "w") as fh:
         d = flat.shape[-1]
         fh.write("t," + ",".join(f"s{i}" for i in range(d)) + "\n")
@@ -283,9 +239,4 @@ def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
 
 def group_constraint_drift(space: Space, traj: Trajectory) -> float:
     """Worst violation of the group constraint along the trajectory."""
-    g = traj.states
-    if space.kind == "euclidean":
-        n = space.embed_dim - 1
-        return float(np.max(np.abs(g[..., n, :] - np.eye(space.embed_dim)[n])))
-    gtg = np.swapaxes(g, -1, -2) @ g - np.eye(space.embed_dim)
-    return float(np.max(np.abs(gtg)))
+    return float(np.max(space.ops.residual(traj.states)))

@@ -2,7 +2,7 @@
 
 Everything operates on plain numpy arrays of modest size (n <= ~6):
 symmetric eigen-extremes, matrix exponentials with a closed-form fast
-path for 3x3 skew inputs, rotation logarithms, and Gram-weighted inner
+path for 3x3 skew inputs, rotation logarithms and angles, and Gram inner
 products.  All functions are pure.
 """
 
@@ -94,6 +94,18 @@ def so3_exp(A) -> np.ndarray:
         a = np.where(small, 1.0 - th2 / 6.0, a)
         b = np.where(small, 0.5 - th2 / 24.0, b)
     return _I3 + a * A + b * A2
+
+
+def so3_angle(Ra, Rb) -> np.ndarray:
+    """Rotation angle between (broadcasting) stacked rotations.
+
+    atan2 of sin (from the skew part) and cos (from the trace) of the
+    relative rotation, accurate at small angles and near pi alike.
+    """
+    rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
+    sin = 0.5 * np.linalg.norm(vee3(rel - np.swapaxes(rel, -1, -2)), axis=-1)
+    cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(sin, cos)
 
 
 def expm(A) -> np.ndarray:

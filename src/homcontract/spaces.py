@@ -4,13 +4,19 @@ Shipped instances: flat Euclidean space (translations embedded as
 (n+1)x(n+1) matrices), the circle SO(2), the unit sphere as SO(3)/SO(2),
 and SO(3) with either the bi-invariant metric or a user-supplied
 left-invariant Gram matrix on the standard skew basis.
+
+A space is defined by its name, its kind, its reductive decomposition and
+its base point.  The connection tensor, the classification flags and the
+isotropy samples are derived from the bases; every operation that depends
+on the kind is looked up in :data:`KIND_OPS`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,34 +35,117 @@ SO3_BASIS = np.array(
 
 # Deterministic SO(2) sample angles; irrational multiples of pi are included
 # on purpose so accidental symmetries cannot mask an invariance failure.
-_H_ANGLES = tuple(
-    float(a)
-    for a in np.concatenate(
-        [
-            [0.0, 0.3, 1.7, 3.0, np.sqrt(2.0), np.pi / np.e],
-            (np.arange(1, 11) * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi),
-        ]
-    )
+_H_ANGLES = np.concatenate(
+    [
+        [0.0, 0.3, 1.7, 3.0, np.sqrt(2.0), np.pi / np.e],
+        (np.arange(1, 11) * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi),
+    ]
 )
 
 
-@dataclass(frozen=True)
+def _rotation_residual(g) -> np.ndarray:
+    """max(|g^T g - I|, |det g - 1|) per stacked element."""
+    gtg = np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1])
+    return np.maximum(np.abs(gtg).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0))
+
+
+def _translation_residual(g) -> np.ndarray:
+    """Distance of each stacked element from a pure translation [[I, x], [0, 1]]."""
+    n = g.shape[-1] - 1
+    block = np.abs(g[..., :n, :n] - np.eye(n)).max(axis=(-2, -1))
+    last = np.abs(g[..., n, :] - np.eye(n + 1)[n]).max(axis=-1)
+    return np.maximum(block, last)
+
+
+def _circle_exp(A) -> np.ndarray:
+    c, s = np.cos(A[..., 1, 0]), np.sin(A[..., 1, 0])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _circle_distance(space, p, q) -> np.ndarray:
+    rel = np.swapaxes(p, -1, -2) @ q
+    return np.abs(np.arctan2(rel[..., 1, 0], rel[..., 0, 0]))
+
+
+def _points(space, x) -> np.ndarray:
+    """Embedded points g . o of states (..., d, d); a 1-D input already is one."""
+    return x if x.ndim == 1 else x @ space.base_point
+
+
+def _sphere_distance(space, p, q) -> np.ndarray:
+    """Great-circle angle as atan2(|p x q|, p . q): arccos of the dot product
+    alone reads a 1e-8 rad separation as 0."""
+    p, q = _points(space, p), _points(space, q)
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
+
+
+def _translation_distance(space, p, q) -> np.ndarray:
+    n = p.shape[-1] - 1
+    return np.linalg.norm(p[..., :n, n] - q[..., :n, n], axis=-1)
+
+
+class KindOps(NamedTuple):
+    """The closed-form operations of one kind of space, all on stacks.
+
+    ``exp`` maps algebra elements (..., d, d) into the group and
+    ``residual`` gives each element's violation of the group constraint.
+    ``distance(space, p, q)`` broadcasts over stacked states and is the
+    Riemannian distance of the metric ``distance_scale * tr(X^T Y)`` on m.
+    ``project(space, states)`` gives the coordinates a CSV row holds.
+    ``dim_h`` is the dimension of the isotropy algebra the operations assume.
+    """
+
+    exp: Callable
+    residual: Callable
+    distance: Callable
+    project: Callable
+    distance_scale: float
+    dim_h: int
+
+
+# The lambdas look up smallmat's kernels per call, so a module attribute
+# rebound at run time (bench/tracer.py wraps them) is seen by every call.
+KIND_OPS = {
+    "so3": KindOps(lambda A: smallmat.so3_exp(A), _rotation_residual,
+                   lambda space, p, q: smallmat.so3_angle(p, q), lambda space, g: g, 0.5, 0),
+    "sphere": KindOps(lambda A: smallmat.so3_exp(A), _rotation_residual,
+                      _sphere_distance, _points, 0.5, 1),
+    "circle": KindOps(_circle_exp, _rotation_residual, _circle_distance,
+                      lambda space, g: g, 0.5, 0),
+    "euclidean": KindOps(lambda A: np.eye(A.shape[-1]) + A, _translation_residual,
+                         _translation_distance, lambda space, g: g, 1.0, 0),
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class Space:
-    """A reductive Riemannian homogeneous space with cached connection data."""
+    """A reductive Riemannian homogeneous space; connection data derived on access."""
 
     name: str
-    kind: str  # "euclidean" | "circle" | "sphere" | "so3"
-    embed_dim: int
+    kind: str  # a key of KIND_OPS
     dec: ReductiveDecomposition
-    alpha: np.ndarray  # (m, m, m), alpha[i, j, k]
-    classification: SpaceClassification
     base_point: Optional[np.ndarray] = None
-    gram: Optional[np.ndarray] = None  # metric Gram in the raw basis, None = trace form
-    h_sampler: Optional[Callable[[], list[np.ndarray]]] = field(default=None, repr=False)
+
+    @property
+    def ops(self) -> KindOps:
+        return KIND_OPS[self.kind]
 
     @property
     def dim_m(self) -> int:
         return self.dec.dim_m
+
+    @property
+    def embed_dim(self) -> int:
+        return self.dec.embed_dim
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Connection tensor (m, m, m), alpha[i, j, k]."""
+        return connection.compute_alpha(self.dec)
+
+    @cached_property
+    def classification(self) -> SpaceClassification:
+        return connection.classify(self.dec)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.embed_dim)
@@ -67,14 +156,7 @@ class Space:
         g = np.asarray(g, dtype=float)
         if g.shape[-2:] != (self.embed_dim, self.embed_dim):
             raise ValueError(f"group element has wrong shape {g.shape}")
-        if self.kind == "euclidean":
-            n = self.embed_dim - 1
-            block = np.abs(g[..., :n, :n] - np.eye(n)).max(axis=(-2, -1))
-            last = np.abs(g[..., n, :] - np.eye(self.embed_dim)[n]).max(axis=-1)
-            err = np.maximum(block, last)
-        else:
-            gtg = np.swapaxes(g, -1, -2) @ g - np.eye(self.embed_dim)
-            err = np.maximum(np.abs(gtg).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0))
+        err = self.ops.residual(g)
         bad = ~(err <= tol)  # NaN entries count as violations
         if np.any(bad):
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
@@ -87,30 +169,20 @@ class Space:
 
     def algebra_exp(self, A) -> np.ndarray:
         """Exponential of (possibly stacked) algebra elements, closed form."""
-        A = np.asarray(A, dtype=float)
-        if self.kind in ("so3", "sphere"):
-            return smallmat.so3_exp(A)
-        if self.kind == "circle":
-            th = A[..., 1, 0]
-            c, s = np.cos(th), np.sin(th)
-            R = np.zeros(A.shape)
-            R[..., 0, 0], R[..., 0, 1] = c, -s
-            R[..., 1, 0], R[..., 1, 1] = s, c
-            return R
-        if self.kind == "euclidean":
-            return np.broadcast_to(np.eye(self.embed_dim), A.shape) + A
-        if A.ndim == 2:
-            return smallmat.expm(A)
-        return np.stack([smallmat.expm(a) for a in A.reshape(-1, *A.shape[-2:])]).reshape(A.shape)
+        return self.ops.exp(np.asarray(A, dtype=float))
 
     def frame_flow(self, g, j: int, t: float) -> np.ndarray:
         """g . exp(t A_j) along the j-th left-invariant frame direction."""
         return np.asarray(g, dtype=float) @ self.algebra_exp(t * self.dec.m_basis[j])
 
-    def h_samples(self) -> list[np.ndarray]:
-        if self.h_sampler is None:
-            return [self.identity()]
-        return self.h_sampler()
+    def h_samples(self) -> np.ndarray:
+        """Isotropy samples: exp(a B) for each h-basis element B and each
+        angle a of _H_ANGLES, or the identity alone when h = 0."""
+        h_basis = self.dec.h_basis
+        if len(h_basis) == 0:
+            return self.identity()[None]
+        A = np.multiply.outer(_H_ANGLES, h_basis)
+        return self.algebra_exp(A.reshape((-1,) + h_basis.shape[1:]))
 
     def in_h(self, h, tol: float = 1e-8) -> bool:
         """Membership test for the isotropy subgroup."""
@@ -129,71 +201,54 @@ class Space:
         data = {
             "name": self.name,
             "kind": self.kind,
-            "n": self.dim_m,
-            "embed_dim": self.embed_dim,
             "h_basis": self.dec.h_basis.tolist(),
             "m_basis": self.dec.m_basis.tolist(),
             "gram_scale": self.dec.trace_scale,
-            "alpha": self.alpha.tolist(),
-            "flags": self.classification.to_dict(),
             "base_point": None if self.base_point is None else self.base_point.tolist(),
-            "gram": None if self.gram is None else self.gram.tolist(),
         }
         return json.dumps(data, sort_keys=True)
 
 
-def from_json(text: str) -> Space:
-    """Rebuild a space descriptor from its JSON form.
+_DESCRIPTOR_KEYS = frozenset(("name", "kind", "h_basis", "m_basis", "gram_scale", "base_point"))
 
-    The isotropy sampler is reattached for the built-in names; unknown
-    descriptors fall back to exponentials of the h-basis.
+
+def from_json(text: str) -> Space:
+    """Rebuild a space from its descriptor JSON and verify it.
+
+    The descriptor holds only the defining keys of :meth:`Space.to_json`;
+    everything else is derived.  Raises ValueError on any other or missing
+    key, an unknown kind, inconsistent shapes or dependent bases, or a
+    failed :func:`verify_space`.
     """
     data = json.loads(text)
-    dec = ReductiveDecomposition(
-        h_basis=np.asarray(data["h_basis"], dtype=float).reshape(-1, data["embed_dim"], data["embed_dim"]),
-        m_basis=np.asarray(data["m_basis"], dtype=float),
-        trace_scale=float(data["gram_scale"]),
-    )
-    flags = data["flags"]
-    classification = SpaceClassification(
-        is_symmetric=flags["symmetric"],
-        is_naturally_reductive=flags["naturally_reductive"],
-        max_u_norm=flags["max_u_norm"],
-        max_mm_leak=flags["max_mm_leak"],
-    )
-    base = None if data["base_point"] is None else np.asarray(data["base_point"], dtype=float)
-    gram = None if data.get("gram") is None else np.asarray(data["gram"], dtype=float)
-    sampler = None
-    if data["name"] == "sphere2":
-        sampler = _sphere_h_sampler
+    keys = set(data) if isinstance(data, dict) else set()
+    if keys != _DESCRIPTOR_KEYS:
+        raise ValueError(f"descriptor keys must be exactly {sorted(_DESCRIPTOR_KEYS)}, "
+                         f"got {sorted(keys)}")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in KIND_OPS:
+        raise ValueError(f"unknown space kind {kind!r} (expected one of {sorted(KIND_OPS)})")
+    m_basis = np.asarray(data["m_basis"], dtype=float)
+    if m_basis.ndim != 3 or len(m_basis) == 0 or m_basis.shape[1] != m_basis.shape[2]:
+        raise ValueError(f"m_basis must be a nonempty (m, d, d) stack, got shape {m_basis.shape}")
+    d = m_basis.shape[-1]
+    h_basis = np.asarray(data["h_basis"], dtype=float).reshape(-1, d, d)
+    base = data["base_point"]
+    base = None if base is None else np.asarray(base, dtype=float).reshape(d)
+    rank = np.linalg.matrix_rank(np.concatenate([h_basis, m_basis]).reshape(-1, d * d))
+    if len(h_basis) != KIND_OPS[kind].dim_h or rank < len(h_basis) + len(m_basis):
+        raise ValueError(
+            f"a {kind!r} space needs {KIND_OPS[kind].dim_h} h-basis elements and independent "
+            f"bases; got {len(h_basis)} h and {len(m_basis)} m elements of rank {rank}")
     space = Space(
-        name=data["name"],
-        kind=data["kind"],
-        embed_dim=int(data["embed_dim"]),
-        dec=dec,
-        alpha=np.asarray(data["alpha"], dtype=float),
-        classification=classification,
-        base_point=base,
-        gram=gram,
-        h_sampler=sampler,
-    )
-    return space
-
-
-def _finish(name, kind, embed_dim, dec, base_point=None, gram=None, h_sampler=None) -> Space:
-    alpha = connection.compute_alpha(dec)
-    connection.check_alpha_invariants(dec, alpha)
-    return Space(
-        name=name,
+        name=str(data["name"]),
         kind=kind,
-        embed_dim=embed_dim,
-        dec=dec,
-        alpha=alpha,
-        classification=connection.classify(dec),
-        base_point=base_point,
-        gram=gram,
-        h_sampler=h_sampler,
+        dec=ReductiveDecomposition(h_basis=h_basis, m_basis=m_basis,
+                                   trace_scale=float(data["gram_scale"])),
+        base_point=base,
     )
+    verify_space(space)
+    return space
 
 
 def make_euclidean(n: int) -> Space:
@@ -209,7 +264,7 @@ def make_euclidean(n: int) -> Space:
         m_basis=orthonormalize_basis(raw, trace_scale=1.0),
         trace_scale=1.0,
     )
-    return _finish(f"euclidean:{n}", "euclidean", d, dec)
+    return Space(f"euclidean:{n}", "euclidean", dec)
 
 
 def make_circle() -> Space:
@@ -220,11 +275,7 @@ def make_circle() -> Space:
         m_basis=orthonormalize_basis(raw, trace_scale=0.5),
         trace_scale=0.5,
     )
-    return _finish("circle", "circle", 2, dec, base_point=np.array([1.0, 0.0]))
-
-
-def _sphere_h_sampler() -> list[np.ndarray]:
-    return [smallmat.so3_exp(a * SO3_BASIS[2]) for a in _H_ANGLES]
+    return Space("circle", "circle", dec, base_point=np.array([1.0, 0.0]))
 
 
 def make_sphere2() -> Space:
@@ -234,14 +285,7 @@ def make_sphere2() -> Space:
         m_basis=orthonormalize_basis(SO3_BASIS[:2], trace_scale=0.5),
         trace_scale=0.5,
     )
-    return _finish(
-        "sphere2",
-        "sphere",
-        3,
-        dec,
-        base_point=np.array([0.0, 0.0, 1.0]),
-        h_sampler=_sphere_h_sampler,
-    )
+    return Space("sphere2", "sphere", dec, base_point=np.array([0.0, 0.0, 1.0]))
 
 
 def make_so3_biinvariant() -> Space:
@@ -251,7 +295,7 @@ def make_so3_biinvariant() -> Space:
         m_basis=orthonormalize_basis(SO3_BASIS, trace_scale=0.5),
         trace_scale=0.5,
     )
-    return _finish("so3", "so3", 3, dec)
+    return Space("so3", "so3", dec)
 
 
 def make_so3_left_invariant(gram) -> Space:
@@ -269,35 +313,21 @@ def make_so3_left_invariant(gram) -> Space:
         trace_scale=0.5,
     )
     label = ",".join(repr(float(x)) for x in gram[np.triu_indices(3)])
-    return _finish(f"so3-left[{label}]", "so3", 3, dec, gram=gram)
+    return Space(f"so3-left[{label}]", "so3", dec)
 
 
 def rotate_basis(space: Space, Q) -> Space:
     """Space with the m-basis rotated by an orthogonal coordinate change.
 
     New basis vectors are B'_i = sum_j Q[j, i] B_j; the connection tensor
-    is recomputed in the rotated basis.
+    is derived again in the rotated basis.
     """
     Q = np.asarray(Q, dtype=float)
     m = space.dim_m
     if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
         raise ValueError("basis change must be orthogonal")
-    dec = ReductiveDecomposition(
-        h_basis=space.dec.h_basis,
-        m_basis=np.einsum("ji,jab->iab", Q, space.dec.m_basis),
-        trace_scale=space.dec.trace_scale,
-    )
-    return Space(
-        name=space.name + "@rot",
-        kind=space.kind,
-        embed_dim=space.embed_dim,
-        dec=dec,
-        alpha=connection.compute_alpha(dec),
-        classification=space.classification,
-        base_point=space.base_point,
-        gram=space.gram,
-        h_sampler=space.h_sampler,
-    )
+    dec = dataclasses.replace(space.dec, m_basis=np.einsum("ji,jab->iab", Q, space.dec.m_basis))
+    return dataclasses.replace(space, name=space.name + "@rot", dec=dec)
 
 
 def tangent_action(space: Space, g, i: int) -> np.ndarray:
@@ -308,9 +338,17 @@ def tangent_action(space: Space, g, i: int) -> np.ndarray:
 
 
 def verify_space(space: Space) -> connection.SpaceClassification:
-    """Re-run the invariance checks on a descriptor; raises on failure."""
+    """Check that a space's bases define it; raises ValueError on failure.
+
+    The kind's exponential must map the m-basis into the group; for every
+    isotropy sample h, Ad_h must keep m inside m and preserve the metric;
+    and the connection tensor must satisfy its identities.
+    """
+    space.check_group(space.algebra_exp(space.dec.m_basis))
     report = check_ad_invariance(space.dec, space.h_samples(), in_h=space.in_h)
     if not report.passed:
-        raise ValueError(f"Ad-invariance violated with leak {report.max_leak:.2e}")
+        raise ValueError(
+            f"isotropy check failed: Ad_h leaks {report.max_leak:.2e} out of m and "
+            f"distorts the metric by {report.max_metric_gap:.2e}")
     connection.check_alpha_invariants(space.dec, space.alpha)
     return space.classification

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import homcontract
-from homcontract import cli
+from homcontract import cli, spaces
 
 
 def run(tmp_path, *argv):
@@ -123,6 +123,50 @@ class TestReach:
                    "--horizon", "0.2", "--dt", "0.01", "--samples", "5")
         assert code == 2
         assert "FAIL" in capsys.readouterr().err
+
+
+def _descriptor(tmp_path, space, **changes) -> str:
+    """Path of a descriptor of ``space`` with some keys replaced or added."""
+    data = json.loads(space.to_json())
+    data.update(changes)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestRejectedSpaces:
+    def _assert_error(self, code, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and needle in err
+
+    def test_stored_alpha(self, tmp_path, capsys):
+        so3 = spaces.make_so3_biinvariant()
+        alpha = so3.alpha.copy()
+        alpha[np.arange(3), np.arange(3), 0] -= 1.0  # would certify mu_max = -1
+        code = run(tmp_path, "certify", "--space", _descriptor(tmp_path, so3, alpha=alpha.tolist()),
+                   "--field", "constant:1,0,0", "--region", "box:-3:3:64", "--c", "-0.5")
+        self._assert_error(code, capsys, "alpha")
+
+    def test_scaled_sphere_basis(self, tmp_path, capsys):
+        sphere = spaces.make_sphere2()
+        m_basis = sphere.dec.m_basis.copy()
+        m_basis[1] *= 0.5
+        code = run(tmp_path, "classify", "--space",
+                   _descriptor(tmp_path, sphere, m_basis=m_basis.tolist()))
+        self._assert_error(code, capsys, "metric")
+
+    def test_unknown_kind(self, tmp_path, capsys):
+        path = _descriptor(tmp_path, spaces.make_so3_biinvariant(), kind="torus")
+        code = run(tmp_path, "certify", "--space", path, "--field", "constant:1,0,0",
+                   "--region", "box:-3:3:64", "--c", "-0.5")
+        self._assert_error(code, capsys, "torus")
+
+    def test_reach_without_shipped_distance(self, tmp_path, capsys):
+        code = run(tmp_path, "reach", "--space", "so3-left:1,1,4",
+                   "--field", "so3-demo-schedule", "--region", "box:-2:2:16", "--c", "0",
+                   "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
+        self._assert_error(code, capsys, "no distance")
 
 
 class TestTabulatedFieldCli:

@@ -209,7 +209,7 @@ class TestSmallDistances:
     def test_sphere_distance_of_tiny_angle(self, sphere):
         R = expm(1e-8 * (AX - 3.0 * AY) / np.sqrt(10.0))
         assert reach.distance(sphere, np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
-        got = reach._distance_batch(sphere, np.eye(3), np.stack([R, R.T, np.eye(3)]))
+        got = reach.distance(sphere, np.eye(3), np.stack([R, R.T, np.eye(3)]))
         assert got == pytest.approx([1e-8, 1e-8, 0.0], rel=1e-9)
 
     def test_reach_with_micro_radius(self, so3):

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from homcontract import spaces
+from homcontract import smallmat, spaces
 from homcontract.spaces import SO3_BASIS
 
 AX, AY, AZ = SO3_BASIS
@@ -150,3 +154,78 @@ class TestStackedCheckGroup:
         G[2, 0, 0] = np.nan
         with pytest.raises(ValueError, match=r"\(2,\)"):
             euclid2.check_group(G)
+
+
+BUILTINS = {
+    "sphere": spaces.make_sphere2,
+    "so3": spaces.make_so3_biinvariant,
+    "so3_left": lambda: spaces.make_so3_left_invariant([1.0, 1.0, 4.0]),
+    "euclid2": lambda: spaces.make_euclidean(2),
+    "circle": spaces.make_circle,
+}
+
+
+def _descriptor(space, **changes) -> str:
+    data = json.loads(space.to_json())
+    data.update(changes)
+    return json.dumps(data)
+
+
+class TestDescriptor:
+    @given(st.sampled_from(sorted(BUILTINS)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rotated_round_trip(self, name, seed):
+        sp = BUILTINS[name]()
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(sp.dim_m, sp.dim_m)))
+        rot = spaces.rotate_basis(sp, Q)
+        back = spaces.from_json(rot.to_json())
+        assert back.to_json() == rot.to_json()
+        assert np.array_equal(back.alpha, rot.alpha)
+        assert back.classification == rot.classification
+        spaces.verify_space(rot)
+
+    @given(st.sampled_from(sorted(BUILTINS)), st.floats(-2.0, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_stored_alpha_rejected(self, name, delta):
+        sp = BUILTINS[name]()
+        alpha = sp.alpha.copy()
+        alpha[..., 0] += delta
+        with pytest.raises(ValueError, match="alpha"):
+            spaces.from_json(_descriptor(sp, alpha=alpha.tolist()))
+
+    @given(st.sampled_from([0, 1]), st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0)))
+    @settings(max_examples=20, deadline=None)
+    def test_scaled_sphere_vector_rejected(self, j, scale):
+        # one scaled m-vector makes the metric vary under rotations about the pole
+        sp = spaces.make_sphere2()
+        m_basis = sp.dec.m_basis.copy()
+        m_basis[j] *= scale
+        with pytest.raises(ValueError, match="distorts the metric"):
+            spaces.from_json(_descriptor(sp, m_basis=m_basis.tolist()))
+
+    @given(st.text(max_size=12).filter(lambda k: k not in spaces.KIND_OPS))
+    @settings(max_examples=20, deadline=None)
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown space kind"):
+            spaces.from_json(_descriptor(spaces.make_so3_biinvariant(), kind=kind))
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_kind_must_match_bases(self, name):
+        sp = BUILTINS[name]()
+        for kind in sorted(set(spaces.KIND_OPS) - {sp.kind}):
+            with pytest.raises(ValueError):
+                spaces.from_json(_descriptor(sp, kind=kind))
+
+    def test_dependent_bases_rejected(self):
+        sp = spaces.make_sphere2()
+        with pytest.raises(ValueError, match="independent"):
+            spaces.from_json(_descriptor(sp, h_basis=sp.dec.m_basis[:1].tolist()))
+
+    @given(st.text(max_size=12))
+    @settings(max_examples=10, deadline=None)
+    def test_renamed_sphere_keeps_isotropy_samples(self, name):
+        sp = spaces.from_json(_descriptor(spaces.make_sphere2(), name=name))
+        samples = sp.h_samples()
+        assert len(samples) == 16
+        for a, h in zip(spaces._H_ANGLES, samples):
+            assert np.array_equal(h, smallmat.so3_exp(a * AZ))

@@ -22,24 +22,27 @@ from . import contraction, fields, reach, spaces, svgplot
 
 
 def _resolve_space(spec: str) -> spaces.Space:
+    """The space named by ``spec``, verified once (``from_json`` verifies its own)."""
     if spec == "sphere2":
-        return spaces.make_sphere2()
-    if spec == "so3":
-        return spaces.make_so3_biinvariant()
-    if spec == "circle":
-        return spaces.make_circle()
-    if spec.startswith("euclidean:"):
-        return spaces.make_euclidean(int(spec.split(":", 1)[1]))
-    if spec.startswith("so3-left:"):
+        space = spaces.make_sphere2()
+    elif spec == "so3":
+        space = spaces.make_so3_biinvariant()
+    elif spec == "circle":
+        space = spaces.make_circle()
+    elif spec.startswith("euclidean:"):
+        space = spaces.make_euclidean(int(spec.split(":", 1)[1]))
+    elif spec.startswith("so3-left:"):
         vals = [float(x) for x in spec.split(":", 1)[1].split(",")]
-        return spaces.make_so3_left_invariant(vals)
-    path = Path(spec)
-    if path.exists():
-        return spaces.from_json(path.read_text())
-    raise ValueError(
-        f"unknown space {spec!r} (try sphere2, so3, circle, euclidean:N, "
-        "so3-left:g1,g2,g3, or a descriptor JSON path)"
-    )
+        space = spaces.make_so3_left_invariant(vals)
+    elif Path(spec).exists():
+        return spaces.from_json(Path(spec).read_text())
+    else:
+        raise ValueError(
+            f"unknown space {spec!r} (try sphere2, so3, circle, euclidean:N, "
+            "so3-left:g1,g2,g3, or a descriptor JSON path)"
+        )
+    spaces.verify_space(space)
+    return space
 
 
 def _resolve_field(space: spaces.Space, spec: str) -> fields.HorizontalField:
@@ -66,7 +69,6 @@ def _run_config(args) -> dict:
 
 def cmd_classify(args) -> int:
     space = _resolve_space(args.space)
-    spaces.verify_space(space)
     out = _out_dir(args)
     payload = {
         "config": _run_config(args),
@@ -169,6 +171,7 @@ def cmd_loop_check(args) -> int:
 
 def cmd_reach(args) -> int:
     space = _resolve_space(args.space)
+    reach._require_distance(space)
     F = _resolve_field(space, args.field)
     samples = _region_samples(space, args.region, args.seed)
     cert = contraction.certify_region(F, space, samples, args.c, region=args.region)
@@ -177,7 +180,7 @@ def cmd_reach(args) -> int:
         return 2
     tube = reach.reach_tube(
         F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
-        K=args.K, method=args.method,
+        K=args.K, method=args.method, n_samples=args.samples, seed=args.seed,
     )
     report = reach.monte_carlo_containment(
         tube, F, space, n_samples=args.samples, seed=args.seed

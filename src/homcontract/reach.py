@@ -115,7 +115,11 @@ def distance(space: Space, p, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReachTube:
-    """Center trajectory plus exponential radius schedule K e^{ct} r0."""
+    """Center trajectory plus exponential radius schedule K e^{ct} r0.
+
+    A tube built with ball samples also holds their distances to the
+    center, shape (T+1, n_samples), and the seed the ball was drawn with.
+    """
 
     center: Trajectory
     K: float
@@ -123,6 +127,8 @@ class ReachTube:
     r0: float
     space_id: str
     field_id: str
+    distances: np.ndarray = field(default=None, repr=False)
+    seed: int = 0
 
     def radius(self, t) -> np.ndarray:
         return self.K * np.exp(self.c * np.asarray(t, dtype=float)) * self.r0
@@ -143,15 +149,29 @@ class ReachTube:
 
 def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                certificate: ContractionCertificate, horizon: float, dt: float,
-               K: float = 1.0, method: str = "rkmk4") -> ReachTube:
+               K: float = 1.0, method: str = "rkmk4", n_samples: int = 0,
+               seed: int = 0) -> ReachTube:
     """Contraction tube around the integrated center trajectory.
 
     Requires a PASS certificate (c <= 0 allowed and labeled nonexpansive);
-    a failed certificate gives no sound tube and is an error.
+    a failed certificate gives no sound tube and is an error.  With
+    ``n_samples`` > 0, that many metric-ball samples (drawn with ``seed``)
+    are integrated in lockstep with the center, as rows 1.. of one stack,
+    and only their distances to the center are kept.
     """
     if not certificate.passed:
         raise ValueError("certificate verdict is FAIL; no sound tube exists")
-    center = integrate(F, space, g0, horizon, dt, method=method)
+    g0 = np.asarray(g0, dtype=float)
+    distances = None
+    if n_samples:
+        _require_distance(space)
+        stack = np.concatenate([g0[None], sample_metric_ball(space, g0, r0, n_samples, seed)])
+        traj = integrate(F, space, stack, horizon, dt, method=method)
+        center = Trajectory(times=traj.times, states=np.ascontiguousarray(traj.states[:, 0]),
+                            integrator_id=method, step_size=dt)
+        distances = _center_distances(space, center.states, traj.states[:, 1:])
+    else:
+        center = integrate(F, space, g0, horizon, dt, method=method)
     return ReachTube(
         center=center,
         K=float(K),
@@ -159,7 +179,18 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
         r0=float(r0),
         space_id=space.name,
         field_id=F.name,
+        distances=distances,
+        seed=seed,
     )
+
+
+def _center_distances(space: Space, center, states) -> np.ndarray:
+    """Distances (T+1, n) from states (T+1, n, d, d) to center (T+1, d, d)."""
+    dists = np.empty(states.shape[:2])
+    for lo in range(0, len(center), _DISTANCE_CHUNK):
+        hi = lo + _DISTANCE_CHUNK
+        dists[lo:hi] = distance(space, center[lo:hi, None], states[lo:hi])
+    return dists
 
 
 @dataclass(frozen=True)
@@ -202,19 +233,21 @@ def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np
 def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
                             n_samples: int = 100, seed: int = 0,
                             tol: float = 1e-4) -> ContainmentReport:
-    """Integrate ball samples with the center's scheme and check containment."""
+    """Check that ball samples integrated with the center's scheme stay in the tube.
+
+    Uses the tube's own sample distances when it was built with the same
+    ``n_samples`` and ``seed``; otherwise integrates a fresh ball.
+    """
     _require_distance(space)
-    g0 = tube.center.states[0]
-    samples0 = sample_metric_ball(space, g0, tube.r0, n_samples, seed=seed)
-    traj = integrate(
-        F, space, samples0, tube.center.horizon, tube.center.step_size,
-        method=tube.center.integrator_id,
-    )
-    center, states = tube.center.states, traj.states
-    dists = np.empty((len(center), n_samples))
-    for lo in range(0, len(center), _DISTANCE_CHUNK):
-        hi = lo + _DISTANCE_CHUNK
-        dists[lo:hi] = distance(space, center[lo:hi, None], states[lo:hi])
+    dists = tube.distances
+    if dists is None or dists.shape[1] != n_samples or tube.seed != seed:
+        g0 = tube.center.states[0]
+        samples0 = sample_metric_ball(space, g0, tube.r0, n_samples, seed=seed)
+        traj = integrate(
+            F, space, samples0, tube.center.horizon, tube.center.step_size,
+            method=tube.center.integrator_id,
+        )
+        dists = _center_distances(space, tube.center.states, traj.states)
     margins = dists - tube.radius(tube.center.times)[:, None]
     drift = np.abs(dists - dists[0][None, :])
     return ContainmentReport(
@@ -233,8 +266,8 @@ def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         d = flat.shape[-1]
         fh.write("t," + ",".join(f"s{i}" for i in range(d)) + "\n")
-        for t, row in zip(traj.times, flat):
-            fh.write(",".join(repr(float(x)) for x in np.atleast_1d(t).tolist() + row.tolist()) + "\n")
+        for t, row in zip(traj.times.tolist(), flat.tolist()):
+            fh.write(",".join(map(repr, [t] + row)) + "\n")
 
 
 def group_constraint_drift(space: Space, traj: Trajectory) -> float:

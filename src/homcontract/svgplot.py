@@ -11,6 +11,7 @@ import numpy as np
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
+_PLOT_W = _W - _ML - _MR  # pixel columns of the plot area
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -54,24 +55,55 @@ def _points(px, py) -> str:
     return ("%.2f,%.2f " * n % tuple(xy.tolist()))[:-1]
 
 
+def _m4_keep(px, PY) -> list[np.ndarray]:
+    """Per polyline (column of PY, shape (N, L)), the indices of the first,
+    last, lowest and highest point of each run of consecutive points that
+    fall in one pixel column, ascending.  This is M4 aggregation (Jugel et
+    al., VLDB 2014): the polyline drawn through them is the same at pixel
+    resolution."""
+    col = np.clip(px - _ML, 0, _PLOT_W - 1).astype(int)
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    last = np.r_[starts[1:], len(px)] - 1
+    # each run's indices, padded with its last index: arg-extremes take the
+    # first occurrence, so padding never displaces a real point
+    idx = np.minimum(starts[:, None] + np.arange(int((last - starts).max()) + 1), last[:, None])
+    seg = PY[idx]  # (runs, width, L)
+    rows = np.arange(len(starts))[:, None]
+    first = np.broadcast_to(starts[:, None], (len(starts), PY.shape[1]))
+    cand = np.stack([first, idx[rows, seg.argmin(axis=1)], idx[rows, seg.argmax(axis=1)],
+                     np.broadcast_to(last[:, None], first.shape)], axis=1)
+    cand.sort(axis=1)
+    new = np.ones(cand.shape, dtype=bool)
+    new[:, 1:] = cand[:, 1:] != cand[:, :-1]
+    return [cand[:, :, j][new[:, :, j]] for j in range(PY.shape[1])]
+
+
 def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
-    """Write a polyline plot; ``series`` is a list of (label, y-array)."""
+    """Write a polyline plot; ``series`` is a list of (label, y-array).
+
+    A y-array is one line of len(x) points, or a 2-D stack of lines along
+    either axis.  Past 4 points per pixel column the lines are thinned by
+    :func:`_m4_keep`.
+    """
     x = np.asarray(x, dtype=float)
-    ys = np.concatenate([np.asarray(y, dtype=float).ravel() for _, y in series])
+    blocks = []  # per series, its lines as columns (len(x), k)
+    for _, y in series:
+        ya = np.atleast_2d(np.asarray(y, dtype=float))
+        blocks.append(ya if ya.shape[0] == len(x) else ya.T)
+    ys = np.concatenate(blocks, axis=1)
     ylo, yhi = float(ys.min()), float(ys.max())
     if yhi - ylo < 1e-12:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     xlo, xhi = float(x.min()), float(x.max())
     parts = _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
     px = _scale(x, xlo, xhi, _ML, _W - _MR)
-    for i, (label, y) in enumerate(series):
-        ya = np.atleast_2d(np.asarray(y, dtype=float))
-        if ya.shape[0] != len(x):
-            ya = ya.T if ya.shape[-1] == len(x) else ya
+    PY = _scale(ys, ylo, yhi, _H - _MB, _MT)
+    keep = _m4_keep(px, PY) if len(px) > 4 * _PLOT_W else [slice(None)] * PY.shape[1]
+    j0 = 0  # first line of the series
+    for i, ((label, _), block) in enumerate(zip(series, blocks)):
         color = _COLORS[i % len(_COLORS)]
-        for col in np.atleast_2d(ya.T if ya.ndim > 1 and ya.shape[0] == len(x) else ya):
-            py = _scale(col, ylo, yhi, _H - _MB, _MT)
-            pts = _points(px, py)
+        for j in range(j0, j0 + block.shape[1]):
+            pts = _points(px[keep[j]], PY[keep[j], j])
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
             )
@@ -80,6 +112,7 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
                 f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 13 * i}" text-anchor="end" '
                 f'font-size="11" fill="{color}">{label}</text>'
             )
+        j0 += block.shape[1]
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import homcontract
-from homcontract import cli, spaces
+from homcontract import cli, contraction, reach, spaces
 
 
 def run(tmp_path, *argv):
@@ -167,6 +167,42 @@ class TestRejectedSpaces:
                    "--field", "so3-demo-schedule", "--region", "box:-2:2:16", "--c", "0",
                    "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
         self._assert_error(code, capsys, "no distance")
+
+    def test_reach_without_distance_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the distance check")
+
+        monkeypatch.setattr(contraction, "certify_region", forbidden)
+        monkeypatch.setattr(reach, "integrate", forbidden)
+        code = run(tmp_path, "reach", "--space", "so3-left:1,1,4",
+                   "--field", "so3-demo-schedule", "--region", "box:-2:2:16", "--c", "0",
+                   "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
+        self._assert_error(code, capsys, "no distance")
+
+
+class TestVerifiedOnce:
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        names = []
+        real = spaces.verify_space
+
+        def counted(space):
+            names.append(space.name)
+            return real(space)
+
+        monkeypatch.setattr(spaces, "verify_space", counted)
+        return names
+
+    def test_descriptor_classify(self, tmp_path, verified):
+        path = _descriptor(tmp_path, spaces.make_sphere2())
+        assert run(tmp_path, "classify", "--space", path) == 0
+        assert len(verified) == 1
+
+    def test_builtin_certify(self, tmp_path, verified):
+        code = run(tmp_path, "certify", "--space", "so3-left:1,1,4", "--field", "constant:1,0,0",
+                   "--region", "box:-1:1:8", "--c", "10")
+        assert code == 0
+        assert len(verified) == 1
 
 
 class TestTabulatedFieldCli:

@@ -227,3 +227,59 @@ class TestSmallDistances:
         rng.standard_normal((20, 3))
         radii = r0 * rng.random(20) ** (1.0 / 3.0)
         assert np.max(np.abs(rep.distances[0] - radii)) <= 1e-9 * r0
+
+
+class TestLockstepTube:
+    """A tube built with ball samples integrates them with its center in one stack."""
+
+    def _so3_tubes(self, so3, **kw):
+        F = fields.so3_demo_schedule(so3)
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
+        cert = contraction.certify_region(F, so3, samples, c=0.0)
+        plain = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01)
+        return F, plain, reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, **kw)
+
+    def test_so3_center_and_report_exact(self, so3):
+        F, plain, tube = self._so3_tubes(so3, n_samples=100, seed=7)
+        alone = reach.integrate(F, so3, np.eye(3), 1.0, 0.01)
+        assert np.array_equal(tube.center.states, alone.states)
+        assert np.array_equal(tube.center.times, alone.times)
+        assert tube.center.states.flags.c_contiguous
+        assert plain.distances is None and tube.distances.shape == (101, 100)
+        got = reach.monte_carlo_containment(tube, F, so3, n_samples=100, seed=7)
+        want = reach.monte_carlo_containment(plain, F, so3, n_samples=100, seed=7)
+        assert np.array_equal(got.distances, want.distances)
+        assert got.max_margin == want.max_margin
+        assert got.max_drift == want.max_drift
+
+    def test_sphere_lockstep_matches(self, sphere):
+        F = fields.sphere_height_gradient(sphere)
+        samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 10, 10)
+        cert = contraction.certify_region(F, sphere, samples, c=-0.5)
+        g0 = expm(0.3 * AX)
+        plain = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 0.01)
+        tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 0.01, n_samples=40, seed=2)
+        assert np.max(np.abs(tube.center.states - plain.center.states)) <= 1e-12
+        got = reach.monte_carlo_containment(tube, F, sphere, n_samples=40, seed=2)
+        want = reach.monte_carlo_containment(plain, F, sphere, n_samples=40, seed=2)
+        assert np.max(np.abs(got.distances - want.distances)) <= 1e-12
+        assert got.max_margin == pytest.approx(want.max_margin, abs=1e-12)
+        assert got.max_drift == pytest.approx(want.max_drift, abs=1e-12)
+
+    def test_mismatched_ball_integrates_afresh(self, so3, monkeypatch):
+        F, plain, tube = self._so3_tubes(so3, n_samples=10, seed=7)
+        calls = []
+        real = reach.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reach, "integrate", counted)
+        reach.monte_carlo_containment(tube, F, so3, n_samples=10, seed=7)
+        assert calls == []
+        for n, seed in [(10, 8), (12, 7)]:
+            got = reach.monte_carlo_containment(tube, F, so3, n_samples=n, seed=seed)
+            want = reach.monte_carlo_containment(plain, F, so3, n_samples=n, seed=seed)
+            assert np.array_equal(got.distances, want.distances)
+        assert len(calls) == 4

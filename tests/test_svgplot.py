@@ -36,3 +36,30 @@ class TestPolylinePoints:
         want = [old_points(px, svgplot._scale(c, lo, hi, svgplot._H - svgplot._MB,
                                               svgplot._MT)) for c in cols]
         assert got == want
+
+    def test_dense_lines_keep_column_extremes(self, tmp_path):
+        # 5,001 points over 560 pixel columns: each line keeps the first, last,
+        # lowest and highest point of every column, formatted as in the full join
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 5.0, 5001)
+        series = [("radius", np.full(5001, 0.1)),
+                  ("samples", np.cumsum(rng.normal(size=(5001, 3)), axis=0))]
+        path = tmp_path / "dense.svg"
+        svgplot.line_plot(path, x, series)
+        got = re.findall(r'points="([^"]*)"', path.read_text())
+        ys = np.concatenate([series[0][1], series[1][1].ravel()])
+        lo, hi = ys.min(), ys.max()
+        px = svgplot._scale(x, x.min(), x.max(), svgplot._ML, svgplot._W - svgplot._MR)
+        column = np.minimum(np.floor(px - svgplot._ML), 559)
+        cols = [series[0][1]] + list(series[1][1].T)
+        assert len(got) == len(cols)
+        for pts, c in zip(got, cols):
+            py = svgplot._scale(c, lo, hi, svgplot._H - svgplot._MB, svgplot._MT)
+            full = old_points(px, py).split(" ")
+            want = []
+            for k in np.unique(column):
+                ids = np.flatnonzero(column == k)
+                keep = sorted({ids[0], ids[-1], ids[np.argmin(py[ids])], ids[np.argmax(py[ids])]})
+                assert len(keep) <= 4
+                want += [full[i] for i in keep]
+            assert pts.split(" ") == want

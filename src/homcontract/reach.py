@@ -8,7 +8,8 @@ checked empirically by Monte Carlo containment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,17 +18,21 @@ from .fields import HorizontalField, eval_coeff
 from .smallmat import so3_angle  # noqa: F401  (the SO(3) distance kernel, public here too)
 from .spaces import Space
 
-# Time steps per distance call in the containment check: a chunk of 64 steps
-# of 100 samples keeps the temporaries near 0.5 MB.
-_DISTANCE_CHUNK = 64
+# Time steps per chunk that ``integrate`` hands to a consumer: 64 steps of
+# the demo's 101 states fill a 0.47 MB buffer, reused for every chunk.
+_STEP_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled integral curve(s); states shape (T+1, ..., d, d)."""
+    """Uniformly sampled integral curve(s); states shape (T+1, ..., d, d).
+
+    ``states`` is None when ``integrate`` passed them to a consumer, and
+    the center of a :class:`ReachTube` holds only row 0 of its stack.
+    """
 
     times: np.ndarray
-    states: np.ndarray
+    states: Optional[np.ndarray]
     integrator_id: str
     step_size: float
 
@@ -41,7 +46,8 @@ def _commutator(a, b):
 
 
 def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
-              method: str = "rkmk4", t0: float = 0.0) -> Trajectory:
+              method: str = "rkmk4", t0: float = 0.0,
+              consume: Optional[Callable[[int, np.ndarray], None]] = None) -> Trajectory:
     """Integrate dg = g . xi(g, t) with Lie-Euler or a 4th-order scheme.
 
     ``g0`` may be a single (d, d) element or a stacked batch (..., d, d);
@@ -49,6 +55,12 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     Munthe-Kaas style method: classical four-stage weights in the algebra
     with second-order commutator corrections before each exponential
     re-projection.
+
+    Without ``consume`` every state is stored in the returned
+    ``states`` (T+1, ..., d, d).  With it, nothing is stored: it is
+    called as ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time
+    order, with one reused buffer that it must copy from, and the
+    returned ``states`` is None.
     """
     if dt <= 0.0:
         raise ValueError("step size must be positive")
@@ -56,16 +68,24 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     space.check_group(g)
     n_steps = int(round(horizon / dt))
     times = t0 + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1,) + g.shape)
-    states[0] = g
+    # the whole trajectory, or a chunk buffer that is flushed when full
+    buf = np.empty((n_steps + 1 if consume is None else min(_STEP_CHUNK, n_steps + 1),)
+                   + g.shape)
+
+    def put(k, gk):
+        j = k % len(buf)
+        buf[j] = gk
+        if consume is not None and (j == len(buf) - 1 or k == n_steps):
+            consume(k - j, buf[:j + 1])
 
     def xi(gg, t):
         return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
 
+    put(0, g)
     if method == "lieeuler":
         for k in range(n_steps):
             g = g @ space.algebra_exp(dt * xi(g, times[k]))
-            states[k + 1] = g
+            put(k + 1, g)
     elif method == "rkmk4":
         def corrected(sigma, a):
             # right-trivialized dexpinv truncated to two commutator terms
@@ -82,10 +102,11 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
             s4 = dt * k3
             k4 = corrected(s4, xi(g @ space.algebra_exp(s4), t + dt))
             g = g @ space.algebra_exp((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            states[k + 1] = g
+            put(k + 1, g)
     else:
         raise ValueError(f"unknown integrator {method!r}")
-    return Trajectory(times=times, states=states, integrator_id=method, step_size=dt)
+    return Trajectory(times=times, states=buf if consume is None else None,
+                      integrator_id=method, step_size=dt)
 
 
 def _require_distance(space: Space) -> None:
@@ -156,8 +177,9 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     Requires a PASS certificate (c <= 0 allowed and labeled nonexpansive);
     a failed certificate gives no sound tube and is an error.  With
     ``n_samples`` > 0, that many metric-ball samples (drawn with ``seed``)
-    are integrated in lockstep with the center, as rows 1.. of one stack,
-    and only their distances to the center are kept.
+    are integrated in lockstep with the center, as rows 1.. of one stack.
+    The stack is never stored: each chunk of steps is reduced to the
+    center and the samples' distances to it as it is integrated.
     """
     if not certificate.passed:
         raise ValueError("certificate verdict is FAIL; no sound tube exists")
@@ -166,10 +188,12 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     if n_samples:
         _require_distance(space)
         stack = np.concatenate([g0[None], sample_metric_ball(space, g0, r0, n_samples, seed)])
-        traj = integrate(F, space, stack, horizon, dt, method=method)
-        center = Trajectory(times=traj.times, states=np.ascontiguousarray(traj.states[:, 0]),
-                            integrator_id=method, step_size=dt)
-        distances = _center_distances(space, center.states, traj.states[:, 1:])
+        n_times = int(round(horizon / dt)) + 1
+        states = np.empty((n_times,) + g0.shape)
+        distances = np.empty((n_times, n_samples))
+        traj = integrate(F, space, stack, horizon, dt, method=method,
+                         consume=_distance_reducer(space, states, distances, center_row=True))
+        center = replace(traj, states=states)
     else:
         center = integrate(F, space, g0, horizon, dt, method=method)
     return ReachTube(
@@ -184,13 +208,34 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     )
 
 
-def _center_distances(space: Space, center, states) -> np.ndarray:
-    """Distances (T+1, n) from states (T+1, n, d, d) to center (T+1, d, d)."""
-    dists = np.empty(states.shape[:2])
-    for lo in range(0, len(center), _DISTANCE_CHUNK):
-        hi = lo + _DISTANCE_CHUNK
-        dists[lo:hi] = distance(space, center[lo:hi, None], states[lo:hi])
-    return dists
+def _distance_reducer(space: Space, center, dists, center_row: bool):
+    """An ``integrate`` consumer that writes into ``dists`` (T+1, n) the
+    distances of each chunk's sample rows to ``center`` (T+1, d, d).
+
+    A chunk may hold any number of steps, starting at step ``lo``; its
+    distances are one batched call.  With ``center_row``, row 0 of each
+    chunk is the center: it is copied into ``center`` first and rows 1..
+    are the samples.
+    """
+    def reduce(lo, chunk):
+        hi = lo + len(chunk)
+        if center_row:
+            center[lo:hi] = chunk[:, 0]
+        dists[lo:hi] = distance(space, center[lo:hi, None], chunk[:, int(center_row):])
+    return reduce
+
+
+def _tube_extremes(dists, radii) -> tuple[float, float]:
+    """max over (t, n) of dists[t, n] - radii[t], and of |dists[t, n] - dists[0, n]|.
+
+    Rounded subtraction is monotone in each operand, so reducing over
+    samples or times first gives the dense maxima bit for bit in O(T + n)
+    extra memory.
+    """
+    max_margin = (dists.max(axis=1) - radii).max()
+    d0 = dists[0]
+    max_drift = max((dists.max(axis=0) - d0).max(), (d0 - dists.min(axis=0)).max())
+    return float(max_margin), float(max_drift)
 
 
 @dataclass(frozen=True)
@@ -241,20 +286,20 @@ def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
     _require_distance(space)
     dists = tube.distances
     if dists is None or dists.shape[1] != n_samples or tube.seed != seed:
-        g0 = tube.center.states[0]
-        samples0 = sample_metric_ball(space, g0, tube.r0, n_samples, seed=seed)
-        traj = integrate(
+        center = tube.center.states
+        samples0 = sample_metric_ball(space, center[0], tube.r0, n_samples, seed=seed)
+        dists = np.empty((len(center), n_samples))
+        integrate(
             F, space, samples0, tube.center.horizon, tube.center.step_size,
             method=tube.center.integrator_id,
+            consume=_distance_reducer(space, center, dists, center_row=False),
         )
-        dists = _center_distances(space, tube.center.states, traj.states)
-    margins = dists - tube.radius(tube.center.times)[:, None]
-    drift = np.abs(dists - dists[0][None, :])
+    max_margin, max_drift = _tube_extremes(dists, tube.radius(tube.center.times))
     return ContainmentReport(
         n_samples=n_samples,
         seed=seed,
-        max_margin=float(margins.max()),
-        max_drift=float(drift.max()),
+        max_margin=max_margin,
+        max_drift=max_drift,
         tol=tol,
         distances=dists,
     )

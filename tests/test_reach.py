@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from homcontract import contraction, fields, reach
@@ -283,3 +288,58 @@ class TestLockstepTube:
             want = reach.monte_carlo_containment(plain, F, so3, n_samples=n, seed=seed)
             assert np.array_equal(got.distances, want.distances)
         assert len(calls) == 4
+
+
+class TestStreamedIntegrate:
+    """With a consumer, integrate hands over each chunk of steps and stores none."""
+
+    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("horizon", [1.0, 0.3])  # T+1 = 101 and 31 states
+    def test_chunks_equal_stored_states(self, so3, method, horizon):
+        F = fields.so3_demo_schedule(so3)
+        g0s = reach.sample_metric_ball(so3, np.eye(3), 0.2, 5, seed=1)
+        stored = reach.integrate(F, so3, g0s, horizon, 0.01, method=method)
+        seen = []
+        streamed = reach.integrate(F, so3, g0s, horizon, 0.01, method=method,
+                                   consume=lambda lo, chunk: seen.append((lo, chunk.copy())))
+        assert streamed.states is None
+        assert np.array_equal(streamed.times, stored.times)
+        assert [lo for lo, _ in seen] == list(range(0, len(stored.times), reach._STEP_CHUNK))
+        assert np.array_equal(np.concatenate([chunk for _, chunk in seen]), stored.states)
+
+
+class TestStreamedTube:
+    """A tube keeps the center and the distances, and reduces them in O(T)."""
+
+    def test_memory_flat_in_step_count(self, so3):
+        F = fields.so3_demo_schedule(so3)
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
+        cert = contraction.certify_region(F, so3, samples, c=0.0)
+        peaks = []
+        # the first call allocates about 0.75 MB of one-time caches; keep them out
+        for horizon in (0.1, 1.0, 2.0):
+            tracemalloc.start()
+            try:
+                tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, horizon, 1e-3,
+                                        n_samples=100, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert tube.distances.shape == (2001, 100)
+        # 1,000 more steps add (100 distances + a 3x3 center) of float64 each;
+        # a stored (T+1, 101, 3, 3) stack alone would add 7.3 MB
+        kept = 1000 * (100 + 9) * 8
+        assert peaks[2] - peaks[1] <= 1.5 * kept
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(np.float64, st.integers(1, 40).map(lambda t: (t, n)),
+               elements=st.floats(-1e300, 1e300)),  # no overflow in a difference
+        st.floats(-50.0, 50.0))))
+    def test_tube_extremes_equal_dense(self, case):
+        dists, rate = case
+        radii = 0.1 * np.exp(rate * np.linspace(0.0, 1.0, len(dists)))
+        margin, drift = reach._tube_extremes(dists, radii)
+        assert margin == (dists - radii[:, None]).max()
+        assert drift == np.abs(dists - dists[0][None, :]).max()
+

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from homcontract import svgplot
 
@@ -63,3 +64,55 @@ class TestPolylinePoints:
                 assert len(keep) <= 4
                 want += [full[i] for i in keep]
             assert pts.split(" ") == want
+
+
+def dense_line_plot(x, series, title="", xlabel="t", ylabel="value"):
+    """line_plot's text built from one scaled copy of all lines, joined at once."""
+    x = np.asarray(x, dtype=float)
+    blocks = [np.atleast_2d(y) if np.atleast_2d(y).shape[0] == len(x) else np.atleast_2d(y).T
+              for _, y in series]
+    ys = np.concatenate(blocks, axis=1)
+    ylo, yhi = float(ys.min()), float(ys.max())
+    if yhi - ylo < 1e-12:
+        ylo, yhi = ylo - 1.0, yhi + 1.0
+    xlo, xhi = float(x.min()), float(x.max())
+    parts = svgplot._frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
+    px = svgplot._scale(x, xlo, xhi, svgplot._ML, svgplot._W - svgplot._MR)
+    PY = svgplot._scale(ys, ylo, yhi, svgplot._H - svgplot._MB, svgplot._MT)
+    thin = len(px) > 4 * svgplot._PLOT_W
+    keep = svgplot._m4_keep(px, PY) if thin else [slice(None)] * PY.shape[1]
+    j0 = 0
+    for i, ((label, _), block) in enumerate(zip(series, blocks)):
+        color = svgplot._COLORS[i % len(svgplot._COLORS)]
+        for j in range(j0, j0 + block.shape[1]):
+            pts = svgplot._points(px[keep[j]], PY[keep[j], j])
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
+        if label:
+            parts.append(
+                f'<text x="{svgplot._W - svgplot._MR - 5}" y="{svgplot._MT + 14 + 13 * i}" '
+                f'text-anchor="end" font-size="11" fill="{color}">{label}</text>')
+        j0 += block.shape[1]
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+class TestChunkedLines:
+    """Lines are scaled, thinned and written in chunks, with the same bytes."""
+
+    def test_many_lines_match_dense_copy(self, tmp_path):
+        rng = np.random.default_rng(6)
+        for n_x in (301, 5001):  # all points, and M4-thinned
+            x = np.linspace(0.0, 5.0, n_x)
+            series = [("radius", np.full(n_x, 0.1)),
+                      ("samples", np.cumsum(rng.normal(size=(n_x, 37)), axis=0)),
+                      ("", rng.normal(size=(2, n_x)))]
+            path = tmp_path / f"many{n_x}.svg"
+            svgplot.line_plot(path, x, series, title="t", ylabel="d")
+            assert path.read_text() == dense_line_plot(x, series, title="t", ylabel="d")
+
+    def test_length_mismatch_raises(self, tmp_path):
+        x = np.arange(10.0)
+        for series in ([("a", np.ones(5))], [("a", np.ones(10)), ("b", np.ones((3, 5)))]):
+            with pytest.raises(ValueError, match="does not match"):
+                svgplot.line_plot(tmp_path / "bad.svg", x, series)

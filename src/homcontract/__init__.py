@@ -21,9 +21,7 @@ from .fields import (
     HorizontalField,
     constant_field,
     coset_consistency_check,
-    covariant_apply,
     euclidean_linear,
-    lie_derivative,
     linearize,
     sphere_height_gradient,
     tabulated_field,
@@ -43,7 +41,7 @@ from .reach import (
     monte_carlo_containment,
     reach_tube,
 )
-from .smallmat import expm, gram_inner, logm_rotation, sym_eig_max
+from .smallmat import expm
 from .spaces import (
     Space,
     make_circle,
@@ -52,7 +50,6 @@ from .spaces import (
     make_so3_left_invariant,
     make_sphere2,
     rotate_basis,
-    tangent_action,
 )
 
 __version__ = "0.1.0"

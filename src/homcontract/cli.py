@@ -21,26 +21,33 @@ import numpy as np
 from . import contraction, fields, reach, spaces, svgplot
 
 
+# Built-in spaces by CLI spec: a bare name, or a name, a colon and the
+# argument the constructor parses (shown here as a placeholder).
+SPACES = {
+    "sphere2": lambda arg: spaces.make_sphere2(),
+    "so3": lambda arg: spaces.make_so3_biinvariant(),
+    "circle": lambda arg: spaces.make_circle(),
+    "euclidean:N": lambda arg: spaces.make_euclidean(int(arg)),
+    "so3-left:g1,g2,g3": lambda arg: spaces.make_so3_left_invariant(
+        [float(x) for x in arg.split(",")]),
+}
+# keyed by a spec's text up to and including its first colon
+_SPACE_BY_HEAD = {"".join(usage.partition(":")[:2]): make for usage, make in SPACES.items()}
+
+
 def _resolve_space(spec: str) -> spaces.Space:
-    """The space named by ``spec``, verified once (``from_json`` verifies its own)."""
-    if spec == "sphere2":
-        space = spaces.make_sphere2()
-    elif spec == "so3":
-        space = spaces.make_so3_biinvariant()
-    elif spec == "circle":
-        space = spaces.make_circle()
-    elif spec.startswith("euclidean:"):
-        space = spaces.make_euclidean(int(spec.split(":", 1)[1]))
-    elif spec.startswith("so3-left:"):
-        vals = [float(x) for x in spec.split(":", 1)[1].split(",")]
-        space = spaces.make_so3_left_invariant(vals)
-    elif Path(spec).exists():
-        return spaces.from_json(Path(spec).read_text())
-    else:
-        raise ValueError(
-            f"unknown space {spec!r} (try sphere2, so3, circle, euclidean:N, "
-            "so3-left:g1,g2,g3, or a descriptor JSON path)"
-        )
+    """The space named by ``spec``, verified once (``from_json`` verifies its own).
+
+    A built-in name takes precedence over a descriptor file of that name.
+    """
+    head, sep, arg = spec.partition(":")
+    make = _SPACE_BY_HEAD.get(head + sep)
+    if make is None:
+        if Path(spec).exists():
+            return spaces.from_json(Path(spec).read_text())
+        raise ValueError(f"unknown space {spec!r} (try {', '.join(SPACES)}, "
+                         "or a descriptor JSON path)")
+    space = make(arg)
     spaces.verify_space(space)
     return space
 
@@ -88,20 +95,24 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _region_samples(space, region: str, seed: int):
-    kind, _, rest = region.partition(":")
-    if kind == "cap":
-        ang_deg, n_theta, n_phi = rest.split(":")
-        return contraction.sphere_cap_grid(
-            space, np.deg2rad(float(ang_deg)), int(n_theta), int(n_phi)
-        )
-    if kind == "box":
-        lo, hi, count = rest.split(":")
-        m = space.dim_m
-        return contraction.generator_box_samples(
-            space, [float(lo)] * m, [float(hi)] * m, int(count), seed=seed
-        )
+def _parse_region(region: str) -> tuple[str, list]:
+    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])`` from a region string."""
+    kind, *parts = region.split(":")
+    types = {"cap": (float, int, int), "box": (float, float, int)}.get(kind)
+    try:
+        if types and len(parts) == len(types):
+            return kind, [t(p) for t, p in zip(types, parts)]
+    except ValueError:
+        pass
     raise ValueError(f"unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)")
+
+
+def _region_samples(space, region: str, seed: int):
+    kind, (a, b, n) = _parse_region(region)
+    if kind == "cap":
+        return contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
+    m = space.dim_m
+    return contraction.generator_box_samples(space, [a] * m, [b] * m, n, seed=seed)
 
 
 def cmd_certify(args) -> int:
@@ -116,11 +127,11 @@ def cmd_certify(args) -> int:
     payload = {"config": _run_config(args), **cert.to_dict()}
     _write_json(out / "certificate.json", payload)
     mus_arr = np.asarray(mus)
-    if args.region.startswith("cap:"):
-        _, _, nt, npnt = args.region.split(":")
+    kind, params = _parse_region(args.region)
+    if kind == "cap":
         svgplot.heatmap(
             out / "certify.svg",
-            mus_arr.reshape(int(nt), int(npnt)),
+            mus_arr.reshape(params[1:]),
             title=f"matrix measure over {args.region}",
             xlabel="azimuth index",
             ylabel="polar index",
@@ -211,6 +222,17 @@ def cmd_reach(args) -> int:
     return 0 if report.passed else 2
 
 
+def _positive(kind):
+    """An argparse type: ``kind`` of the text, rejected unless it is > 0."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="homcontract",
@@ -237,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--field", required=True)
     pl.add_argument("--generator", required=True, help="m-coordinates, e.g. 1,0")
     pl.add_argument("--base-coords", default=None, help="base point as exp of m-coords")
-    pl.add_argument("--n-quad", type=int, default=1024)
+    pl.add_argument("--n-quad", type=_positive(int), default=1024)
     pl.add_argument("--c", type=float, default=None)
     pl.set_defaults(func=cmd_loop_check)
 
@@ -247,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--region", default="box:-3.2:3.2:64")
     pv.add_argument("--c", type=float, default=0.0)
     pv.add_argument("--r0", type=float, default=0.1)
-    pv.add_argument("--horizon", type=float, default=5.0)
-    pv.add_argument("--dt", type=float, default=1e-3)
-    pv.add_argument("--samples", type=int, default=100)
+    pv.add_argument("--horizon", type=_positive(float), default=5.0)
+    pv.add_argument("--dt", type=_positive(float), default=1e-3)
+    pv.add_argument("--samples", type=_positive(int), default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--K", type=float, default=1.0)
     pv.add_argument("--method", default="rkmk4", choices=["rkmk4", "lieeuler"])

@@ -14,6 +14,8 @@ import numpy as np
 
 from .liealg import ReductiveDecomposition, bracket
 
+_TOL = 1e-10  # largest entry counted as zero by the flags and the tensor identities
+
 
 def _bracket_m_coords(dec: ReductiveDecomposition) -> np.ndarray:
     """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k]."""
@@ -59,7 +61,7 @@ class SpaceClassification:
         }
 
 
-def classify(dec: ReductiveDecomposition, tol: float = 1e-10) -> SpaceClassification:
+def classify(dec: ReductiveDecomposition) -> SpaceClassification:
     """Flag the space as symmetric / naturally reductive / generic.
 
     Symmetric: every bracket of m-basis pairs falls back into h.
@@ -70,15 +72,14 @@ def classify(dec: ReductiveDecomposition, tol: float = 1e-10) -> SpaceClassifica
     mm_leak = float(np.max(np.linalg.norm(bm, axis=-1))) if bm.size else 0.0
     u_norm = float(np.max(np.abs(compute_U(dec)))) if bm.size else 0.0
     return SpaceClassification(
-        is_symmetric=mm_leak <= tol,
-        is_naturally_reductive=u_norm <= tol,
+        is_symmetric=mm_leak <= _TOL,
+        is_naturally_reductive=u_norm <= _TOL,
         max_u_norm=u_norm,
         max_mm_leak=mm_leak,
     )
 
 
-def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray,
-                           tol: float = 1e-10) -> None:
+def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:
     """Raise if the torsion or self-orthogonality identities fail.
 
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
@@ -86,9 +87,8 @@ def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray,
     """
     bm = _bracket_m_coords(dec)
     torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", bm)
-    if np.max(np.abs(torsion)) > tol:
+    if np.max(np.abs(torsion)) > _TOL:
         raise ValueError("connection tensor violates the torsion identity")
-    m = dec.dim_m
-    self_pair = np.array([[alpha[j, j, k] for k in range(m)] for j in range(m)])
-    if self_pair.size and np.max(np.abs(self_pair)) > tol:
+    self_pair = np.einsum("jjk->jk", alpha)  # self_pair[j, k] = alpha[j, j, k]
+    if self_pair.size and np.max(np.abs(self_pair)) > _TOL:
         raise ValueError("connection tensor violates self-orthogonality")

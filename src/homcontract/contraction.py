@@ -20,6 +20,14 @@ from .spaces import Space, rotate_basis
 # Matrix entries per batched exponential in the find_period scan: 65,536
 # float64 entries are 0.5 MB per temporary, 7,281 steps of a 3x3 generator.
 _SCAN_ENTRIES = 1 << 16
+# A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
+# difference noise when the true measure sits exactly on the rate (region
+# boundaries), and is recorded on the certificate.
+_SLACK = 1e-9
+_PERIOD_T_MAX = 20.0  # find_period scans (0, _PERIOD_T_MAX] for a return ...
+_PERIOD_TOL = 1e-8  # ... to the identity within this largest entry
+_BASIS_SEED = 0  # basis_independence_check draws its random bases from this seed
+_BASIS_TOL = 1e-7  # ... and passes when the measures spread by at most this
 
 
 def matrix_measure(P):
@@ -82,25 +90,21 @@ class ContractionCertificate:
 
 
 def certify_region(F: HorizontalField, space: Space, samples,
-                   c: float, region: str = "", t: float = 0.0,
-                   step: float = 1e-5, richardson: bool = False,
-                   slack: float = 1e-9,
+                   c: float, region: str = "", step: float = 1e-5,
                    collect: Optional[list] = None) -> ContractionCertificate:
-    """Evaluate the matrix measure at every sample and compare against c.
+    """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
     checked and linearized as one stack.  Deterministic: ties at the
-    maximum resolve to the lowest sample index.  ``slack`` absorbs
-    finite-difference noise when the true measure sits exactly on the rate
-    (region boundaries); it is recorded on the certificate.  ``collect``,
-    if given, receives the per-sample measures in sample order.
+    maximum resolve to the lowest sample index.  ``collect``, if given,
+    receives the per-sample measures in sample order.
     """
     G = np.asarray(samples, dtype=float)
     if G.size == 0:
         raise ValueError("no samples supplied")
     space.check_group(G)
     G = G.reshape((-1,) + G.shape[-2:])
-    mus = matrix_measure(linearize(F, space, G, t=t, step=step, richardson=richardson))
+    mus = matrix_measure(linearize(F, space, G, step=step))
     if collect is not None:
         collect.extend(mus.tolist())
     arg_idx = int(np.argmax(mus))  # first occurrence: ties go to the lowest index
@@ -114,8 +118,8 @@ def certify_region(F: HorizontalField, space: Space, samples,
         argmax_index=arg_idx,
         mu_argmax=G[arg_idx].copy(),
         samples_evaluated=len(G),
-        verdict="PASS" if mu_max <= c + slack else "FAIL",
-        slack=float(slack),
+        verdict="PASS" if mu_max <= c + _SLACK else "FAIL",
+        slack=_SLACK,
     )
 
 
@@ -188,33 +192,31 @@ class BasisIndependenceReport:
         return self.max_deviation <= self.tol
 
 
-def basis_independence_check(F: HorizontalField, space: Space, g, trials: int = 10,
-                             seed: int = 0, t: float = 0.0,
-                             tol: float = 1e-7) -> BasisIndependenceReport:
+def basis_independence_check(F: HorizontalField, space: Space, g,
+                             trials: int = 10) -> BasisIndependenceReport:
     """Recompute the measure in random orthonormal bases of m.
 
     The measure is basis independent; the reported deviation is dominated
     by finite differencing.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BASIS_SEED)
     m = space.dim_m
-    mus = [matrix_measure(linearize(F, space, g, t=t))]
+    mus = [matrix_measure(linearize(F, space, g))]
     for _ in range(trials):
         Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         mus.append(
-            matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g, t=t))
+            matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g))
         )
     mus = np.asarray(mus)
     return BasisIndependenceReport(
-        measures=mus, max_deviation=float(mus.max() - mus.min()), tol=tol
+        measures=mus, max_deviation=float(mus.max() - mus.min()), tol=_BASIS_TOL
     )
 
 
-def find_period(space: Space, A, t_max: float = 20.0,
-                tol: float = 1e-8) -> Optional[float]:
-    """Smallest T in (0, t_max] with exp(T A) back at the identity.
+def find_period(space: Space, A) -> Optional[float]:
+    """Smallest T in (0, _PERIOD_T_MAX] with exp(T A) back at the identity.
 
-    Coarse scan with t_max/1e4 steps, refined by bounded minimization of
+    Coarse scan with _PERIOD_T_MAX/1e4 steps, refined by bounded minimization of
     the return distance.  None if the subgroup never returns.  ``exp`` is
     the space's closed-form ``algebra_exp``.
     """
@@ -222,7 +224,7 @@ def find_period(space: Space, A, t_max: float = 20.0,
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero generator has no period")
     n = 10_000
-    dt = t_max / n
+    dt = _PERIOD_T_MAX / n
     I = np.eye(A.shape[0])
     # return distances at (k+1) dt, k = 0..n-1, by batched exponentials of
     # about _SCAN_ENTRIES matrix entries each, so memory stays O(d^2)
@@ -259,7 +261,7 @@ def find_period(space: Space, A, t_max: float = 20.0,
                     else:
                         hi = mid
             T = 0.5 * (lo + hi)
-            if miss(T) <= tol:
+            if miss(T) <= _PERIOD_TOL:
                 return float(T)
     return None
 
@@ -310,8 +312,7 @@ def _extend_to_orthonormal(c1: np.ndarray) -> np.ndarray:
 
 
 def loop_obstruction_check(F: HorizontalField, space: Space, generator,
-                           base=None, n_quad: int = 1024, c: Optional[float] = None,
-                           t_max: float = 20.0) -> LoopReport:
+                           base=None, n_quad: int = 1024, c: Optional[float] = None) -> LoopReport:
     """Sample f(t), the first diagonal linearization entry, around the loop.
 
     The generator (given as an m-coordinate vector or algebra matrix) must
@@ -331,7 +332,7 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
         raise ValueError("zero generator")
     c1 = c1 / norm
     A1 = space.algebra_from_coords(c1)
-    period = find_period(space, A1, t_max=t_max)
+    period = find_period(space, A1)
     if period is None:
         raise ValueError("generator does not produce a periodic subgroup")
 

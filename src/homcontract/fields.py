@@ -18,6 +18,8 @@ import numpy as np
 
 from .spaces import Space
 
+_COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
+
 
 @dataclass(frozen=True)
 class HorizontalField:
@@ -79,18 +81,6 @@ def _frame_derivatives(F: HorizontalField, space: Space, g, t: float, step: floa
     return np.swapaxes(D, -1, -2), c[..., -1, :]
 
 
-def lie_derivative(F: HorizontalField, space: Space, j: int, g, t: float = 0.0,
-                   step: float = 1e-5, richardson: bool = False) -> np.ndarray:
-    """Derivative of the coefficients along the j-th frame flow at g.
-
-    Column j of the frame derivatives; ``g`` may be stacked (..., d, d),
-    giving (..., m).
-    """
-    if j >= space.dim_m:
-        raise IndexError(f"frame index {j} out of range for dim {space.dim_m}")
-    return _frame_derivatives(F, space, g, t, step, richardson)[0][..., j]
-
-
 def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
               step: float = 1e-5, richardson: bool = False) -> np.ndarray:
     """The m x m frame linearization at g.
@@ -104,12 +94,6 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
     return P + np.einsum("ijk,...k->...ij", space.alpha, c)
 
 
-def covariant_apply(F: HorizontalField, space: Space, g, v, t: float = 0.0,
-                    **fd_opts) -> np.ndarray:
-    """Frame coordinates of the covariant derivative of F along v at g."""
-    return linearize(F, space, g, t=t, **fd_opts) @ np.asarray(v, dtype=float)
-
-
 @dataclass(frozen=True)
 class CosetReport:
     max_gap: float
@@ -121,8 +105,7 @@ class CosetReport:
         return self.max_gap <= self.tol
 
 
-def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None,
-                            t: float = 0.0, tol: float = 1e-6) -> CosetReport:
+def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None) -> CosetReport:
     """Compare the linearization across coset representatives g and g h.
 
     For a genuine horizontal lift the matrices agree; the gap reported is
@@ -133,9 +116,9 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None,
     g = np.asarray(g, dtype=float)
     d = space.embed_dim
     hs = np.reshape(np.asarray(h_samples, dtype=float), (-1, d, d))
-    P = linearize(F, space, np.concatenate([g[None], g @ hs]), t=t)
+    P = linearize(F, space, np.concatenate([g[None], g @ hs]))
     gap = float(np.max(np.abs(P[1:] - P[0]))) if len(hs) else 0.0
-    return CosetReport(max_gap=gap, tol=tol, pairs_checked=len(hs))
+    return CosetReport(max_gap=gap, tol=_COSET_TOL, pairs_checked=len(hs))
 
 
 def rotate_field(F: HorizontalField, Q) -> HorizontalField:
@@ -326,21 +309,24 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     return HorizontalField(f"tabulated[{path}]", space.name, coeff)
 
 
+# Demo fields by CLI name: "BASE" or "BASE:ARGS", the text after the first
+# colon going to the constructor as ``arg`` (ignored by fields without one).
+BUILTIN_FIELDS = {
+    "sphere-grad-height": lambda space, arg: sphere_height_gradient(space),
+    "sphere-noneq": lambda space, arg: sphere_nonequivariant(space),
+    "constant:u1,...,um": lambda space, arg: constant_field(
+        space, [float(x) for x in arg.split(",")]),
+    "so3-demo-schedule": lambda space, arg: so3_demo_schedule(space),
+    "euclidean-linear:m11,m12,...": lambda space, arg: euclidean_linear(
+        space, np.reshape([float(x) for x in arg.split(",")], (space.embed_dim - 1,) * 2)),
+    "circle-sin": lambda space, arg: circle_sine(space),
+}
+_FIELD_BY_BASE = {usage.partition(":")[0]: make for usage, make in BUILTIN_FIELDS.items()}
+
+
 def builtin_field(space: Space, name: str) -> HorizontalField:
     """Resolve a demo field by CLI name, e.g. ``constant:0,0,1``."""
     base, _, arg = name.partition(":")
-    if base == "sphere-grad-height":
-        return sphere_height_gradient(space)
-    if base == "sphere-noneq":
-        return sphere_nonequivariant(space)
-    if base == "constant":
-        return constant_field(space, [float(x) for x in arg.split(",")])
-    if base == "so3-demo-schedule":
-        return so3_demo_schedule(space)
-    if base == "euclidean-linear":
-        vals = [float(x) for x in arg.split(",")]
-        n = space.embed_dim - 1
-        return euclidean_linear(space, np.asarray(vals).reshape(n, n))
-    if base == "circle-sin":
-        return circle_sine(space)
-    raise KeyError(f"unknown field {name!r}")
+    if base not in _FIELD_BY_BASE:
+        raise KeyError(f"unknown field {name!r} (built-ins: {', '.join(BUILTIN_FIELDS)})")
+    return _FIELD_BY_BASE[base](space, arg)

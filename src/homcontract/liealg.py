@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SPAN_TOL = 1e-8  # largest residual entry of an element in the span of the bases
+_AD_TOL = 1e-8  # largest Ad_h leak out of m, or metric distortion, counted as invariant
+
 
 def bracket(X, Y) -> np.ndarray:
     """Matrix commutator XY - YX."""
@@ -36,13 +39,11 @@ class ReductiveDecomposition:
     """Bases for the splitting g = h (+) m.
 
     ``m_basis`` is orthonormal with respect to the metric inner product on
-    m, so coordinates in it double as metric coordinates.  ``trace_scale``
-    is the scale of the ambient trace form used for raw pairings.
+    m, so coordinates in it double as metric coordinates.
     """
 
     h_basis: np.ndarray  # (n_h, d, d)
     m_basis: np.ndarray  # (n_m, d, d)
-    trace_scale: float = 0.5
 
     @property
     def dim_m(self) -> int:
@@ -52,19 +53,16 @@ class ReductiveDecomposition:
     def embed_dim(self) -> int:
         return self.m_basis.shape[-1]
 
-    def _full_flat(self) -> np.ndarray:
-        full = np.concatenate([self.h_basis, self.m_basis], axis=0)
-        return full.reshape(full.shape[0], -1)
-
-    def split_coords(self, X, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    def split_coords(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of X in the combined (h, m) basis.
 
-        Raises if X does not lie in the span within ``tol``.
+        Raises if X does not lie in the span within ``_SPAN_TOL``.
         """
         X = np.asarray(X, dtype=float)
-        B = self._full_flat()
+        full = np.concatenate([self.h_basis, self.m_basis], axis=0)
+        B = full.reshape(full.shape[0], -1)
         c, _, _, _ = np.linalg.lstsq(B.T, X.ravel(), rcond=None)
-        if np.max(np.abs(c @ B - X.ravel())) > tol:
+        if np.max(np.abs(c @ B - X.ravel())) > _SPAN_TOL:
             raise ValueError("element does not lie in the algebra spanned by the bases")
         n_h = self.h_basis.shape[0]
         return c[:n_h], c[n_h:]
@@ -72,18 +70,6 @@ class ReductiveDecomposition:
     def coords_m(self, X) -> np.ndarray:
         """Coordinates of the m-component of X in the orthonormal m-basis."""
         return self.split_coords(X)[1]
-
-    def project_m(self, X) -> np.ndarray:
-        """Direct-sum projection onto m."""
-        cm = self.coords_m(X)
-        return np.einsum("i,iab->ab", cm, self.m_basis)
-
-    def project_h(self, X) -> np.ndarray:
-        """Direct-sum projection onto h."""
-        ch = self.split_coords(X)[0]
-        if ch.size == 0:
-            return np.zeros_like(np.asarray(X, dtype=float))
-        return np.einsum("i,iab->ab", ch, self.h_basis)
 
     def from_coords(self, c) -> np.ndarray:
         """Algebra element with the given m-coordinates, shape (..., m) -> (..., d, d)."""
@@ -128,8 +114,7 @@ class AdInvarianceReport:
         return self.max_leak <= self.tol and self.max_metric_gap <= self.tol
 
 
-def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None,
-                        tol: float = 1e-8) -> AdInvarianceReport:
+def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None) -> AdInvarianceReport:
     """Verify that Ad_h keeps m inside m and preserves its metric.
 
     ``in_h`` is an optional membership predicate; a sample failing it is an
@@ -150,4 +135,4 @@ def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None,
             P = np.einsum("i,iab->ab", ch, dec.h_basis)  # zeros when h = 0
             leak = max(leak, float(np.max(np.abs(P))))
         gap = max(gap, float(np.max(np.abs(C.T @ C - np.eye(m)))))
-    return AdInvarianceReport(max_leak=leak, tol=tol, max_metric_gap=gap)
+    return AdInvarianceReport(max_leak=leak, tol=_AD_TOL, max_metric_gap=gap)

@@ -21,6 +21,7 @@ from .spaces import Space
 # Time steps per chunk that ``integrate`` hands to a consumer: 64 steps of
 # the demo's 101 states fill a 0.47 MB buffer, reused for every chunk.
 _STEP_CHUNK = 64
+_CONTAINMENT_TOL = 1e-4  # largest sample distance beyond the radius that still passes
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ def _commutator(a, b):
 
 
 def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
-              method: str = "rkmk4", t0: float = 0.0,
+              method: str = "rkmk4",
               consume: Optional[Callable[[int, np.ndarray], None]] = None) -> Trajectory:
-    """Integrate dg = g . xi(g, t) with Lie-Euler or a 4th-order scheme.
+    """Integrate dg = g . xi(g, t) from t = 0 with Lie-Euler or a 4th-order scheme.
 
     ``g0`` may be a single (d, d) element or a stacked batch (..., d, d);
     the batch is advanced in lockstep.  The 4th-order scheme is a
@@ -67,7 +68,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     g = np.asarray(g0, dtype=float).copy()
     space.check_group(g)
     n_steps = int(round(horizon / dt))
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     # the whole trajectory, or a chunk buffer that is flushed when full
     buf = np.empty((n_steps + 1 if consume is None else min(_STEP_CHUNK, n_steps + 1),)
                    + g.shape)
@@ -276,8 +277,7 @@ def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np
 
 
 def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
-                            n_samples: int = 100, seed: int = 0,
-                            tol: float = 1e-4) -> ContainmentReport:
+                            n_samples: int = 100, seed: int = 0) -> ContainmentReport:
     """Check that ball samples integrated with the center's scheme stay in the tube.
 
     Uses the tube's own sample distances when it was built with the same
@@ -300,7 +300,7 @@ def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
         seed=seed,
         max_margin=max_margin,
         max_drift=max_drift,
-        tol=tol,
+        tol=_CONTAINMENT_TOL,
         distances=dists,
     )
 

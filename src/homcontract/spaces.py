@@ -41,6 +41,7 @@ _H_ANGLES = np.concatenate(
         (np.arange(1, 11) * np.pi * (np.sqrt(5.0) - 1.0)) % (2.0 * np.pi),
     ]
 )
+_GROUP_TOL = 1e-8  # largest group-constraint (or base-point) residual counted as exact
 
 
 def _rotation_residual(g) -> np.ndarray:
@@ -150,14 +151,14 @@ class Space:
     def identity(self) -> np.ndarray:
         return np.eye(self.embed_dim)
 
-    def check_group(self, g, tol: float = 1e-8) -> None:
+    def check_group(self, g) -> None:
         """Raise if g, or any element of a stack (..., d, d), violates the
         group's defining constraint; the message names the first offender."""
         g = np.asarray(g, dtype=float)
         if g.shape[-2:] != (self.embed_dim, self.embed_dim):
             raise ValueError(f"group element has wrong shape {g.shape}")
         err = self.ops.residual(g)
-        bad = ~(err <= tol)  # NaN entries count as violations
+        bad = ~(err <= _GROUP_TOL)  # NaN entries count as violations
         if np.any(bad):
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
             where = f" at stack index {idx}" if idx else ""
@@ -171,10 +172,6 @@ class Space:
         """Exponential of (possibly stacked) algebra elements, closed form."""
         return self.ops.exp(np.asarray(A, dtype=float))
 
-    def frame_flow(self, g, j: int, t: float) -> np.ndarray:
-        """g . exp(t A_j) along the j-th left-invariant frame direction."""
-        return np.asarray(g, dtype=float) @ self.algebra_exp(t * self.dec.m_basis[j])
-
     def h_samples(self) -> np.ndarray:
         """Isotropy samples: exp(a B) for each h-basis element B and each
         angle a of _H_ANGLES, or the identity alone when h = 0."""
@@ -184,17 +181,17 @@ class Space:
         A = np.multiply.outer(_H_ANGLES, h_basis)
         return self.algebra_exp(A.reshape((-1,) + h_basis.shape[1:]))
 
-    def in_h(self, h, tol: float = 1e-8) -> bool:
+    def in_h(self, h) -> bool:
         """Membership test for the isotropy subgroup."""
         h = np.asarray(h, dtype=float)
         try:
-            self.check_group(h, tol=tol)
+            self.check_group(h)
         except ValueError:
             return False
         if self.base_point is not None:
-            return bool(np.max(np.abs(h @ self.base_point - self.base_point)) <= tol)
+            return bool(np.max(np.abs(h @ self.base_point - self.base_point)) <= _GROUP_TOL)
         return self.dec.h_basis.shape[0] == 0 and bool(
-            np.max(np.abs(h - self.identity())) <= tol
+            np.max(np.abs(h - self.identity())) <= _GROUP_TOL
         )
 
     def to_json(self) -> str:
@@ -203,13 +200,12 @@ class Space:
             "kind": self.kind,
             "h_basis": self.dec.h_basis.tolist(),
             "m_basis": self.dec.m_basis.tolist(),
-            "gram_scale": self.dec.trace_scale,
             "base_point": None if self.base_point is None else self.base_point.tolist(),
         }
         return json.dumps(data, sort_keys=True)
 
 
-_DESCRIPTOR_KEYS = frozenset(("name", "kind", "h_basis", "m_basis", "gram_scale", "base_point"))
+_DESCRIPTOR_KEYS = frozenset(("name", "kind", "h_basis", "m_basis", "base_point"))
 
 
 def from_json(text: str) -> Space:
@@ -243,8 +239,7 @@ def from_json(text: str) -> Space:
     space = Space(
         name=str(data["name"]),
         kind=kind,
-        dec=ReductiveDecomposition(h_basis=h_basis, m_basis=m_basis,
-                                   trace_scale=float(data["gram_scale"])),
+        dec=ReductiveDecomposition(h_basis=h_basis, m_basis=m_basis),
         base_point=base,
     )
     verify_space(space)
@@ -261,8 +256,7 @@ def make_euclidean(n: int) -> Space:
         raw[i, i, n] = 1.0
     dec = ReductiveDecomposition(
         h_basis=np.zeros((0, d, d)),
-        m_basis=orthonormalize_basis(raw, trace_scale=1.0),
-        trace_scale=1.0,
+        m_basis=orthonormalize_basis(raw, trace_scale=KIND_OPS["euclidean"].distance_scale),
     )
     return Space(f"euclidean:{n}", "euclidean", dec)
 
@@ -272,8 +266,7 @@ def make_circle() -> Space:
     raw = np.array([[[0.0, -1.0], [1.0, 0.0]]])
     dec = ReductiveDecomposition(
         h_basis=np.zeros((0, 2, 2)),
-        m_basis=orthonormalize_basis(raw, trace_scale=0.5),
-        trace_scale=0.5,
+        m_basis=orthonormalize_basis(raw, trace_scale=KIND_OPS["circle"].distance_scale),
     )
     return Space("circle", "circle", dec, base_point=np.array([1.0, 0.0]))
 
@@ -282,8 +275,7 @@ def make_sphere2() -> Space:
     """Unit sphere as SO(3)/SO(2), round metric from the half-trace form."""
     dec = ReductiveDecomposition(
         h_basis=SO3_BASIS[2:3].copy(),
-        m_basis=orthonormalize_basis(SO3_BASIS[:2], trace_scale=0.5),
-        trace_scale=0.5,
+        m_basis=orthonormalize_basis(SO3_BASIS[:2], trace_scale=KIND_OPS["sphere"].distance_scale),
     )
     return Space("sphere2", "sphere", dec, base_point=np.array([0.0, 0.0, 1.0]))
 
@@ -292,8 +284,7 @@ def make_so3_biinvariant() -> Space:
     """SO(3) with the bi-invariant metric; H trivial, m = so(3)."""
     dec = ReductiveDecomposition(
         h_basis=np.zeros((0, 3, 3)),
-        m_basis=orthonormalize_basis(SO3_BASIS, trace_scale=0.5),
-        trace_scale=0.5,
+        m_basis=orthonormalize_basis(SO3_BASIS, trace_scale=KIND_OPS["so3"].distance_scale),
     )
     return Space("so3", "so3", dec)
 
@@ -310,7 +301,6 @@ def make_so3_left_invariant(gram) -> Space:
     dec = ReductiveDecomposition(
         h_basis=np.zeros((0, 3, 3)),
         m_basis=orthonormalize_basis(SO3_BASIS, gram=gram),
-        trace_scale=0.5,
     )
     label = ",".join(repr(float(x)) for x in gram[np.triu_indices(3)])
     return Space(f"so3-left[{label}]", "so3", dec)
@@ -328,13 +318,6 @@ def rotate_basis(space: Space, Q) -> Space:
         raise ValueError("basis change must be orthogonal")
     dec = dataclasses.replace(space.dec, m_basis=np.einsum("ji,jab->iab", Q, space.dec.m_basis))
     return dataclasses.replace(space, name=space.name + "@rot", dec=dec)
-
-
-def tangent_action(space: Space, g, i: int) -> np.ndarray:
-    """Embedded tangent vector of the i-th frame direction at g . o."""
-    if space.base_point is None:
-        raise ValueError(f"space {space.name} has no embedded base point")
-    return np.asarray(g, dtype=float) @ space.dec.m_basis[i] @ space.base_point
 
 
 def verify_space(space: Space) -> connection.SpaceClassification:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import homcontract
-from homcontract import cli, contraction, reach, spaces
+from homcontract import cli, contraction, fields, reach, spaces
 
 
 def run(tmp_path, *argv):
@@ -178,6 +178,69 @@ class TestRejectedSpaces:
                    "--field", "so3-demo-schedule", "--region", "box:-2:2:16", "--c", "0",
                    "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
         self._assert_error(code, capsys, "no distance")
+
+    def test_gram_scale_key(self, tmp_path, capsys):
+        # the key was dropped: nothing read it, so any value loaded alike
+        path = _descriptor(tmp_path, spaces.make_sphere2(), gram_scale=7.0)
+        self._assert_error(run(tmp_path, "classify", "--space", path), capsys,
+                           "keys must be exactly ['base_point', 'h_basis', 'kind', "
+                           "'m_basis', 'name']")
+
+
+class TestBadNumbers:
+    REACH = ("reach", "--space", "so3", "--field", "so3-demo-schedule",
+             "--region", "box:-2:2:16", "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
+    LOOP = ("loop-check", "--space", "circle", "--field", "circle-sin", "--generator", "1")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (REACH + ("--samples", "0"), "argument --samples: must be positive, got '0'"),
+        (REACH + ("--horizon", "-1"), "argument --horizon: must be positive, got '-1'"),
+        (REACH + ("--dt", "0"), "argument --dt: must be positive, got '0'"),
+        (LOOP + ("--n-quad", "0"), "argument --n-quad: must be positive, got '0'"),
+        (REACH + ("--samples", "five"), "argument --samples: invalid int value: 'five'"),
+    ])
+    def test_rejected_by_the_parser(self, tmp_path, capsys, argv, needle):
+        assert run(tmp_path, *argv) == 1
+        assert needle in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("region", ["cap:60:8", "box:-1:1", "cap:60:8:8:8", "box:a:1:4"])
+    def test_unparsed_region(self, tmp_path, capsys, region):
+        code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
+                   "--region", region, "--c", "0")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)\n"
+
+
+class TestNameHints:
+    def test_every_listed_space_resolves(self, tmp_path, capsys):
+        assert run(tmp_path, "classify", "--space", "torus9") == 1
+        listed = capsys.readouterr().err.split("(try ")[1].split(", or a descriptor")[0]
+        args = {"N": "3", "g1,g2,g3": "1,2,3"}  # an example for each placeholder
+        names = listed.split(", ")
+        assert names == list(cli.SPACES)
+        for usage in names:
+            name, sep, placeholder = usage.partition(":")
+            assert run(tmp_path, "classify", "--space", name + sep + args.get(placeholder, "")) == 0
+
+    def test_every_listed_field_resolves(self, tmp_path, capsys):
+        with pytest.raises(KeyError) as exc:
+            fields.builtin_field(spaces.make_so3_biinvariant(), "mystery")
+        listed = str(exc.value).split("(built-ins: ")[1].rstrip(")\"'")
+        examples = {  # a space and an argument for each listed name
+            "sphere-grad-height": ("sphere2", ""), "sphere-noneq": ("sphere2", ""),
+            "constant": ("so3", "1,0,0"), "so3-demo-schedule": ("so3", ""),
+            "euclidean-linear": ("euclidean:2", "-1,0,0,-1"), "circle-sin": ("circle", ""),
+        }
+        names = listed.split(", ")
+        assert names == list(fields.BUILTIN_FIELDS)
+        for usage in names:
+            name, sep, _ = usage.partition(":")
+            space, arg = examples[name]
+            code = run(tmp_path, "certify", "--space", space, "--field", name + sep + arg,
+                       "--region", "box:-0.1:0.1:2", "--c", "100")
+            assert code == 0, usage
 
 
 class TestVerifiedOnce:

@@ -74,11 +74,6 @@ class TestGroupOps:
         for k in range(5):
             assert np.max(np.abs(out[k] - expm(As[k]))) < 1e-12
 
-    def test_frame_flow_stays_on_group(self, sphere):
-        g = sphere.frame_flow(np.eye(3), 1, 0.37)
-        sphere.check_group(g)
-        assert np.max(np.abs(g - expm(0.37 * AY))) < 1e-12
-
     def test_orbit_stays_on_sphere(self, sphere, rng):
         c = rng.normal(size=2)
         A = sphere.algebra_from_coords(c)
@@ -89,19 +84,6 @@ class TestGroupOps:
     def test_in_h(self, sphere):
         assert sphere.in_h(expm(1.3 * AZ))
         assert not sphere.in_h(expm(0.2 * AX))
-
-
-class TestTangentAction:
-    def test_sphere_frame_at_identity(self, sphere):
-        # frames B_i o at the north pole: A_X o = -e_y, A_Y o = e_x
-        assert np.allclose(spaces.tangent_action(sphere, np.eye(3), 0), [0.0, -1.0, 0.0])
-        assert np.allclose(spaces.tangent_action(sphere, np.eye(3), 1), [1.0, 0.0, 0.0])
-
-    def test_frames_orthonormal_everywhere(self, sphere, rng):
-        w = rng.normal(size=3)
-        g = expm(w[0] * AX + w[1] * AY + w[2] * AZ)
-        E = np.array([spaces.tangent_action(sphere, g, i) for i in range(2)])
-        assert np.max(np.abs(E @ E.T - np.eye(2))) < 1e-12
 
 
 class TestSerialization:

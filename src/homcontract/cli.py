@@ -96,19 +96,20 @@ def cmd_classify(args) -> int:
 
 
 def _parse_region(region: str) -> tuple[str, list]:
-    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])`` from a region string."""
+    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, counts at least 1."""
     kind, *parts = region.split(":")
-    types = {"cap": (float, int, int), "box": (float, float, int)}.get(kind)
+    count = _positive(int)
+    types = {"cap": (float, count, count), "box": (float, float, count)}.get(kind)
     try:
         if types and len(parts) == len(types):
             return kind, [t(p) for t, p in zip(types, parts)]
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         pass
     raise ValueError(f"unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)")
 
 
-def _region_samples(space, region: str, seed: int):
-    kind, (a, b, n) = _parse_region(region)
+def _region_samples(space, kind: str, params: list, seed: int):
+    a, b, n = params
     if kind == "cap":
         return contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
     m = space.dim_m
@@ -118,7 +119,8 @@ def _region_samples(space, region: str, seed: int):
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
     F = _resolve_field(space, args.field)
-    samples = _region_samples(space, args.region, args.seed)
+    kind, params = _parse_region(args.region)
+    samples = _region_samples(space, kind, params, args.seed)
     mus: list[float] = []
     cert = contraction.certify_region(
         F, space, samples, args.c, region=args.region, step=args.fd_step, collect=mus
@@ -127,7 +129,6 @@ def cmd_certify(args) -> int:
     payload = {"config": _run_config(args), **cert.to_dict()}
     _write_json(out / "certificate.json", payload)
     mus_arr = np.asarray(mus)
-    kind, params = _parse_region(args.region)
     if kind == "cap":
         svgplot.heatmap(
             out / "certify.svg",
@@ -181,10 +182,13 @@ def cmd_loop_check(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    steps = round(args.horizon / args.dt)
+    if steps < 1 or abs(steps * args.dt - args.horizon) > 1e-9 * args.horizon:
+        raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
     F = _resolve_field(space, args.field)
-    samples = _region_samples(space, args.region, args.seed)
+    samples = _region_samples(space, *_parse_region(args.region), args.seed)
     cert = contraction.certify_region(F, space, samples, args.c, region=args.region)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
@@ -268,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--field", required=True)
     pv.add_argument("--region", default="box:-3.2:3.2:64")
     pv.add_argument("--c", type=float, default=0.0)
-    pv.add_argument("--r0", type=float, default=0.1)
+    pv.add_argument("--r0", type=_positive(float), default=0.1)
     pv.add_argument("--horizon", type=_positive(float), default=5.0)
     pv.add_argument("--dt", type=_positive(float), default=1e-3)
     pv.add_argument("--samples", type=_positive(int), default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--K", type=float, default=1.0)
+    pv.add_argument("--K", type=_positive(float), default=1.0)
     pv.add_argument("--method", default="rkmk4", choices=["rkmk4", "lieeuler"])
     pv.set_defaults(func=cmd_reach)
     return p
@@ -288,7 +292,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

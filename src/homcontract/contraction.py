@@ -17,15 +17,11 @@ import numpy as np
 from .fields import HorizontalField, linearize, rotate_field
 from .spaces import Space, rotate_basis
 
-# Matrix entries per batched exponential in the find_period scan: 65,536
-# float64 entries are 0.5 MB per temporary, 7,281 steps of a 3x3 generator.
-_SCAN_ENTRIES = 1 << 16
 # A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
 # difference noise when the true measure sits exactly on the rate (region
 # boundaries), and is recorded on the certificate.
 _SLACK = 1e-9
-_PERIOD_T_MAX = 20.0  # find_period scans (0, _PERIOD_T_MAX] for a return ...
-_PERIOD_TOL = 1e-8  # ... to the identity within this largest entry
+_PERIOD_TOL = 1e-8  # find_period's exp(T A) must be the identity within this largest entry
 _BASIS_SEED = 0  # basis_independence_check draws its random bases from this seed
 _BASIS_TOL = 1e-7  # ... and passes when the measures spread by at most this
 
@@ -214,56 +210,19 @@ def basis_independence_check(F: HorizontalField, space: Space, g,
 
 
 def find_period(space: Space, A) -> Optional[float]:
-    """Smallest T in (0, _PERIOD_T_MAX] with exp(T A) back at the identity.
+    """Smallest T > 0 with exp(T A) = I, or None if the subgroup never returns.
 
-    Coarse scan with _PERIOD_T_MAX/1e4 steps, refined by bounded minimization of
-    the return distance.  None if the subgroup never returns.  ``exp`` is
-    the space's closed-form ``algebra_exp``.
+    T is the kind's closed form, confirmed by one exponential: a space whose
+    exponential does not return raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero generator has no period")
-    n = 10_000
-    dt = _PERIOD_T_MAX / n
-    I = np.eye(A.shape[0])
-    # return distances at (k+1) dt, k = 0..n-1, by batched exponentials of
-    # about _SCAN_ENTRIES matrix entries each, so memory stays O(d^2)
-    steps = dt * np.arange(1, n + 1)
-    block = max(1, _SCAN_ENTRIES // A.size)
-    norms = []
-    for lo in range(0, n, block):
-        G = space.algebra_exp(steps[lo:lo + block, None, None] * A)
-        norms += np.abs(G - I).max(axis=(1, 2)).tolist()
-
-    def miss(T):
-        return np.max(np.abs(space.algebra_exp(T * A) - I))
-
-    def slope(T):
-        # derivative of half the squared Frobenius return distance; smooth
-        # through the minimum, so bisection nails the kink of the distance
-        E_T = space.algebra_exp(T * A)
-        return float(np.sum((E_T @ A) * (E_T - I)))
-
-    armed = False  # the orbit must first leave the identity, else T -> 0 wins
-    for k in range(n):
-        if not armed:
-            armed = norms[k] > 0.5
-            continue
-        left = norms[k - 1] if k > 0 else np.inf
-        right = norms[k + 1] if k + 1 < n else np.inf
-        if norms[k] < 0.5 and norms[k] <= left and norms[k] <= right:
-            lo, hi = dt * k, dt * (k + 2)  # norms[k] is the distance at (k+1) dt
-            if slope(lo) < 0.0 < slope(hi):
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if slope(mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-            T = 0.5 * (lo + hi)
-            if miss(T) <= _PERIOD_TOL:
-                return float(T)
-    return None
+    T = space.ops.period(A)
+    I = np.eye(len(A))
+    if T is not None and not np.max(np.abs(space.algebra_exp(T * A) - I)) <= _PERIOD_TOL:
+        raise ValueError(f"exp(T A) is not the identity at the closed-form period T={T:.6g}")
+    return T
 
 
 @dataclass(frozen=True)
@@ -323,10 +282,7 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     nevertheless dominates max f, the report is flagged INCONSISTENT.
     """
     gen = np.asarray(generator, dtype=float)
-    if gen.ndim == 1:
-        c1 = gen.copy()
-    else:
-        c1 = space.dec.coords_m(gen)
+    c1 = gen.copy() if gen.ndim == 1 else space.dec.coords_m(gen)
     norm = np.linalg.norm(c1)
     if norm == 0.0:
         raise ValueError("zero generator")

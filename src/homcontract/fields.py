@@ -203,8 +203,7 @@ def euclidean_linear(space: Space, M) -> HorizontalField:
         raise ValueError("matrix size does not match the space dimension")
 
     def coeff(g, t):
-        x = g[..., :n, n]
-        return x @ M.T
+        return g[..., :n, n] @ M.T
 
     return HorizontalField("euclidean-linear", space.name, coeff)
 

@@ -85,6 +85,12 @@ def _translation_distance(space, p, q) -> np.ndarray:
     return np.linalg.norm(p[..., :n, n] - q[..., :n, n], axis=-1)
 
 
+def _rotation_period(A) -> Optional[float]:
+    """2 pi / theta of a skew A, theta^2 = -tr(A^2)/2 as in so3_exp; None at theta 0."""
+    th = float(np.sqrt(max(-0.5 * np.trace(A @ A), 0.0)))
+    return 2.0 * np.pi / th if th > 0.0 else None
+
+
 class KindOps(NamedTuple):
     """The closed-form operations of one kind of space, all on stacks.
 
@@ -93,6 +99,7 @@ class KindOps(NamedTuple):
     ``distance(space, p, q)`` broadcasts over stacked states and is the
     Riemannian distance of the metric ``distance_scale * tr(X^T Y)`` on m.
     ``project(space, states)`` gives the coordinates a CSV row holds.
+    ``period(A)`` is the smallest T > 0 with exp(T A) = I, or None.
     ``dim_h`` is the dimension of the isotropy algebra the operations assume.
     """
 
@@ -100,6 +107,7 @@ class KindOps(NamedTuple):
     residual: Callable
     distance: Callable
     project: Callable
+    period: Callable
     distance_scale: float
     dim_h: int
 
@@ -108,13 +116,14 @@ class KindOps(NamedTuple):
 # rebound at run time (bench/tracer.py wraps them) is seen by every call.
 KIND_OPS = {
     "so3": KindOps(lambda A: smallmat.so3_exp(A), _rotation_residual,
-                   lambda space, p, q: smallmat.so3_angle(p, q), lambda space, g: g, 0.5, 0),
+                   lambda space, p, q: smallmat.so3_angle(p, q), lambda space, g: g,
+                   _rotation_period, 0.5, 0),
     "sphere": KindOps(lambda A: smallmat.so3_exp(A), _rotation_residual,
-                      _sphere_distance, _points, 0.5, 1),
+                      _sphere_distance, _points, _rotation_period, 0.5, 1),
     "circle": KindOps(_circle_exp, _rotation_residual, _circle_distance,
-                      lambda space, g: g, 0.5, 0),
+                      lambda space, g: g, _rotation_period, 0.5, 0),
     "euclidean": KindOps(lambda A: np.eye(A.shape[-1]) + A, _translation_residual,
-                         _translation_distance, lambda space, g: g, 1.0, 0),
+                         _translation_distance, lambda space, g: g, lambda A: None, 1.0, 0),
 }
 
 

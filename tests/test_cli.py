@@ -101,6 +101,14 @@ class TestLoopCheck:
                    "--field", "constant:1,0", "--generator", "1,0")
         assert code == 1
 
+    def test_period_beyond_twenty(self, tmp_path, capsys):
+        # the z-axis has metric weight 16, so the unit generator turns at 1/4 rad/s
+        code = run(tmp_path, "loop-check", "--space", "so3-left:1,1,16",
+                   "--field", "constant:0,0,1", "--generator", "0,0,1")
+        assert code == 0
+        payload = json.loads((tmp_path / "loop_report.json").read_text())
+        assert payload["period"] == pytest.approx(8.0 * np.pi, abs=1e-12)
+
 
 class TestReach:
     def test_so3_demo_short(self, tmp_path, capsys):
@@ -211,6 +219,42 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)\n"
+
+    @pytest.mark.parametrize("region", ["cap:60:-2:8", "cap:60:0:8", "box:-1:1:0"])
+    def test_region_count_below_one(self, tmp_path, capsys, region):
+        code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
+                   "--region", region, "--c", "0")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--r0", "--K"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_tube_scale_not_positive(self, tmp_path, capsys, option, value):
+        assert run(tmp_path, *self.REACH, option, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: homcontract reach")
+        assert f"argument {option}: must be positive, got '{value}'" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("horizon", ["0.001", "0.015"])
+    def test_horizon_not_whole_steps(self, tmp_path, capsys, monkeypatch, horizon):
+        def forbidden(*a, **k):
+            raise AssertionError("work before the horizon check")
+
+        monkeypatch.setattr(contraction, "certify_region", forbidden)
+        monkeypatch.setattr(reach, "integrate", forbidden)
+        assert run(tmp_path, *self.REACH, "--horizon", horizon) == 1
+        assert capsys.readouterr().err == (
+            f"error: --horizon {horizon} is not a multiple of --dt 0.01\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_key_error_message_unquoted(self, tmp_path, capsys):
+        assert run(tmp_path, *self.LOOP[:3], "--field", "nofield", "--generator", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown field 'nofield' (built-ins: ")
+        assert '"' not in err
 
 
 class TestNameHints:

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from homcontract import contraction, fields
-from homcontract.spaces import SO3_BASIS, make_euclidean
+from homcontract.spaces import (SO3_BASIS, make_circle, make_euclidean, make_so3_biinvariant,
+                                make_so3_left_invariant, make_sphere2)
 
 AX, AY, AZ = SO3_BASIS
 
@@ -149,13 +152,6 @@ class TestFindPeriod:
         A = euclid2.algebra_from_coords([1.0, 0.0])
         assert contraction.find_period(euclid2, A) is None
 
-    @pytest.mark.parametrize("name,gen", [("circle", [1.0]), ("sphere", [1.0, 0.0]),
-                                          ("so3", [1.0, 1.0, 1.0]), ("so3", [0.3, -2.0, 0.7])])
-    def test_batched_scan_matches_loop(self, request, name, gen):
-        space = request.getfixturevalue(name)
-        A = space.algebra_from_coords(gen)
-        assert contraction.find_period(space, A) == loop_find_period(space, A)
-
     def test_scan_memory_bounded_in_dimension(self):
         # one batch of all 10,000 steps of a 21x21 generator would take
         # 35 MB per temporary; the blocked scan stays near 0.5 MB each
@@ -171,42 +167,22 @@ class TestFindPeriod:
         assert peak < 4e6
 
 
-def loop_find_period(space, A, t_max=20.0, tol=1e-8):
-    """find_period with its scan as a loop of single products g <- g exp(dt A)."""
-    n = 10_000
-    dt = t_max / n
-    I = np.eye(A.shape[0])
-    E = space.algebra_exp(dt * A)
-    norms = np.empty(n)
-    g = I
-    for k in range(n):
-        g = g @ E
-        norms[k] = np.max(np.abs(g - I))
+class TestClosedFormPeriod:
+    SPACES = {"circle": make_circle(), "sphere2": make_sphere2(),
+              "so3": make_so3_biinvariant(), "so3-left:1,1,4": make_so3_left_invariant([1, 1, 4])}
 
-    def slope(T):
-        E_T = space.algebra_exp(T * A)
-        return float(np.sum((E_T @ A) * (E_T - I)))
-
-    armed = False
-    for k in range(n):
-        if not armed:
-            armed = norms[k] > 0.5
-            continue
-        left = norms[k - 1] if k > 0 else np.inf
-        right = norms[k + 1] if k + 1 < n else np.inf
-        if norms[k] < 0.5 and norms[k] <= left and norms[k] <= right:
-            lo, hi = dt * k, dt * (k + 2)
-            if slope(lo) < 0.0 < slope(hi):
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if slope(mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-            T = 0.5 * (lo + hi)
-            if np.max(np.abs(space.algebra_exp(T * A) - I)) <= tol:
-                return float(T)
-    return None
+    @given(st.sampled_from(sorted(SPACES)), st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_first_return_to_identity(self, name, coords):
+        space = self.SPACES[name]
+        c = np.asarray(coords[:space.dim_m])
+        assume(np.linalg.norm(c) > 1e-3)
+        A = space.algebra_from_coords(c)
+        T = contraction.find_period(space, A)
+        I = np.eye(space.embed_dim)
+        assert np.max(np.abs(space.algebra_exp(T * A) - I)) <= 1e-9
+        for k in range(1, 8):
+            assert np.max(np.abs(space.algebra_exp(k * T / 8 * A) - I)) > 1e-3
 
 
 class TestLoopObstruction:

@@ -96,10 +96,10 @@ def cmd_classify(args) -> int:
 
 
 def _parse_region(region: str) -> tuple[str, list]:
-    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, counts at least 1."""
+    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, finite, counts at least 1."""
     kind, *parts = region.split(":")
-    count = _positive(int)
-    types = {"cap": (float, count, count), "box": (float, float, count)}.get(kind)
+    count, number = _positive(int), _finite(float)
+    types = {"cap": (number, count, count), "box": (number, number, count)}.get(kind)
     try:
         if types and len(parts) == len(types):
             return kind, [t(p) for t, p in zip(types, parts)]
@@ -108,19 +108,19 @@ def _parse_region(region: str) -> tuple[str, list]:
     raise ValueError(f"unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)")
 
 
-def _region_samples(space, kind: str, params: list, seed: int):
+def _region_samples(space, kind: str, params: list):
     a, b, n = params
     if kind == "cap":
         return contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
     m = space.dim_m
-    return contraction.generator_box_samples(space, [a] * m, [b] * m, n, seed=seed)
+    return contraction.generator_box_samples(space, [a] * m, [b] * m, n)
 
 
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
     F = _resolve_field(space, args.field)
     kind, params = _parse_region(args.region)
-    samples = _region_samples(space, kind, params, args.seed)
+    samples = _region_samples(space, kind, params)
     mus: list[float] = []
     cert = contraction.certify_region(
         F, space, samples, args.c, region=args.region, step=args.fd_step, collect=mus
@@ -153,13 +153,22 @@ def cmd_certify(args) -> int:
     return 0 if cert.passed else 2
 
 
+def _m_coords(space, option: str, text: str) -> list[float]:
+    """The comma-separated m-coordinates given to ``option``: dim_m finite numbers."""
+    coords = [float(x) for x in text.split(",")]
+    if len(coords) != space.dim_m or not np.all(np.isfinite(coords)):
+        raise ValueError(f"{option} needs {space.dim_m} finite coordinates, "
+                         f"got {len(coords)}: {text!r}")
+    return coords
+
+
 def cmd_loop_check(args) -> int:
     space = _resolve_space(args.space)
     F = _resolve_field(space, args.field)
-    gen = [float(x) for x in args.generator.split(",")]
+    gen = _m_coords(space, "--generator", args.generator)
     base = space.identity()
     if args.base_coords:
-        coords = [float(x) for x in args.base_coords.split(",")]
+        coords = _m_coords(space, "--base-coords", args.base_coords)
         base = space.algebra_exp(space.algebra_from_coords(coords))
     report = contraction.loop_obstruction_check(
         F, space, gen, base=base, n_quad=args.n_quad, c=args.c
@@ -188,7 +197,7 @@ def cmd_reach(args) -> int:
     space = _resolve_space(args.space)
     reach._require_distance(space)
     F = _resolve_field(space, args.field)
-    samples = _region_samples(space, *_parse_region(args.region), args.seed)
+    samples = _region_samples(space, *_parse_region(args.region))
     cert = contraction.certify_region(F, space, samples, args.c, region=args.region)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
@@ -226,10 +235,21 @@ def cmd_reach(args) -> int:
     return 0 if report.passed else 2
 
 
-def _positive(kind):
-    """An argparse type: ``kind`` of the text, rejected unless it is > 0."""
+def _finite(kind):
+    """An argparse type: ``kind`` of the text, rejected if infinite or NaN."""
     def parse(text):
         value = kind(text)
+        if not -np.inf < value < np.inf:  # False for NaN; exact for ints of any size
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+def _positive(kind):
+    """An argparse type: ``kind`` of the text, rejected unless it is finite and > 0."""
+    def parse(text):
+        value = _finite(kind)(text)
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
         return value
@@ -253,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--space", required=True)
     pr.add_argument("--field", required=True)
     pr.add_argument("--region", required=True, help="cap:DEG:NT:NP or box:LO:HI:N")
-    pr.add_argument("--c", type=float, required=True)
+    pr.add_argument("--c", type=_finite(float), required=True)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fd-step", type=float, default=1e-5)
+    pr.add_argument("--fd-step", type=_positive(float), default=1e-5)
     pr.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("loop-check", help="loop obstruction along a periodic subgroup")
@@ -264,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--generator", required=True, help="m-coordinates, e.g. 1,0")
     pl.add_argument("--base-coords", default=None, help="base point as exp of m-coords")
     pl.add_argument("--n-quad", type=_positive(int), default=1024)
-    pl.add_argument("--c", type=float, default=None)
+    pl.add_argument("--c", type=_finite(float), default=None)
     pl.set_defaults(func=cmd_loop_check)
 
     pv = sub.add_parser("reach", help="contraction tube with Monte Carlo containment")
     pv.add_argument("--space", required=True)
     pv.add_argument("--field", required=True)
     pv.add_argument("--region", default="box:-3.2:3.2:64")
-    pv.add_argument("--c", type=float, default=0.0)
+    pv.add_argument("--c", type=_finite(float), default=0.0)
     pv.add_argument("--r0", type=_positive(float), default=0.1)
     pv.add_argument("--horizon", type=_positive(float), default=5.0)
     pv.add_argument("--dt", type=_positive(float), default=1e-3)

@@ -12,21 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import ReductiveDecomposition, bracket
+from .liealg import ReductiveDecomposition
 
 _TOL = 1e-10  # largest entry counted as zero by the flags and the tensor identities
 
 
 def _bracket_m_coords(dec: ReductiveDecomposition) -> np.ndarray:
-    """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k]."""
-    m = dec.dim_m
-    bm = np.zeros((m, m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            c = dec.coords_m(bracket(dec.m_basis[j], dec.m_basis[k]))
-            bm[j, k] = c
-            bm[k, j] = -c
-    return bm
+    """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k], one stacked solve."""
+    B = dec.m_basis
+    # + 0.0 turns the -0.0 that the solve may return for [A_j, A_j] = 0 into 0.0
+    return dec.coords_m(B[:, None] @ B[None] - B[None] @ B[:, None]) + 0.0
+
+
+def _U(bm: np.ndarray) -> np.ndarray:
+    # <[A_j, A_i]_m, A_k> = bm[j, i, k];  <A_j, [A_k, A_i]_m> = bm[k, i, j]
+    return 0.5 * (np.einsum("jik->ijk", bm) + np.einsum("kij->ijk", bm))
 
 
 def compute_U(dec: ReductiveDecomposition) -> np.ndarray:
@@ -34,15 +34,13 @@ def compute_U(dec: ReductiveDecomposition) -> np.ndarray:
 
     U[i, j, k] is the i-th coordinate of U(A_j, A_k); symmetric in (j, k).
     """
-    bm = _bracket_m_coords(dec)
-    # <[A_j, A_i]_m, A_k> = bm[j, i, k];  <A_j, [A_k, A_i]_m> = bm[k, i, j]
-    return 0.5 * (np.einsum("jik->ijk", bm) + np.einsum("kij->ijk", bm))
+    return _U(_bracket_m_coords(dec))
 
 
 def compute_alpha(dec: ReductiveDecomposition) -> np.ndarray:
     """Full connection tensor: half projected bracket plus U."""
     bm = _bracket_m_coords(dec)
-    return 0.5 * np.einsum("jki->ijk", bm) + compute_U(dec)
+    return 0.5 * np.einsum("jki->ijk", bm) + _U(bm)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def classify(dec: ReductiveDecomposition) -> SpaceClassification:
     """
     bm = _bracket_m_coords(dec)
     mm_leak = float(np.max(np.linalg.norm(bm, axis=-1))) if bm.size else 0.0
-    u_norm = float(np.max(np.abs(compute_U(dec)))) if bm.size else 0.0
+    u_norm = float(np.max(np.abs(_U(bm)))) if bm.size else 0.0
     return SpaceClassification(
         is_symmetric=mm_leak <= _TOL,
         is_naturally_reductive=u_norm <= _TOL,

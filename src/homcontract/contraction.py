@@ -66,7 +66,9 @@ class ContractionCertificate:
 
     @property
     def label(self) -> str:
-        return "nonexpansive" if self.rate_c == 0.0 else "contracting"
+        if self.rate_c == 0.0:
+            return "nonexpansive"
+        return "expanding" if self.rate_c > 0.0 else "contracting"
 
     def to_dict(self) -> dict:
         return {
@@ -147,21 +149,16 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return out
 
 
-def generator_box_samples(space: Space, lows, highs, count: int,
-                          base=None, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy samples exp-mapped from a box in m-coordinates.
-
-    Returns a (count, d, d) stack.
-    """
+def generator_box_samples(space: Space, lows, highs, count: int) -> np.ndarray:
+    """Low-discrepancy (Halton, so deterministic) samples exp-mapped from a
+    box in m-coordinates at the identity; returns a (count, d, d) stack."""
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
     m = space.dim_m
     if lows.shape != (m,) or highs.shape != (m,):
         raise ValueError("box bounds must match the m-dimension")
-    # Halton is deterministic; the seed only relabels the certificate.
     coords = lows + _halton(count, m) * (highs - lows)
-    base = space.identity() if base is None else np.asarray(base, dtype=float)
-    return base @ space.algebra_exp(space.algebra_from_coords(coords))
+    return space.algebra_exp(space.algebra_from_coords(coords))
 
 
 def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,

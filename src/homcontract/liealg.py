@@ -26,12 +26,13 @@ def bracket(X, Y) -> np.ndarray:
 
 
 def adjoint(g, X) -> np.ndarray:
-    """Adjoint action g X g^{-1} in the embedding representation."""
+    """Adjoint action g X g^{-1}, broadcasting over stacks (..., d, d)."""
     g = np.asarray(g, dtype=float)
     X = np.asarray(X, dtype=float)
-    if g.shape != X.shape:
+    if g.shape[-2:] != X.shape[-2:]:
         raise ValueError(f"adjoint of mismatched shapes {g.shape} and {X.shape}")
-    return np.linalg.solve(g.T, (g @ X).T).T
+    gT = np.swapaxes(g, -1, -2)
+    return np.swapaxes(np.linalg.solve(gT, np.swapaxes(g @ X, -1, -2)), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -54,21 +55,23 @@ class ReductiveDecomposition:
         return self.m_basis.shape[-1]
 
     def split_coords(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of X in the combined (h, m) basis.
+        """Coordinates (..., n_h) and (..., n_m) of X (..., d, d) in the (h, m) basis.
 
-        Raises if X does not lie in the span within ``_SPAN_TOL``.
+        One solve with a right-hand side per element; raises if any element
+        is not in the span within ``_SPAN_TOL``.
         """
         X = np.asarray(X, dtype=float)
         full = np.concatenate([self.h_basis, self.m_basis], axis=0)
         B = full.reshape(full.shape[0], -1)
-        c, _, _, _ = np.linalg.lstsq(B.T, X.ravel(), rcond=None)
-        if np.max(np.abs(c @ B - X.ravel())) > _SPAN_TOL:
+        rhs = X.reshape(-1, B.shape[1])
+        c = np.linalg.lstsq(B.T, rhs.T, rcond=None)[0].T
+        if np.abs(c @ B - rhs).max(initial=0.0) > _SPAN_TOL:
             raise ValueError("element does not lie in the algebra spanned by the bases")
-        n_h = self.h_basis.shape[0]
-        return c[:n_h], c[n_h:]
+        c = c.reshape(X.shape[:-2] + (len(B),))
+        return c[..., :len(self.h_basis)], c[..., len(self.h_basis):]
 
     def coords_m(self, X) -> np.ndarray:
-        """Coordinates of the m-component of X in the orthonormal m-basis."""
+        """Coordinates of the m-component of X (..., d, d) in the orthonormal m-basis."""
         return self.split_coords(X)[1]
 
     def from_coords(self, c) -> np.ndarray:
@@ -117,22 +120,16 @@ class AdInvarianceReport:
 def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None) -> AdInvarianceReport:
     """Verify that Ad_h keeps m inside m and preserves its metric.
 
-    ``in_h`` is an optional membership predicate; a sample failing it is an
-    error.  Reports the largest h-component entry of Ad_h(A) over the
-    m-basis, and the largest entry of C^T C - I, where column j of C holds
-    the m-coordinates of Ad_h(A_j) (the m-basis is orthonormal, so an
-    isometry gives C^T C = I).
+    ``in_h`` is an optional membership predicate, applied once to the whole
+    (n, d, d) stack; a stack failing it is an error.  Reports the largest
+    h-component entry of Ad_h(A_j), and the largest entry of C C^T - I, where
+    row j of C holds the m-coordinates of Ad_h(A_j) (the m-basis is
+    orthonormal, so an isometry gives C C^T = I).
     """
-    leak = gap = 0.0
-    m = dec.dim_m
-    for h in h_samples:
-        h = np.asarray(h, dtype=float)
-        if in_h is not None and not in_h(h):
-            raise ValueError("sample is not a member of the isotropy subgroup")
-        C = np.empty((m, m))
-        for j, A in enumerate(dec.m_basis):
-            ch, C[:, j] = dec.split_coords(adjoint(h, A))
-            P = np.einsum("i,iab->ab", ch, dec.h_basis)  # zeros when h = 0
-            leak = max(leak, float(np.max(np.abs(P))))
-        gap = max(gap, float(np.max(np.abs(C.T @ C - np.eye(m)))))
-    return AdInvarianceReport(max_leak=leak, tol=_AD_TOL, max_metric_gap=gap)
+    H = np.asarray(h_samples, dtype=float)
+    if in_h is not None and not in_h(H):
+        raise ValueError("sample is not a member of the isotropy subgroup")
+    ch, C = dec.split_coords(adjoint(H[:, None], dec.m_basis))  # [sample, j, coordinate]
+    leak = np.abs(np.einsum("sji,iab->sjab", ch, dec.h_basis)).max(initial=0.0)
+    gap = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(dec.dim_m)).max(initial=0.0)
+    return AdInvarianceReport(max_leak=float(leak), tol=_AD_TOL, max_metric_gap=float(gap))

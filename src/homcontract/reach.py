@@ -175,28 +175,17 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                seed: int = 0) -> ReachTube:
     """Contraction tube around the integrated center trajectory.
 
-    Requires a PASS certificate (c <= 0 allowed and labeled nonexpansive);
-    a failed certificate gives no sound tube and is an error.  With
-    ``n_samples`` > 0, that many metric-ball samples (drawn with ``seed``)
-    are integrated in lockstep with the center, as rows 1.. of one stack.
-    The stack is never stored: each chunk of steps is reduced to the
-    center and the samples' distances to it as it is integrated.
+    Requires a PASS certificate, at any rate c (its label names the sign);
+    a failed certificate gives no sound tube and is an error.  The
+    ``n_samples`` metric-ball samples (drawn with ``seed``) are integrated
+    in lockstep with the center, and the tube keeps their distances to it.
     """
     if not certificate.passed:
         raise ValueError("certificate verdict is FAIL; no sound tube exists")
     g0 = np.asarray(g0, dtype=float)
-    distances = None
     if n_samples:
         _require_distance(space)
-        stack = np.concatenate([g0[None], sample_metric_ball(space, g0, r0, n_samples, seed)])
-        n_times = int(round(horizon / dt)) + 1
-        states = np.empty((n_times,) + g0.shape)
-        distances = np.empty((n_times, n_samples))
-        traj = integrate(F, space, stack, horizon, dt, method=method,
-                         consume=_distance_reducer(space, states, distances, center_row=True))
-        center = replace(traj, states=states)
-    else:
-        center = integrate(F, space, g0, horizon, dt, method=method)
+    center, distances = _lockstep(F, space, g0, r0, n_samples, seed, horizon, dt, method)
     return ReachTube(
         center=center,
         K=float(K),
@@ -204,26 +193,29 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
         r0=float(r0),
         space_id=space.name,
         field_id=F.name,
-        distances=distances,
+        distances=distances if n_samples else None,
         seed=seed,
     )
 
 
-def _distance_reducer(space: Space, center, dists, center_row: bool):
-    """An ``integrate`` consumer that writes into ``dists`` (T+1, n) the
-    distances of each chunk's sample rows to ``center`` (T+1, d, d).
+def _lockstep(F, space: Space, g0, r0, n, seed, horizon, dt, method):
+    """Integrate [g0; ball of ``n`` samples, radius ``r0``, drawn with ``seed``]
+    in lockstep, reducing each chunk of steps as it arrives, to the center
+    (T+1, d, d) and the ball's distances to it (T+1, n).  The stack is never
+    stored.  Callers run ``_require_distance``."""
+    ball = sample_metric_ball(space, g0, r0, n, seed)
+    n_times = int(round(horizon / dt)) + 1
+    center = np.empty((n_times,) + g0.shape)
+    dists = np.empty((n_times, n))
 
-    A chunk may hold any number of steps, starting at step ``lo``; its
-    distances are one batched call.  With ``center_row``, row 0 of each
-    chunk is the center: it is copied into ``center`` first and rows 1..
-    are the samples.
-    """
     def reduce(lo, chunk):
         hi = lo + len(chunk)
-        if center_row:
-            center[lo:hi] = chunk[:, 0]
-        dists[lo:hi] = distance(space, center[lo:hi, None], chunk[:, int(center_row):])
-    return reduce
+        center[lo:hi] = chunk[:, 0]
+        dists[lo:hi] = space.ops.distance(space, center[lo:hi, None], chunk[:, 1:])
+
+    traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt,
+                     method=method, consume=reduce)
+    return replace(traj, states=center), dists
 
 
 def _tube_extremes(dists, radii) -> tuple[float, float]:
@@ -281,19 +273,15 @@ def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
     """Check that ball samples integrated with the center's scheme stay in the tube.
 
     Uses the tube's own sample distances when it was built with the same
-    ``n_samples`` and ``seed``; otherwise integrates a fresh ball.
+    ``n_samples`` and ``seed``; otherwise integrates a fresh lockstep stack,
+    the tube's start state plus a new ball.
     """
     _require_distance(space)
     dists = tube.distances
     if dists is None or dists.shape[1] != n_samples or tube.seed != seed:
-        center = tube.center.states
-        samples0 = sample_metric_ball(space, center[0], tube.r0, n_samples, seed=seed)
-        dists = np.empty((len(center), n_samples))
-        integrate(
-            F, space, samples0, tube.center.horizon, tube.center.step_size,
-            method=tube.center.integrator_id,
-            consume=_distance_reducer(space, center, dists, center_row=False),
-        )
+        c = tube.center
+        _, dists = _lockstep(F, space, c.states[0], tube.r0, n_samples, seed,
+                             c.horizon, c.step_size, c.integrator_id)
     max_margin, max_drift = _tube_extremes(dists, tube.radius(tube.center.times))
     return ContainmentReport(
         n_samples=n_samples,

@@ -191,7 +191,7 @@ class Space:
         return self.algebra_exp(A.reshape((-1,) + h_basis.shape[1:]))
 
     def in_h(self, h) -> bool:
-        """Membership test for the isotropy subgroup."""
+        """Membership test for the isotropy subgroup; a stack passes if every element does."""
         h = np.asarray(h, dtype=float)
         try:
             self.check_group(h)
@@ -261,8 +261,7 @@ def make_euclidean(n: int) -> Space:
         raise ValueError("dimension must be at least 1")
     d = n + 1
     raw = np.zeros((n, d, d))
-    for i in range(n):
-        raw[i, i, n] = 1.0
+    raw[np.arange(n), np.arange(n), n] = 1.0
     dec = ReductiveDecomposition(
         h_basis=np.zeros((0, d, d)),
         m_basis=orthonormalize_basis(raw, trace_scale=KIND_OPS["euclidean"].distance_scale),

@@ -199,6 +199,7 @@ class TestBadNumbers:
     REACH = ("reach", "--space", "so3", "--field", "so3-demo-schedule",
              "--region", "box:-2:2:16", "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
     LOOP = ("loop-check", "--space", "circle", "--field", "circle-sin", "--generator", "1")
+    CERTIFY = ("certify", "--space", "sphere2", "--field", "sphere-noneq", "--region", "cap:60:4:4")
 
     @pytest.mark.parametrize("argv,needle", [
         (REACH + ("--samples", "0"), "argument --samples: must be positive, got '0'"),
@@ -206,13 +207,20 @@ class TestBadNumbers:
         (REACH + ("--dt", "0"), "argument --dt: must be positive, got '0'"),
         (LOOP + ("--n-quad", "0"), "argument --n-quad: must be positive, got '0'"),
         (REACH + ("--samples", "five"), "argument --samples: invalid int value: 'five'"),
+        (REACH + ("--K", "inf"), "argument --K: must be finite, got 'inf'"),
+        (REACH + ("--horizon", "inf"), "argument --horizon: must be finite, got 'inf'"),
+        (REACH + ("--c", "inf"), "argument --c: must be finite, got 'inf'"),
+        (LOOP + ("--c", "nan"), "argument --c: must be finite, got 'nan'"),
+        (CERTIFY + ("--c", "inf"), "argument --c: must be finite, got 'inf'"),
+        (CERTIFY + ("--c", "0", "--fd-step", "0"), "argument --fd-step: must be positive, got '0'"),
     ])
     def test_rejected_by_the_parser(self, tmp_path, capsys, argv, needle):
         assert run(tmp_path, *argv) == 1
         assert needle in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("region", ["cap:60:8", "box:-1:1", "cap:60:8:8:8", "box:a:1:4"])
+    @pytest.mark.parametrize("region", ["cap:60:8", "box:-1:1", "cap:60:8:8:8", "box:a:1:4",
+                                        "box:-inf:1:4", "box:-1:inf:4", "cap:nan:8:8"])
     def test_unparsed_region(self, tmp_path, capsys, region):
         code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
                    "--region", region, "--c", "0")
@@ -248,6 +256,21 @@ class TestBadNumbers:
         assert run(tmp_path, *self.REACH, "--horizon", horizon) == 1
         assert capsys.readouterr().err == (
             f"error: --horizon {horizon} is not a multiple of --dt 0.01\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("--space", "so3", "--field", "constant:1,0,0", "--generator", "1,0"),
+         "--generator needs 3 finite coordinates, got 2: '1,0'"),
+        (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
+          "--base-coords", "1"), "--base-coords needs 2 finite coordinates, got 1: '1'"),
+        (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
+          "--base-coords", "nan,0"), "--base-coords needs 2 finite coordinates, got 2: 'nan,0'"),
+        (("--space", "circle", "--field", "circle-sin", "--generator", "inf"),
+         "--generator needs 1 finite coordinates, got 1: 'inf'"),
+    ])
+    def test_loop_coordinates_rejected(self, tmp_path, capsys, argv, needle):
+        assert run(tmp_path, "loop-check", *argv) == 1
+        assert capsys.readouterr().err == f"error: {needle}\n"
         assert not list(tmp_path.iterdir())
 
     def test_key_error_message_unquoted(self, tmp_path, capsys):

@@ -80,6 +80,12 @@ class TestComputeAlpha:
         space = request.getfixturevalue(name)
         connection.check_alpha_invariants(space.dec, space.alpha)
 
+    @pytest.mark.parametrize("name", ["sphere", "so3", "so3_left", "euclid2", "circle"])
+    def test_no_negative_zero(self, name, request):
+        # classify.json prints alpha; a zero entry must print as 0.0, never -0.0
+        alpha = request.getfixturevalue(name).alpha
+        assert not np.signbit(alpha[alpha == 0.0]).any()
+
     def test_torsion_identity_detects_corruption(self, so3):
         bad = so3.alpha.copy()
         bad[0, 1, 2] += 1e-3

@@ -74,6 +74,8 @@ class TestCertifyRegion:
         assert cert.passed
         assert cert.label == "nonexpansive"
         assert abs(cert.mu_max) < 1e-7
+        expanding = contraction.certify_region(F, so3, samples, c=0.5)
+        assert expanding.passed and expanding.label == "expanding"
 
     def test_euclidean_linear_rate(self, euclid2):
         M = np.array([[-1.0, 0.3], [0.3, -2.0]])
@@ -153,8 +155,8 @@ class TestFindPeriod:
         assert contraction.find_period(euclid2, A) is None
 
     def test_scan_memory_bounded_in_dimension(self):
-        # one batch of all 10,000 steps of a 21x21 generator would take
-        # 35 MB per temporary; the blocked scan stays near 0.5 MB each
+        # flat space has no closed-form period, so find_period answers None
+        # at once: no exponential of the 21x21 generator is ever taken
         flat = make_euclidean(20)
         A = flat.algebra_from_coords(np.linspace(1.0, 2.0, 20))
         tracemalloc.start()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from homcontract import liealg, smallmat
+from homcontract import liealg, smallmat, spaces
 from homcontract.liealg import adjoint, bracket, check_ad_invariance, orthonormalize_basis
 from homcontract.spaces import SO3_BASIS
 
@@ -151,3 +154,54 @@ class TestAdInvariance:
     def test_non_member_sample_raises(self, sphere):
         with pytest.raises(ValueError):
             check_ad_invariance(sphere.dec, [smallmat.expm(0.5 * AX)], in_h=sphere.in_h)
+
+    def test_one_non_member_in_a_stack_raises(self, sphere):
+        members = sphere.h_samples()
+        assert check_ad_invariance(sphere.dec, members, in_h=sphere.in_h).passed
+        stack = np.concatenate([members[:7], smallmat.expm(0.5 * AX)[None], members[7:]])
+        with pytest.raises(ValueError, match="not a member"):
+            check_ad_invariance(sphere.dec, stack, in_h=sphere.in_h)
+
+    def test_one_pass_over_the_stack(self, sphere, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        split = liealg.ReductiveDecomposition.split_coords
+        monkeypatch.setattr(liealg, "adjoint", counted("adjoint", liealg.adjoint))
+        monkeypatch.setattr(liealg.ReductiveDecomposition, "split_coords",
+                            counted("split_coords", split))
+        report = check_ad_invariance(sphere.dec, sphere.h_samples(),
+                                     in_h=counted("in_h", sphere.in_h))
+        assert report.passed
+        assert sorted(calls) == ["adjoint", "in_h", "split_coords"]
+
+
+STACK_SPACES = {"sphere2": spaces.make_sphere2(),
+                "so3-left:1,1,4": spaces.make_so3_left_invariant([1.0, 1.0, 4.0])}
+_rotation_vectors = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[arrays(np.float64, (n, 3), elements=st.floats(-4.0, 4.0)) for _ in range(2)]))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(case=_rotation_vectors)
+def test_stacked_equals_per_element(name, case):
+    """split_coords of a stack and adjoint broadcast over stacks give, element
+    for element, exactly what one call per element gives."""
+    dec = STACK_SPACES[name].dec
+    X = smallmat.hat3(case[0])
+    G = smallmat.so3_exp(smallmat.hat3(case[1]))
+    ch, cm = dec.split_coords(X)
+    for i, x in enumerate(X):
+        one_h, one_m = dec.split_coords(x)
+        assert np.array_equal(ch[i], one_h) and np.array_equal(cm[i], one_m)
+    Y = adjoint(G[:, None], X[None])
+    assert Y.shape == (len(G), len(X), 3, 3)
+    for i, g in enumerate(G):
+        for j, x in enumerate(X):
+            assert np.array_equal(Y[i, j], adjoint(g, x))

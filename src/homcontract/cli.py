@@ -95,9 +95,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _parse_region(region: str) -> tuple[str, list]:
-    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, finite, counts at least 1."""
+def _parse_region(space, region: str) -> tuple[str, list]:
+    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, finite, counts at least 1.
+
+    A cap is a region of the sphere and is refused on every other kind.
+    """
     kind, *parts = region.split(":")
+    if kind == "cap" and space.kind != "sphere":
+        raise ValueError(f"region {region!r}: a cap needs a sphere space, not {space.name} "
+                         "(use box:LO:HI:N)")
     count, number = _positive(int), _finite(float)
     types = {"cap": (number, count, count), "box": (number, number, count)}.get(kind)
     try:
@@ -118,8 +124,8 @@ def _region_samples(space, kind: str, params: list):
 
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
+    kind, params = _parse_region(space, args.region)
     F = _resolve_field(space, args.field)
-    kind, params = _parse_region(args.region)
     samples = _region_samples(space, kind, params)
     mus: list[float] = []
     cert = contraction.certify_region(
@@ -196,8 +202,9 @@ def cmd_reach(args) -> int:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
+    region = _parse_region(space, args.region)
     F = _resolve_field(space, args.field)
-    samples = _region_samples(space, *_parse_region(args.region))
+    samples = _region_samples(space, *region)
     cert = contraction.certify_region(F, space, samples, args.c, region=args.region)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 The connection is encoded by a constant bilinear map alpha on m,
 alpha(A_j, A_k) = alpha[i, j, k] A_i, split as half the projected bracket
-plus a metric correction term U.  The tensors are computed once per space
-and cached on the space descriptor.
+plus a metric correction term U.  The bracket table they are built from is
+computed once per space, cached on it, and passed to each function here.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ def compute_U(dec: ReductiveDecomposition) -> np.ndarray:
     return _U(_bracket_m_coords(dec))
 
 
-def compute_alpha(dec: ReductiveDecomposition) -> np.ndarray:
-    """Full connection tensor: half projected bracket plus U."""
-    bm = _bracket_m_coords(dec)
+def compute_alpha(dec: ReductiveDecomposition, bm=None) -> np.ndarray:
+    """Full connection tensor: half projected bracket plus U.
+
+    ``bm``, if given, is the bracket table of ``dec`` (``Space.bracket_m``).
+    """
+    bm = _bracket_m_coords(dec) if bm is None else bm
     return 0.5 * np.einsum("jki->ijk", bm) + _U(bm)
 
 
@@ -59,14 +62,15 @@ class SpaceClassification:
         }
 
 
-def classify(dec: ReductiveDecomposition) -> SpaceClassification:
+def classify(dec: ReductiveDecomposition, bm=None) -> SpaceClassification:
     """Flag the space as symmetric / naturally reductive / generic.
 
     Symmetric: every bracket of m-basis pairs falls back into h.
     Naturally reductive: the U term vanishes.  Violating magnitudes are
-    reported so borderline cases can be judged by the caller.
+    reported so borderline cases can be judged by the caller.  ``bm`` is
+    as in :func:`compute_alpha`.
     """
-    bm = _bracket_m_coords(dec)
+    bm = _bracket_m_coords(dec) if bm is None else bm
     mm_leak = float(np.max(np.linalg.norm(bm, axis=-1))) if bm.size else 0.0
     u_norm = float(np.max(np.abs(_U(bm)))) if bm.size else 0.0
     return SpaceClassification(
@@ -77,13 +81,14 @@ def classify(dec: ReductiveDecomposition) -> SpaceClassification:
     )
 
 
-def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:
+def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray, bm=None) -> None:
     """Raise if the torsion or self-orthogonality identities fail.
 
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
-    and alpha(A_j, A_k) must be orthogonal to A_j for every j, k.
+    and alpha(A_j, A_k) must be orthogonal to A_j for every j, k.  ``bm``
+    is as in :func:`compute_alpha`.
     """
-    bm = _bracket_m_coords(dec)
+    bm = _bracket_m_coords(dec) if bm is None else bm
     torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", bm)
     if np.max(np.abs(torsion)) > _TOL:
         raise ValueError("connection tensor violates the torsion identity")

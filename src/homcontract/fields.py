@@ -27,12 +27,16 @@ class HorizontalField:
 
     ``coeff`` maps (g, t) to an R^m coefficient vector and must accept
     stacked group elements of shape (..., d, d), returning (..., m).
+    ``state_independent`` declares that the coefficients depend on t only,
+    so the flow commutes with left translation; ``reach.integrate`` then
+    evaluates the stages of a stack on one row.
     """
 
     name: str
     space_name: str
     coeff: Callable[[np.ndarray, float], np.ndarray]
     time_varying: bool = False
+    state_independent: bool = False
 
 
 def eval_coeff(F: HorizontalField, g, t: float = 0.0, dim_m=None) -> np.ndarray:
@@ -133,6 +137,7 @@ def rotate_field(F: HorizontalField, Q) -> HorizontalField:
         space_name=F.space_name,
         coeff=coeff,
         time_varying=F.time_varying,
+        state_independent=F.state_independent,
     )
 
 
@@ -180,7 +185,7 @@ def constant_field(space: Space, u) -> HorizontalField:
         return out
 
     label = ",".join(repr(float(x)) for x in u)
-    return HorizontalField(f"constant[{label}]", space.name, coeff)
+    return HorizontalField(f"constant[{label}]", space.name, coeff, state_independent=True)
 
 
 def so3_demo_schedule(space: Space) -> HorizontalField:
@@ -192,7 +197,8 @@ def so3_demo_schedule(space: Space) -> HorizontalField:
         out[...] = u
         return out
 
-    return HorizontalField("so3-demo-schedule", space.name, coeff, time_varying=True)
+    return HorizontalField("so3-demo-schedule", space.name, coeff, time_varying=True,
+                           state_independent=True)
 
 
 def euclidean_linear(space: Space, M) -> HorizontalField:

@@ -57,6 +57,13 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     with second-order commutator corrections before each exponential
     re-projection.
 
+    For a field declared ``state_independent`` every row of the stack
+    takes the same increment, g_i(t) = g_i(0) Phi(t), so the stages run
+    on row 0 alone and each step's exponential multiplies the whole
+    stack; every row comes out bit for bit as before.  The declaration is
+    checked once, at t = 0 on the whole stack: rows whose coefficients
+    differ from row 0's raise ValueError.
+
     Without ``consume`` every state is stored in the returned
     ``states`` (T+1, ..., d, d).  With it, nothing is stored: it is
     called as ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time
@@ -82,10 +89,22 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     def xi(gg, t):
         return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
 
+    d = space.embed_dim
+    one_row = F.state_independent and g.size > 0
+    if one_row:
+        c0 = eval_coeff(F, g, times[0], dim_m=space.dim_m).reshape(-1, space.dim_m)
+        if (c0 != c0[0]).any():
+            raise ValueError(f"field {F.name} is declared state-independent, but its "
+                             "coefficients differ between the stacked states at t=0")
+
+    def stage_state(gk):
+        # the state the stages are evaluated on: row 0 stands for every row
+        return gk.reshape(-1, d, d)[0] if one_row else gk
+
     put(0, g)
     if method == "lieeuler":
         for k in range(n_steps):
-            g = g @ space.algebra_exp(dt * xi(g, times[k]))
+            g = g @ space.algebra_exp(dt * xi(stage_state(g), times[k]))
             put(k + 1, g)
     elif method == "rkmk4":
         def corrected(sigma, a):
@@ -95,13 +114,14 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
 
         for k in range(n_steps):
             t = times[k]
-            k1 = xi(g, t)
+            ge = stage_state(g)
+            k1 = xi(ge, t)
             s2 = 0.5 * dt * k1
-            k2 = corrected(s2, xi(g @ space.algebra_exp(s2), t + 0.5 * dt))
+            k2 = corrected(s2, xi(ge @ space.algebra_exp(s2), t + 0.5 * dt))
             s3 = 0.5 * dt * k2
-            k3 = corrected(s3, xi(g @ space.algebra_exp(s3), t + 0.5 * dt))
+            k3 = corrected(s3, xi(ge @ space.algebra_exp(s3), t + 0.5 * dt))
             s4 = dt * k3
-            k4 = corrected(s4, xi(g @ space.algebra_exp(s4), t + dt))
+            k4 = corrected(s4, xi(ge @ space.algebra_exp(s4), t + dt))
             g = g @ space.algebra_exp((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
             put(k + 1, g)
     else:

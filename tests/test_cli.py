@@ -30,6 +30,19 @@ class TestClassify:
     def test_unknown_space_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "classify", "--space", "torus9") == 1
 
+    def test_bracket_table_built_once(self, tmp_path, capsys, monkeypatch):
+        from homcontract import connection
+        calls = []
+        real = connection._bracket_m_coords
+
+        def counted(dec):
+            calls.append(1)
+            return real(dec)
+
+        monkeypatch.setattr(connection, "_bracket_m_coords", counted)
+        assert run(tmp_path, "classify", "--space", "sphere2") == 0
+        assert len(calls) == 1
+
 
 class TestCertify:
     def test_cap_pass(self, tmp_path, capsys):
@@ -76,6 +89,23 @@ class TestCertify:
         code = run(tmp_path, "certify", "--space", "sphere2",
                    "--field", "mystery", "--region", "cap:30:4:4", "--c", "0")
         assert code == 1
+
+
+class TestCapOnlyOnTheSphere:
+    """A cap is a sphere region: other kinds refuse it where the region enters."""
+
+    @pytest.mark.parametrize("space,field", [("circle", "circle-sin"),
+                                             ("so3", "constant:1,0,0"),
+                                             ("euclidean:2", "constant:1,0")])
+    @pytest.mark.parametrize("command", ["certify", "reach"])
+    def test_cap_refused(self, tmp_path, capsys, command, space, field):
+        code = run(tmp_path, command, "--space", space, "--field", field,
+                   "--region", "cap:60:4:4", "--c", "0")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: region 'cap:60:4:4': a cap needs a sphere space, not {space} "
+            "(use box:LO:HI:N)\n")
+        assert not list(tmp_path.iterdir())
 
 
 class TestLoopCheck:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,3 +344,68 @@ class TestStreamedTube:
         assert margin == (dists - radii[:, None]).max()
         assert drift == np.abs(dists - dists[0][None, :]).max()
 
+
+
+class TestStateIndependentStages:
+    """A field whose coefficients ignore g runs its stages on row 0 of the stack."""
+
+    @staticmethod
+    def _field(space):
+        if space.kind == "so3":
+            return fields.so3_demo_schedule(space)
+        return fields.constant_field(space, [0.3, -0.2])
+
+    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("space_name", ["so3", "sphere"])
+    def test_stack_equals_each_row_alone(self, request, space_name, method):
+        space = request.getfixturevalue(space_name)
+        F = self._field(space)
+        assert F.state_independent
+        g0s = reach.sample_metric_ball(space, expm(0.4 * AX), 0.3, 6, seed=5)
+        stack = reach.integrate(F, space, g0s, 0.5, 0.01, method=method).states
+        for i, g0 in enumerate(g0s):
+            alone = reach.integrate(F, space, g0, 0.5, 0.01, method=method).states
+            assert np.array_equal(stack[:, i], alone)
+        # the full-stack stages of an undeclared copy give the same bits
+        full = replace(F, state_independent=False)
+        assert np.array_equal(reach.integrate(full, space, g0s, 0.5, 0.01, method=method).states,
+                              stack)
+
+    def test_wrong_declaration_raises_before_a_step(self, so3):
+        calls = []
+
+        def reads_g(g, t):
+            calls.append(g.shape)
+            return g[..., 0, :]
+
+        F = fields.HorizontalField("reads-g", so3.name, reads_g, state_independent=True)
+        g0s = reach.sample_metric_ball(so3, np.eye(3), 0.3, 4, seed=1)
+        seen = []
+        with pytest.raises(ValueError, match="declared state-independent"):
+            reach.integrate(F, so3, g0s, 1.0, 0.01, consume=lambda lo, c: seen.append(lo))
+        assert calls == [(4, 3, 3)] and seen == []
+
+    def test_rotate_field_keeps_the_flag(self, so3, sphere):
+        Q = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert fields.rotate_field(fields.so3_demo_schedule(so3), Q).state_independent
+        assert fields.rotate_field(fields.constant_field(so3, [1.0, 0.0, 0.0]),
+                                   Q).state_independent
+        assert not fields.rotate_field(fields.sphere_height_gradient(sphere),
+                                       Q[:2, :2]).state_independent
+
+    @pytest.mark.parametrize("method,stages", [("rkmk4", 4), ("lieeuler", 1)])
+    def test_demo_stages_get_one_state(self, so3, method, stages):
+        F = fields.so3_demo_schedule(so3)
+        shapes = []
+
+        def recorded(g, t):
+            shapes.append(np.shape(g))
+            return F.coeff(g, t)
+
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 16)
+        cert = contraction.certify_region(F, so3, samples, c=0.0)
+        tube = reach.reach_tube(replace(F, coeff=recorded), so3, np.eye(3), 0.1, cert,
+                                0.05, 0.01, method=method, n_samples=100, seed=7)
+        assert tube.distances.shape == (6, 100)
+        # the t = 0 check of the declaration sees the stack once; every stage one state
+        assert shapes == [(101, 3, 3)] + [(3, 3)] * (5 * stages)

@@ -2,8 +2,8 @@
 
 The connection is encoded by a constant bilinear map alpha on m,
 alpha(A_j, A_k) = alpha[i, j, k] A_i, split as half the projected bracket
-plus a metric correction term U.  The bracket table they are built from is
-computed once per space, cached on it, and passed to each function here.
+plus a metric correction term U.  Everything here is derived from the
+bracket table ``dec.bracket_m``, which the decomposition builds once.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ from .liealg import ReductiveDecomposition
 _TOL = 1e-10  # largest entry counted as zero by the flags and the tensor identities
 
 
-def _bracket_m_coords(dec: ReductiveDecomposition) -> np.ndarray:
-    """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k], one stacked solve."""
-    B = dec.m_basis
-    # + 0.0 turns the -0.0 that the solve may return for [A_j, A_j] = 0 into 0.0
-    return dec.coords_m(B[:, None] @ B[None] - B[None] @ B[:, None]) + 0.0
-
-
 def _U(bm: np.ndarray) -> np.ndarray:
     # <[A_j, A_i]_m, A_k> = bm[j, i, k];  <A_j, [A_k, A_i]_m> = bm[k, i, j]
     return 0.5 * (np.einsum("jik->ijk", bm) + np.einsum("kij->ijk", bm))
@@ -34,15 +27,12 @@ def compute_U(dec: ReductiveDecomposition) -> np.ndarray:
 
     U[i, j, k] is the i-th coordinate of U(A_j, A_k); symmetric in (j, k).
     """
-    return _U(_bracket_m_coords(dec))
+    return _U(dec.bracket_m)
 
 
-def compute_alpha(dec: ReductiveDecomposition, bm=None) -> np.ndarray:
-    """Full connection tensor: half projected bracket plus U.
-
-    ``bm``, if given, is the bracket table of ``dec`` (``Space.bracket_m``).
-    """
-    bm = _bracket_m_coords(dec) if bm is None else bm
+def compute_alpha(dec: ReductiveDecomposition) -> np.ndarray:
+    """Full connection tensor: half projected bracket plus U."""
+    bm = dec.bracket_m
     return 0.5 * np.einsum("jki->ijk", bm) + _U(bm)
 
 
@@ -62,15 +52,14 @@ class SpaceClassification:
         }
 
 
-def classify(dec: ReductiveDecomposition, bm=None) -> SpaceClassification:
+def classify(dec: ReductiveDecomposition) -> SpaceClassification:
     """Flag the space as symmetric / naturally reductive / generic.
 
     Symmetric: every bracket of m-basis pairs falls back into h.
     Naturally reductive: the U term vanishes.  Violating magnitudes are
-    reported so borderline cases can be judged by the caller.  ``bm`` is
-    as in :func:`compute_alpha`.
+    reported so borderline cases can be judged by the caller.
     """
-    bm = _bracket_m_coords(dec) if bm is None else bm
+    bm = dec.bracket_m
     mm_leak = float(np.max(np.linalg.norm(bm, axis=-1))) if bm.size else 0.0
     u_norm = float(np.max(np.abs(_U(bm)))) if bm.size else 0.0
     return SpaceClassification(
@@ -81,15 +70,13 @@ def classify(dec: ReductiveDecomposition, bm=None) -> SpaceClassification:
     )
 
 
-def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray, bm=None) -> None:
+def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:
     """Raise if the torsion or self-orthogonality identities fail.
 
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
-    and alpha(A_j, A_k) must be orthogonal to A_j for every j, k.  ``bm``
-    is as in :func:`compute_alpha`.
+    and alpha(A_j, A_k) must be orthogonal to A_j for every j, k.
     """
-    bm = _bracket_m_coords(dec) if bm is None else bm
-    torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", bm)
+    torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", dec.bracket_m)
     if np.max(np.abs(torsion)) > _TOL:
         raise ValueError("connection tensor violates the torsion identity")
     self_pair = np.einsum("jjk->jk", alpha)  # self_pair[j, k] = alpha[j, j, k]

@@ -165,8 +165,11 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
                     n_phi: int) -> np.ndarray:
     """Grid over the geodesic cap of the given angular radius about o.
 
-    Returns an (n_theta * n_phi, d, d) stack, polar angle major.
+    Returns an (n_theta * n_phi, d, d) stack, polar angle major.  A cap is
+    a region of the sphere; any other kind of space raises ValueError.
     """
+    if space.kind != "sphere":
+        raise ValueError(f"a cap is a sphere region, not one of {space.name}")
     thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None, None]
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
     B = space.dec.m_basis

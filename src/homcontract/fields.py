@@ -35,7 +35,6 @@ class HorizontalField:
     name: str
     space_name: str
     coeff: Callable[[np.ndarray, float], np.ndarray]
-    time_varying: bool = False
     state_independent: bool = False
 
 
@@ -136,7 +135,6 @@ def rotate_field(F: HorizontalField, Q) -> HorizontalField:
         name=F.name + "@rot",
         space_name=F.space_name,
         coeff=coeff,
-        time_varying=F.time_varying,
         state_independent=F.state_independent,
     )
 
@@ -197,8 +195,7 @@ def so3_demo_schedule(space: Space) -> HorizontalField:
         out[...] = u
         return out
 
-    return HorizontalField("so3-demo-schedule", space.name, coeff, time_varying=True,
-                           state_independent=True)
+    return HorizontalField("so3-demo-schedule", space.name, coeff, state_independent=True)
 
 
 def euclidean_linear(space: Space, M) -> HorizontalField:

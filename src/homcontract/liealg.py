@@ -9,6 +9,7 @@ metric inner products on span(m) reduce to dot products of coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,13 @@ class ReductiveDecomposition:
     @property
     def embed_dim(self) -> int:
         return self.m_basis.shape[-1]
+
+    @cached_property
+    def bracket_m(self) -> np.ndarray:
+        """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k], one stacked solve."""
+        B = self.m_basis
+        # + 0.0 turns the -0.0 that the solve may return for [A_j, A_j] = 0 into 0.0
+        return self.coords_m(B[:, None] @ B[None] - B[None] @ B[:, None]) + 0.0
 
     def split_coords(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates (..., n_h) and (..., n_m) of X (..., d, d) in the (h, m) basis.

@@ -149,19 +149,13 @@ class Space:
         return self.dec.embed_dim
 
     @cached_property
-    def bracket_m(self) -> np.ndarray:
-        """bm[j, k, :], the m-coordinates of [A_j, A_k]_m; alpha, the flags
-        and the tensor identities are all derived from this one table."""
-        return connection._bracket_m_coords(self.dec)
-
-    @cached_property
     def alpha(self) -> np.ndarray:
         """Connection tensor (m, m, m), alpha[i, j, k]."""
-        return connection.compute_alpha(self.dec, self.bracket_m)
+        return connection.compute_alpha(self.dec)
 
     @cached_property
     def classification(self) -> SpaceClassification:
-        return connection.classify(self.dec, self.bracket_m)
+        return connection.classify(self.dec)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.embed_dim)
@@ -347,5 +341,5 @@ def verify_space(space: Space) -> connection.SpaceClassification:
         raise ValueError(
             f"isotropy check failed: Ad_h leaks {report.max_leak:.2e} out of m and "
             f"distorts the metric by {report.max_metric_gap:.2e}")
-    connection.check_alpha_invariants(space.dec, space.alpha, space.bracket_m)
+    connection.check_alpha_invariants(space.dec, space.alpha)
     return space.classification

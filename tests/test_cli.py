@@ -31,15 +31,16 @@ class TestClassify:
         assert run(tmp_path, "classify", "--space", "torus9") == 1
 
     def test_bracket_table_built_once(self, tmp_path, capsys, monkeypatch):
-        from homcontract import connection
+        from homcontract.liealg import ReductiveDecomposition
+        table = ReductiveDecomposition.__dict__["bracket_m"]
         calls = []
-        real = connection._bracket_m_coords
+        real = table.func
 
         def counted(dec):
             calls.append(1)
             return real(dec)
 
-        monkeypatch.setattr(connection, "_bracket_m_coords", counted)
+        monkeypatch.setattr(table, "func", counted)
         assert run(tmp_path, "classify", "--space", "sphere2") == 0
         assert len(calls) == 1
 

@@ -122,6 +122,12 @@ class TestSamplers:
         assert min(zs) == pytest.approx(np.cos(np.radians(60.0)), abs=1e-12)
         assert max(zs) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [make_circle, make_so3_biinvariant,
+                                      lambda: make_euclidean(2)])
+    def test_cap_grid_refused_off_the_sphere(self, make):
+        with pytest.raises(ValueError, match="sphere region"):
+            contraction.sphere_cap_grid(make(), np.radians(60.0), 4, 4)
+
 
 class TestBasisIndependence:
     @pytest.mark.parametrize("field_name", ["sphere-grad-height", "sphere-noneq"])

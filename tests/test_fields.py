@@ -145,7 +145,6 @@ class TestCosetConsistency:
 class TestDemoFields:
     def test_schedule_values(self, so3):
         F = fields.so3_demo_schedule(so3)
-        assert F.time_varying
         assert np.allclose(fields.eval_coeff(F, np.eye(3), t=0.0), [1.0, 1.0, 0.0])
         assert np.allclose(fields.eval_coeff(F, np.eye(3), t=5.0), [0.0, 0.0, np.sin(2.5 * np.pi)])
         assert np.allclose(fields.eval_coeff(F, np.eye(3), t=1.0), [0.8, 0.96, 1.0])

@@ -345,7 +345,6 @@ class TestStreamedTube:
         assert drift == np.abs(dists - dists[0][None, :]).max()
 
 
-
 class TestStateIndependentStages:
     """A field whose coefficients ignore g runs its stages on row 0 of the stack."""
 

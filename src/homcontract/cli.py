@@ -33,6 +33,7 @@ SPACES = {
 }
 # keyed by a spec's text up to and including its first colon
 _SPACE_BY_HEAD = {"".join(usage.partition(":")[:2]): make for usage, make in SPACES.items()}
+_FD_STEP = 1e-5  # certify's default finite-difference step, and the one reach always uses
 
 
 def _resolve_space(spec: str) -> spaces.Space:
@@ -59,33 +60,27 @@ def _resolve_field(space: spaces.Space, spec: str) -> fields.HorizontalField:
     return fields.builtin_field(space, spec)
 
 
-def _out_dir(args) -> Path:
+def _write_result(args, name: str, result: dict) -> Path:
+    """Write ``result`` with the run's configuration as the sorted-key JSON file
+    ``name`` in the output directory, made if missing; return the directory.
+    The configuration leaves out ``out``, so identical runs write identical bytes."""
     out = Path(args.out or os.environ.get("HOMCONTRACT_OUT", "out"))
     out.mkdir(parents=True, exist_ok=True)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    payload = json.dumps({"config": config, **result}, sort_keys=True, indent=2)
+    (out / name).write_text(payload + "\n")
     return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _run_config(args) -> dict:
-    # the output directory is excluded so identical runs are byte-identical
-    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
 
 
 def cmd_classify(args) -> int:
     space = _resolve_space(args.space)
-    out = _out_dir(args)
-    payload = {
-        "config": _run_config(args),
+    _write_result(args, "classify.json", {
         "space": space.name,
         "dim_m": space.dim_m,
         "classification": space.classification.to_dict(),
         "alpha_max_abs": float(np.max(np.abs(space.alpha))) if space.alpha.size else 0.0,
         "alpha": space.alpha.tolist(),
-    }
-    _write_json(out / "classify.json", payload)
+    })
     cls = space.classification
     print(
         f"{space.name}: symmetric={cls.is_symmetric} "
@@ -95,11 +90,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _parse_region(space, region: str) -> tuple[str, list]:
-    """``("cap", [DEG, NT, NP])`` or ``("box", [LO, HI, N])``, finite, counts at least 1.
+def _certify(space, args, step: float):
+    """Certify ``args.field`` on ``space`` over ``args.region`` at rate ``args.c``.
 
-    A cap is a region of the sphere and is refused on every other kind.
+    The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, 0 < DEG <= 180) or
+    ``box:LO:HI:N`` with finite numbers and counts of at least 1, is checked
+    before the field is resolved.  Returns the field, the certificate, the
+    per-sample measures and the cap's (NT, NP) grid, or None for a box.
     """
+    region = args.region
     kind, *parts = region.split(":")
     if kind == "cap" and space.kind != "sphere":
         raise ValueError(f"region {region!r}: a cap needs a sphere space, not {space.name} "
@@ -107,38 +106,32 @@ def _parse_region(space, region: str) -> tuple[str, list]:
     count, number = _positive(int), _finite(float)
     types = {"cap": (number, count, count), "box": (number, number, count)}.get(kind)
     try:
-        if types and len(parts) == len(types):
-            return kind, [t(p) for t, p in zip(types, parts)]
-    except (ValueError, argparse.ArgumentTypeError):
-        pass
-    raise ValueError(f"unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)")
-
-
-def _region_samples(space, kind: str, params: list):
-    a, b, n = params
-    if kind == "cap":
-        return contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
-    m = space.dim_m
-    return contraction.generator_box_samples(space, [a] * m, [b] * m, n)
+        a, b, n = [t(p) for t, p in zip(types, parts, strict=True)]
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)") from None
+    grid = (b, n) if kind == "cap" else None
+    if grid and not (b >= 2 and 0 < a <= 180):
+        raise ValueError(f"region {region!r}: a cap needs NT >= 2 and 0 < DEG <= 180")
+    F = _resolve_field(space, args.field)
+    if grid:
+        samples = contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
+    else:
+        samples = contraction.generator_box_samples(space, [a] * space.dim_m,
+                                                    [b] * space.dim_m, n)
+    mus: list[float] = []
+    cert = contraction.certify_region(F, space, samples, args.c, region=region, step=step,
+                                      collect=mus)
+    return F, cert, np.asarray(mus), grid
 
 
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
-    kind, params = _parse_region(space, args.region)
-    F = _resolve_field(space, args.field)
-    samples = _region_samples(space, kind, params)
-    mus: list[float] = []
-    cert = contraction.certify_region(
-        F, space, samples, args.c, region=args.region, step=args.fd_step, collect=mus
-    )
-    out = _out_dir(args)
-    payload = {"config": _run_config(args), **cert.to_dict()}
-    _write_json(out / "certificate.json", payload)
-    mus_arr = np.asarray(mus)
-    if kind == "cap":
+    _, cert, mus, grid = _certify(space, args, args.fd_step)
+    out = _write_result(args, "certificate.json", cert.to_dict())
+    if grid:
         svgplot.heatmap(
             out / "certify.svg",
-            mus_arr.reshape(params[1:]),
+            mus.reshape(grid),
             title=f"matrix measure over {args.region}",
             xlabel="azimuth index",
             ylabel="polar index",
@@ -146,8 +139,8 @@ def cmd_certify(args) -> int:
     else:
         svgplot.line_plot(
             out / "certify.svg",
-            np.arange(len(mus_arr)),
-            [("mu", np.sort(mus_arr))],
+            np.arange(len(mus)),
+            [("mu", np.sort(mus))],
             title="sorted sample measures",
             xlabel="sample rank",
             ylabel="mu",
@@ -179,9 +172,7 @@ def cmd_loop_check(args) -> int:
     report = contraction.loop_obstruction_check(
         F, space, gen, base=base, n_quad=args.n_quad, c=args.c
     )
-    out = _out_dir(args)
-    payload = {"config": _run_config(args), **report.to_dict()}
-    _write_json(out / "loop_report.json", payload)
+    out = _write_result(args, "loop_report.json", report.to_dict())
     svgplot.line_plot(
         out / "loop_f.svg",
         report.times,
@@ -202,10 +193,7 @@ def cmd_reach(args) -> int:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
-    region = _parse_region(space, args.region)
-    F = _resolve_field(space, args.field)
-    samples = _region_samples(space, *region)
-    cert = contraction.certify_region(F, space, samples, args.c, region=args.region)
+    F, cert, _, _ = _certify(space, args, _FD_STEP)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
         return 2
@@ -213,23 +201,17 @@ def cmd_reach(args) -> int:
         F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
         K=args.K, method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    report = reach.monte_carlo_containment(
-        tube, F, space, n_samples=args.samples, seed=args.seed
-    )
-    out = _out_dir(args)
-    payload = {
-        "config": _run_config(args),
+    report = reach.monte_carlo_containment(tube, F, space, n_samples=args.samples, seed=args.seed)
+    out = _write_result(args, "reach.json", {
         "tube": tube.to_dict(),
         "certificate": cert.to_dict(),
         "containment": report.to_dict(),
-    }
-    _write_json(out / "reach.json", payload)
+    })
     reach.trajectory_to_csv(space, tube.center, out / "center_trajectory.csv")
-    radii = tube.radius(tube.center.times)
     svgplot.line_plot(
         out / "reach.svg",
         tube.center.times,
-        [("radius", radii), ("sample distances", report.distances)],
+        [("radius", tube.radius(tube.center.times)), ("sample distances", report.distances)],
         title="tube radius and Monte Carlo sample distances",
         xlabel="t",
         ylabel="distance",
@@ -282,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--region", required=True, help="cap:DEG:NT:NP or box:LO:HI:N")
     pr.add_argument("--c", type=_finite(float), required=True)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fd-step", type=_positive(float), default=1e-5)
+    pr.add_argument("--fd-step", type=_positive(float), default=_FD_STEP)
     pr.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("loop-check", help="loop obstruction along a periodic subgroup")

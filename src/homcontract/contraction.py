@@ -165,11 +165,15 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
                     n_phi: int) -> np.ndarray:
     """Grid over the geodesic cap of the given angular radius about o.
 
-    Returns an (n_theta * n_phi, d, d) stack, polar angle major.  A cap is
-    a region of the sphere; any other kind of space raises ValueError.
+    Returns an (n_theta * n_phi, d, d) stack, polar angle major, boundary
+    included.  A cap is a region of the sphere; any other kind of space, an
+    n_theta below 2 or an angle outside (0, pi] raises ValueError.
     """
     if space.kind != "sphere":
         raise ValueError(f"a cap is a sphere region, not one of {space.name}")
+    if n_theta < 2 or not 0.0 < max_angle <= np.pi:
+        raise ValueError(f"a cap grid needs n_theta >= 2 and 0 < max_angle <= pi, "
+                         f"got {n_theta} and {max_angle:g}")
     thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None, None]
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
     B = space.dec.m_basis

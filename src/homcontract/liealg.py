@@ -72,7 +72,9 @@ class ReductiveDecomposition:
         full = np.concatenate([self.h_basis, self.m_basis], axis=0)
         B = full.reshape(full.shape[0], -1)
         rhs = X.reshape(-1, B.shape[1])
-        c = np.linalg.lstsq(B.T, rhs.T, rcond=None)[0].T
+        # an exact power-of-two scale per element: lstsq rescales an all-tiny right-hand side
+        scale = np.ldexp(0.5, np.frexp(np.abs(rhs).max(axis=1, initial=0.0))[1])[:, None]
+        c = np.linalg.lstsq(B.T, (rhs / scale).T, rcond=None)[0].T * scale
         if np.abs(c @ B - rhs).max(initial=0.0) > _SPAN_TOL:
             raise ValueError("element does not lie in the algebra spanned by the bases")
         c = c.reshape(X.shape[:-2] + (len(B),))

@@ -72,6 +72,29 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("step size must be positive")
+
+    def xi(gg, t):
+        return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
+
+    def corrected(sigma, a):
+        # right-trivialized dexpinv truncated to two commutator terms
+        c1 = _commutator(sigma, a)
+        return a + 0.5 * c1 + (1.0 / 12.0) * _commutator(sigma, c1)
+
+    def rkmk4(ge, t):
+        k1 = xi(ge, t)
+        s2 = 0.5 * dt * k1
+        k2 = corrected(s2, xi(ge @ space.algebra_exp(s2), t + 0.5 * dt))
+        s3 = 0.5 * dt * k2
+        k3 = corrected(s3, xi(ge @ space.algebra_exp(s3), t + 0.5 * dt))
+        s4 = dt * k3
+        k4 = corrected(s4, xi(ge @ space.algebra_exp(s4), t + dt))
+        return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # the algebra increment of one step from state ge at time t
+    increment = {"lieeuler": lambda ge, t: dt * xi(ge, t), "rkmk4": rkmk4}.get(method)
+    if increment is None:
+        raise ValueError(f"unknown integrator {method!r}")
     g = np.asarray(g0, dtype=float).copy()
     space.check_group(g)
     n_steps = int(round(horizon / dt))
@@ -86,9 +109,6 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         if consume is not None and (j == len(buf) - 1 or k == n_steps):
             consume(k - j, buf[:j + 1])
 
-    def xi(gg, t):
-        return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
-
     d = space.embed_dim
     one_row = F.state_independent and g.size > 0
     if one_row:
@@ -97,35 +117,11 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
             raise ValueError(f"field {F.name} is declared state-independent, but its "
                              "coefficients differ between the stacked states at t=0")
 
-    def stage_state(gk):
-        # the state the stages are evaluated on: row 0 stands for every row
-        return gk.reshape(-1, d, d)[0] if one_row else gk
-
     put(0, g)
-    if method == "lieeuler":
-        for k in range(n_steps):
-            g = g @ space.algebra_exp(dt * xi(stage_state(g), times[k]))
-            put(k + 1, g)
-    elif method == "rkmk4":
-        def corrected(sigma, a):
-            # right-trivialized dexpinv truncated to two commutator terms
-            c1 = _commutator(sigma, a)
-            return a + 0.5 * c1 + (1.0 / 12.0) * _commutator(sigma, c1)
-
-        for k in range(n_steps):
-            t = times[k]
-            ge = stage_state(g)
-            k1 = xi(ge, t)
-            s2 = 0.5 * dt * k1
-            k2 = corrected(s2, xi(ge @ space.algebra_exp(s2), t + 0.5 * dt))
-            s3 = 0.5 * dt * k2
-            k3 = corrected(s3, xi(ge @ space.algebra_exp(s3), t + 0.5 * dt))
-            s4 = dt * k3
-            k4 = corrected(s4, xi(ge @ space.algebra_exp(s4), t + dt))
-            g = g @ space.algebra_exp((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            put(k + 1, g)
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
+    for k in range(n_steps):
+        ge = g.reshape(-1, d, d)[0] if one_row else g  # row 0 stands for every row
+        g = g @ space.algebra_exp(increment(ge, times[k]))
+        put(k + 1, g)
     return Trajectory(times=times, states=buf if consume is None else None,
                       integrator_id=method, step_size=dt)
 

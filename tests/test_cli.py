@@ -109,6 +109,60 @@ class TestCapOnlyOnTheSphere:
         assert not list(tmp_path.iterdir())
 
 
+class TestCapBounds:
+    """A cap grid needs two polar rings (one ring is the pole alone) and an
+    angle in (0, 180] degrees; anything else is refused before the field."""
+
+    @pytest.mark.parametrize("region", ["cap:60:1:64", "cap:0:8:8", "cap:-10:8:8",
+                                        "cap:181:8:8"])
+    @pytest.mark.parametrize("command", ["certify", "reach"])
+    def test_refused_before_the_field(self, tmp_path, capsys, monkeypatch, command, region):
+        def forbidden(*a, **k):
+            raise AssertionError("work before the region check")
+
+        monkeypatch.setattr(fields, "builtin_field", forbidden)
+        monkeypatch.setattr(contraction, "certify_region", forbidden)
+        code = run(tmp_path, command, "--space", "sphere2", "--field", "sphere-grad-height",
+                   "--region", region, "--c", "-0.9")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: region {region!r}: a cap needs NT >= 2 and 0 < DEG <= 180\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_whole_sphere_accepted(self, tmp_path, capsys):
+        code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
+                   "--region", "cap:180:2:4", "--c", "10")
+        assert code == 0
+        assert json.loads((tmp_path / "certificate.json").read_text())["samples_evaluated"] == 8
+
+
+class TestSharedCertifyStep:
+    """``reach`` certifies its region exactly as ``certify`` does."""
+
+    @pytest.mark.parametrize("space,field,region", [
+        ("sphere2", "sphere-grad-height", "cap:60:8:8"),
+        ("so3", "so3-demo-schedule", "box:-2:2:16"),
+    ])
+    def test_reach_embeds_the_certify_certificate(self, tmp_path, capsys, space, field, region):
+        common = ("--space", space, "--field", field, "--region", region, "--c", "0")
+        assert run(tmp_path / "certify", "certify", *common) == 0
+        assert run(tmp_path / "reach", "reach", *common,
+                   "--horizon", "0.1", "--dt", "0.01", "--samples", "5") == 0
+        certificate = json.loads((tmp_path / "certify" / "certificate.json").read_text())
+        del certificate["config"]
+        payload = json.loads((tmp_path / "reach" / "reach.json").read_text())
+        assert payload["certificate"] == certificate
+
+    @pytest.mark.parametrize("command", ["certify", "reach"])
+    def test_region_error_before_field_error(self, tmp_path, capsys, command):
+        code = run(tmp_path, command, "--space", "so3", "--field", "mystery",
+                   "--region", "disk:1:2", "--c", "0")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown region 'disk:1:2' (use cap:DEG:NT:NP or box:LO:HI:N)\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestLoopCheck:
     def test_circle_sine(self, tmp_path, capsys):
         code = run(tmp_path, "loop-check", "--space", "circle",

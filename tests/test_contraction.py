@@ -128,6 +128,20 @@ class TestSamplers:
         with pytest.raises(ValueError, match="sphere region"):
             contraction.sphere_cap_grid(make(), np.radians(60.0), 4, 4)
 
+    @pytest.mark.parametrize("angle,n_theta", [(1.0, 1), (1.0, 0), (0.0, 4), (-0.5, 4),
+                                               (np.pi + 1e-9, 4), (np.nan, 4)])
+    def test_cap_grid_bounds(self, sphere, angle, n_theta):
+        # one polar ring is the pole alone, whatever the angle
+        with pytest.raises(ValueError, match="n_theta >= 2 and 0 < max_angle <= pi"):
+            contraction.sphere_cap_grid(sphere, angle, n_theta, 8)
+
+    def test_cap_grid_half_sphere_and_whole(self, sphere):
+        for angle, z_min in [(np.pi / 2.0, 0.0), (np.pi, -1.0)]:
+            samples = contraction.sphere_cap_grid(sphere, angle, 2, 3)
+            zs = (samples @ sphere.base_point)[:, 2]
+            assert zs.max() == pytest.approx(1.0, abs=1e-12)
+            assert zs.min() == pytest.approx(z_min, abs=1e-12)
+
 
 class TestBasisIndependence:
     @pytest.mark.parametrize("field_name", ["sphere-grad-height", "sphere-noneq"])

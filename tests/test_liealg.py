@@ -205,3 +205,16 @@ def test_stacked_equals_per_element(name, case):
     for i, g in enumerate(G):
         for j, x in enumerate(X):
             assert np.array_equal(Y[i, j], adjoint(g, x))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SPACES))
+def test_tiny_element_solved_alone_in_a_stack(name):
+    """An element whose entries are all below lstsq's rescaling threshold
+    (~1e-292) gets the same coordinates beside an element of size 1 as alone."""
+    dec = STACK_SPACES[name].dec
+    X = smallmat.hat3(np.array([[1.0, 1.3e-303, 1.3e-303], [1.3e-303] * 3]))
+    stacked = np.concatenate(dec.split_coords(X), axis=-1)
+    alone = np.concatenate(dec.split_coords(X[1]), axis=-1)
+    assert np.array_equal(stacked[1], alone)
+    assert stacked[1] == pytest.approx(np.concatenate(dec.split_coords(X[1] * 1e300)) * 1e-300,
+                                       rel=1e-6)

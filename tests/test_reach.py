@@ -84,6 +84,17 @@ class TestIntegrate:
             reach.integrate(unstacked, so3, g0s, 0.1, 0.01)
 
 
+class TestUnknownMethod:
+    def test_refused_before_any_work(self, so3):
+        def forbidden(g, t):
+            raise AssertionError("a coefficient call before the method check")
+
+        F = fields.HorizontalField(name="forbidden", space_name=so3.name, coeff=forbidden,
+                                   state_independent=True)
+        with pytest.raises(ValueError, match="unknown integrator 'euler'"):
+            reach.integrate(F, so3, np.eye(3), 1.0, 0.1, method="euler")
+
+
 class TestDistance:
     def test_so3_angle_examples(self, so3):
         assert reach.distance(so3, np.eye(3), expm(0.7 * AZ)) == pytest.approx(0.7, abs=1e-12)

@@ -78,7 +78,7 @@ def cmd_classify(args) -> int:
         "space": space.name,
         "dim_m": space.dim_m,
         "classification": space.classification.to_dict(),
-        "alpha_max_abs": float(np.max(np.abs(space.alpha))) if space.alpha.size else 0.0,
+        "alpha_max_abs": float(np.abs(space.alpha).max(initial=0.0)),
         "alpha": space.alpha.tolist(),
     })
     cls = space.classification
@@ -93,7 +93,7 @@ def cmd_classify(args) -> int:
 def _certify(space, args, step: float):
     """Certify ``args.field`` on ``space`` over ``args.region`` at rate ``args.c``.
 
-    The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, 0 < DEG <= 180) or
+    The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, NP >= 3, 0 < DEG <= 180) or
     ``box:LO:HI:N`` with finite numbers and counts of at least 1, is checked
     before the field is resolved.  Returns the field, the certificate, the
     per-sample measures and the cap's (NT, NP) grid, or None for a box.
@@ -112,6 +112,8 @@ def _certify(space, args, step: float):
     grid = (b, n) if kind == "cap" else None
     if grid and not (b >= 2 and 0 < a <= 180):
         raise ValueError(f"region {region!r}: a cap needs NT >= 2 and 0 < DEG <= 180")
+    if grid and n < 3:
+        raise ValueError(f"region {region!r}: a cap needs NP >= 3 (NP <= 2 is one great circle)")
     F = _resolve_field(space, args.field)
     if grid:
         samples = contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)

@@ -60,8 +60,8 @@ def classify(dec: ReductiveDecomposition) -> SpaceClassification:
     reported so borderline cases can be judged by the caller.
     """
     bm = dec.bracket_m
-    mm_leak = float(np.max(np.linalg.norm(bm, axis=-1))) if bm.size else 0.0
-    u_norm = float(np.max(np.abs(_U(bm)))) if bm.size else 0.0
+    mm_leak = float(np.linalg.norm(bm, axis=-1).max(initial=0.0))
+    u_norm = float(np.abs(_U(bm)).max(initial=0.0))
     return SpaceClassification(
         is_symmetric=mm_leak <= _TOL,
         is_naturally_reductive=u_norm <= _TOL,
@@ -80,5 +80,5 @@ def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> No
     if np.max(np.abs(torsion)) > _TOL:
         raise ValueError("connection tensor violates the torsion identity")
     self_pair = np.einsum("jjk->jk", alpha)  # self_pair[j, k] = alpha[j, j, k]
-    if self_pair.size and np.max(np.abs(self_pair)) > _TOL:
+    if np.abs(self_pair).max(initial=0.0) > _TOL:
         raise ValueError("connection tensor violates self-orthogonality")

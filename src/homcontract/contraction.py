@@ -2,8 +2,8 @@
 
 A region certificate is a sampled maximum of the matrix measure of the
 frame linearization; it proves nothing between samples and says so.  The
-loop machinery integrates the frame-aligned linearization entry around a
-periodic one-parameter subgroup orbit, where it must average to zero, so
+loop machinery integrates f = <P u, u>, with u the unit generator, around
+a periodic one-parameter subgroup orbit, where it must average to zero, so
 no such loop admits a uniformly negative measure.
 """
 
@@ -166,14 +166,17 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
     """Grid over the geodesic cap of the given angular radius about o.
 
     Returns an (n_theta * n_phi, d, d) stack, polar angle major, boundary
-    included.  A cap is a region of the sphere; any other kind of space, an
-    n_theta below 2 or an angle outside (0, pi] raises ValueError.
+    included.  A cap is a region of the sphere; any other kind of space,
+    n_theta < 2, n_phi < 3 (one great circle) or an angle outside (0, pi]
+    raises ValueError.
     """
     if space.kind != "sphere":
         raise ValueError(f"a cap is a sphere region, not one of {space.name}")
     if n_theta < 2 or not 0.0 < max_angle <= np.pi:
         raise ValueError(f"a cap grid needs n_theta >= 2 and 0 < max_angle <= pi, "
                          f"got {n_theta} and {max_angle:g}")
+    if n_phi < 3:
+        raise ValueError(f"a cap grid needs n_phi >= 3, got {n_phi}: fewer lie on a great circle")
     thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None, None]
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
     B = space.dec.m_basis
@@ -263,47 +266,34 @@ class LoopReport:
         }
 
 
-def _extend_to_orthonormal(c1: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is the unit vector c1."""
-    m = c1.shape[0]
-    # QR of [c1 | I] always has full column span, whatever direction c1 points
-    M = np.concatenate([c1[:, None], np.eye(m)], axis=1)
-    Q, R = np.linalg.qr(M)
-    if Q[:, 0] @ c1 < 0.0:
-        Q = -Q
-    return Q
-
-
 def loop_obstruction_check(F: HorizontalField, space: Space, generator,
                            base=None, n_quad: int = 1024, c: Optional[float] = None) -> LoopReport:
-    """Sample f(t), the first diagonal linearization entry, around the loop.
+    """Sample f(t) = <P(g(t)) u, u> around the loop g(t) = base exp(t A).
 
-    The generator (given as an m-coordinate vector or algebra matrix) must
-    produce a periodic one-parameter subgroup; the basis is rotated so the
-    normalized generator comes first.  f is the derivative of a periodic
-    coefficient, so its trapezoid integral over one period must vanish and
-    its maximum cannot be uniformly negative.  If a claimed rate c < 0
-    nevertheless dominates max f, the report is flagged INCONSISTENT.
+    The generator (an m-coordinate vector or algebra matrix) must produce a
+    periodic one-parameter subgroup with unit coordinate vector u.  P is the
+    frame linearization in the space's own basis, one stacked call over the
+    loop; a quadratic form reads the same in every orthonormal frame.  f is
+    the derivative of a periodic coefficient, so its trapezoid integral over
+    one period vanishes and its maximum cannot be uniformly negative.  If a
+    claimed rate c < 0 nevertheless dominates max f, the report is flagged
+    INCONSISTENT.
     """
     gen = np.asarray(generator, dtype=float)
-    c1 = gen.copy() if gen.ndim == 1 else space.dec.coords_m(gen)
-    norm = np.linalg.norm(c1)
+    u = gen if gen.ndim == 1 else space.dec.coords_m(gen)
+    norm = np.linalg.norm(u)
     if norm == 0.0:
         raise ValueError("zero generator")
-    c1 = c1 / norm
-    A1 = space.algebra_from_coords(c1)
+    u = u / norm
+    A1 = space.algebra_from_coords(u)
     period = find_period(space, A1)
     if period is None:
         raise ValueError("generator does not produce a periodic subgroup")
-
-    Q = _extend_to_orthonormal(c1)
-    space1 = rotate_basis(space, Q)
-    F1 = rotate_field(F, Q)
     base = space.identity() if base is None else np.asarray(base, dtype=float)
 
     ts = np.linspace(0.0, period, n_quad + 1)
     G = base @ space.algebra_exp(ts[:, None, None] * A1)
-    fs = linearize(F1, space1, G)[:, 0, 0]
+    fs = linearize(F, space, G) @ u @ u
     integral = float(np.trapezoid(fs, ts))
     max_f = float(np.max(fs))
     inconsistent = c if (c is not None and c < 0.0 and max_f <= c) else None

@@ -120,7 +120,7 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
     d = space.embed_dim
     hs = np.reshape(np.asarray(h_samples, dtype=float), (-1, d, d))
     P = linearize(F, space, np.concatenate([g[None], g @ hs]))
-    gap = float(np.max(np.abs(P[1:] - P[0]))) if len(hs) else 0.0
+    gap = float(np.abs(P[1:] - P[0]).max(initial=0.0))
     return CosetReport(max_gap=gap, tol=_COSET_TOL, pairs_checked=len(hs))
 
 

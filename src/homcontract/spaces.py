@@ -255,46 +255,38 @@ def from_json(text: str) -> Space:
     return space
 
 
+def _build(name: str, kind: str, raw_m, raw_h=(), gram=None, base_point=None) -> Space:
+    """A ``kind`` space: ``raw_m`` orthonormalized for the Gram matrix ``gram``,
+    or else for the kind's trace form, and a copy of ``raw_h`` as the h-basis."""
+    m_basis = orthonormalize_basis(raw_m, gram=gram, trace_scale=KIND_OPS[kind].distance_scale)
+    h_basis = np.array(raw_h, dtype=float).reshape((-1,) + m_basis.shape[1:])
+    return Space(name, kind, ReductiveDecomposition(h_basis, m_basis), base_point)
+
+
 def make_euclidean(n: int) -> Space:
     """Flat R^n as translations in (n+1)x(n+1) matrices; H is trivial."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    d = n + 1
-    raw = np.zeros((n, d, d))
+    raw = np.zeros((n, n + 1, n + 1))
     raw[np.arange(n), np.arange(n), n] = 1.0
-    dec = ReductiveDecomposition(
-        h_basis=np.zeros((0, d, d)),
-        m_basis=orthonormalize_basis(raw, trace_scale=KIND_OPS["euclidean"].distance_scale),
-    )
-    return Space(f"euclidean:{n}", "euclidean", dec)
+    return _build(f"euclidean:{n}", "euclidean", raw)
 
 
 def make_circle() -> Space:
     """SO(2) acting on itself; one-dimensional m, trivial connection."""
-    raw = np.array([[[0.0, -1.0], [1.0, 0.0]]])
-    dec = ReductiveDecomposition(
-        h_basis=np.zeros((0, 2, 2)),
-        m_basis=orthonormalize_basis(raw, trace_scale=KIND_OPS["circle"].distance_scale),
-    )
-    return Space("circle", "circle", dec, base_point=np.array([1.0, 0.0]))
+    return _build("circle", "circle", [[[0.0, -1.0], [1.0, 0.0]]],
+                  base_point=np.array([1.0, 0.0]))
 
 
 def make_sphere2() -> Space:
     """Unit sphere as SO(3)/SO(2), round metric from the half-trace form."""
-    dec = ReductiveDecomposition(
-        h_basis=SO3_BASIS[2:3].copy(),
-        m_basis=orthonormalize_basis(SO3_BASIS[:2], trace_scale=KIND_OPS["sphere"].distance_scale),
-    )
-    return Space("sphere2", "sphere", dec, base_point=np.array([0.0, 0.0, 1.0]))
+    return _build("sphere2", "sphere", SO3_BASIS[:2], raw_h=SO3_BASIS[2:3],
+                  base_point=np.array([0.0, 0.0, 1.0]))
 
 
 def make_so3_biinvariant() -> Space:
     """SO(3) with the bi-invariant metric; H trivial, m = so(3)."""
-    dec = ReductiveDecomposition(
-        h_basis=np.zeros((0, 3, 3)),
-        m_basis=orthonormalize_basis(SO3_BASIS, trace_scale=KIND_OPS["so3"].distance_scale),
-    )
-    return Space("so3", "so3", dec)
+    return _build("so3", "so3", SO3_BASIS)
 
 
 def make_so3_left_invariant(gram) -> Space:
@@ -306,12 +298,8 @@ def make_so3_left_invariant(gram) -> Space:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim == 1:
         gram = np.diag(gram)
-    dec = ReductiveDecomposition(
-        h_basis=np.zeros((0, 3, 3)),
-        m_basis=orthonormalize_basis(SO3_BASIS, gram=gram),
-    )
-    label = ",".join(repr(float(x)) for x in gram[np.triu_indices(3)])
-    return Space(f"so3-left[{label}]", "so3", dec)
+    label = ",".join(repr(float(x)) for x in gram[np.triu_indices_from(gram)])
+    return _build(f"so3-left[{label}]", "so3", SO3_BASIS, gram=gram)
 
 
 def rotate_basis(space: Space, Q) -> Space:

@@ -129,6 +129,19 @@ class TestCapBounds:
             f"error: region {region!r}: a cap needs NT >= 2 and 0 < DEG <= 180\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("region", ["cap:60:16:1", "cap:60:16:2"])
+    @pytest.mark.parametrize("command", ["certify", "reach"])
+    def test_one_great_circle_refused(self, tmp_path, capsys, monkeypatch, command, region):
+        # NP <= 2 puts every sample on one great circle through the pole: at
+        # c = 0.5 the non-equivariant field passed there and fails on the cap
+        monkeypatch.setattr(fields, "builtin_field", None)  # resolving the field would raise
+        code = run(tmp_path, command, "--space", "sphere2", "--field", "sphere-noneq",
+                   "--region", region, "--c", "0.5")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: region {region!r}: a cap needs NP >= 3 (NP <= 2 is one great circle)\n")
+        assert not list(tmp_path.iterdir())
+
     def test_whole_sphere_accepted(self, tmp_path, capsys):
         code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
                    "--region", "cap:180:2:4", "--c", "10")

@@ -13,6 +13,17 @@ from homcontract.spaces import (SO3_BASIS, make_circle, make_euclidean, make_so3
 AX, AY, AZ = SO3_BASIS
 
 
+def _extend_to_orthonormal(c1: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix whose first column is the unit vector c1."""
+    m = c1.shape[0]
+    # QR of [c1 | I] always has full column span, whatever direction c1 points
+    M = np.concatenate([c1[:, None], np.eye(m)], axis=1)
+    Q, R = np.linalg.qr(M)
+    if Q[:, 0] @ c1 < 0.0:
+        Q = -Q
+    return Q
+
+
 def mu2_oracle(P):
     """log-norm for the 2-norm via the symmetric-part eigenproblem."""
     P = np.asarray(P, dtype=float)
@@ -134,6 +145,12 @@ class TestSamplers:
         # one polar ring is the pole alone, whatever the angle
         with pytest.raises(ValueError, match="n_theta >= 2 and 0 < max_angle <= pi"):
             contraction.sphere_cap_grid(sphere, angle, n_theta, 8)
+
+    @pytest.mark.parametrize("n_phi", [2, 1, 0])
+    def test_cap_grid_off_one_great_circle(self, sphere, n_phi):
+        with pytest.raises(ValueError, match=f"n_phi >= 3, got {n_phi}"):
+            contraction.sphere_cap_grid(sphere, 1.0, 8, n_phi)
+        assert contraction.sphere_cap_grid(sphere, 1.0, 8, 3).shape == (24, 3, 3)
 
     def test_cap_grid_half_sphere_and_whole(self, sphere):
         for angle, z_min in [(np.pi / 2.0, 0.0), (np.pi, -1.0)]:
@@ -293,12 +310,34 @@ class TestStackedPath:
 
         F = fields.sphere_height_gradient(sphere)
         rep = contraction.loop_obstruction_check(F, sphere, [1.0, 0.0], n_quad=8)
-        Q = contraction._extend_to_orthonormal(np.array([1.0, 0.0]))
+        Q = _extend_to_orthonormal(np.array([1.0, 0.0]))
         A1 = sphere.algebra_from_coords([1.0, 0.0])
         for t, f in zip(rep.times, rep.values):
             P = fields.linearize(fields.rotate_field(F, Q), rotate_basis(sphere, Q),
                                  sphere.algebra_exp(t * A1))
             assert f == pytest.approx(P[0, 0], abs=1e-12)
+
+    @pytest.mark.parametrize("make,field,gen", [
+        (make_sphere2, fields.sphere_height_gradient, [0.6, 0.8]),
+        (lambda: make_so3_left_invariant([1.0, 1.0, 4.0]),
+         lambda sp: fields.HorizontalField("rows", sp.name,
+                                           lambda g, t: g[..., 0, :] + g[..., 2, :] ** 2),
+         [1.0, 1.0, 1.0]),
+    ])
+    def test_loop_values_match_the_rotated_frame(self, make, field, gen):
+        # f = <P u, u> in the space's own frame is the first diagonal entry of
+        # the linearization in a rotated frame whose first vector is u
+        from homcontract.spaces import rotate_basis
+
+        space = make()
+        F = field(space)
+        rep = contraction.loop_obstruction_check(F, space, gen, n_quad=16)
+        u = np.asarray(gen) / np.linalg.norm(gen)
+        Q = _extend_to_orthonormal(u)
+        P = fields.linearize(fields.rotate_field(F, Q), rotate_basis(space, Q),
+                             space.algebra_exp(rep.times[:, None, None] * rep.generator))
+        assert np.abs(P[:, 0, 0]).max() > 1e-3  # a loop on which f is not all zero
+        assert np.max(np.abs(rep.values - P[:, 0, 0])) < 1e-9
 
 
 class TestHalton:

@@ -1,4 +1,4 @@
-"""The README's CLI commands run as written and write their result files."""
+"""The README's CLI commands and its library sketch run as written."""
 
 import json
 import re
@@ -36,3 +36,10 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         path = Path(args.out or "out") / RESULT_FILES[args.command]
         config = json.loads(path.read_text())["config"]
         assert config == {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the first ``python`` block: a cap certificate and a tube on the sphere
+    sketch = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(sketch, str(README), "exec"), {})
+    assert capsys.readouterr().out == "PASS True\n"

@@ -270,6 +270,8 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
                            base=None, n_quad: int = 1024, c: Optional[float] = None) -> LoopReport:
     """Sample f(t) = <P(g(t)) u, u> around the loop g(t) = base exp(t A).
 
+    ``base`` (default the identity) must be a group element; otherwise
+    ValueError, as from ``Space.check_group``.
     The generator (an m-coordinate vector or algebra matrix) must produce a
     periodic one-parameter subgroup with unit coordinate vector u.  P is the
     frame linearization in the space's own basis, one stacked call over the
@@ -279,6 +281,8 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     claimed rate c < 0 nevertheless dominates max f, the report is flagged
     INCONSISTENT.
     """
+    base = space.identity() if base is None else np.asarray(base, dtype=float)
+    space.check_group(base)
     gen = np.asarray(generator, dtype=float)
     u = gen if gen.ndim == 1 else space.dec.coords_m(gen)
     norm = np.linalg.norm(u)
@@ -289,7 +293,6 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     period = find_period(space, A1)
     if period is None:
         raise ValueError("generator does not produce a periodic subgroup")
-    base = space.identity() if base is None else np.asarray(base, dtype=float)
 
     ts = np.linspace(0.0, period, n_quad + 1)
     G = base @ space.algebra_exp(ts[:, None, None] * A1)

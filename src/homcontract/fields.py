@@ -29,7 +29,8 @@ class HorizontalField:
     stacked group elements of shape (..., d, d), returning (..., m).
     ``state_independent`` declares that the coefficients depend on t only,
     so the flow commutes with left translation; ``reach.integrate`` then
-    evaluates the stages of a stack on one row.
+    evaluates the coefficients on one state and builds the increments of
+    each 64-step block in one stacked pass, shared by every row.
     """
 
     name: str

@@ -19,7 +19,8 @@ from .smallmat import so3_angle  # noqa: F401  (the SO(3) distance kernel, publi
 from .spaces import Space
 
 # Time steps per chunk that ``integrate`` hands to a consumer: 64 steps of
-# the demo's 101 states fill a 0.47 MB buffer, reused for every chunk.
+# the demo's 101 states fill a 0.47 MB buffer, reused for every chunk.  A
+# state-independent field's increments are also built 64 steps at a time.
 _STEP_CHUNK = 64
 _CONTAINMENT_TOL = 1e-4  # largest sample distance beyond the radius that still passes
 
@@ -57,12 +58,16 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     with second-order commutator corrections before each exponential
     re-projection.
 
-    For a field declared ``state_independent`` every row of the stack
-    takes the same increment, g_i(t) = g_i(0) Phi(t), so the stages run
-    on row 0 alone and each step's exponential multiplies the whole
-    stack; every row comes out bit for bit as before.  The declaration is
-    checked once, at t = 0 on the whole stack: rows whose coefficients
-    differ from row 0's raise ValueError.
+    For a field declared ``state_independent`` the increment Omega_k of
+    step k depends on k alone, and every row of the stack takes it,
+    g_i(t) = g_i(0) Phi(t).  So the increments of each block of
+    ``_STEP_CHUNK`` steps are built in one stacked pass: the coefficients
+    of every stage time, each evaluated on row 0 of the start stack, then
+    the stage algebra elements, the commutator corrections and one
+    exponential over the block.  The stack then takes g = g exp(Omega_k)
+    step by step; every row comes out bit for bit as with per-row stages.
+    The declaration is checked once, at t = 0 on the whole stack: rows
+    whose coefficients differ from row 0's raise ValueError.
 
     Without ``consume`` every state is stored in the returned
     ``states`` (T+1, ..., d, d).  With it, nothing is stored: it is
@@ -73,26 +78,26 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     if dt <= 0.0:
         raise ValueError("step size must be positive")
 
-    def xi(gg, t):
-        return space.algebra_from_coords(eval_coeff(F, gg, t, dim_m=space.dim_m))
-
     def corrected(sigma, a):
         # right-trivialized dexpinv truncated to two commutator terms
         c1 = _commutator(sigma, a)
         return a + 0.5 * c1 + (1.0 / 12.0) * _commutator(sigma, c1)
 
-    def rkmk4(ge, t):
-        k1 = xi(ge, t)
+    # ``stage(s, tau)`` is the field's algebra element at time(s) tau, at the
+    # step's start state moved by exp(s), or not moved when s is None; both
+    # work on a single step (scalar tau) and on a block of steps (tau (n,)).
+    def rkmk4(stage, t):
+        k1 = stage(None, t)
         s2 = 0.5 * dt * k1
-        k2 = corrected(s2, xi(ge @ space.algebra_exp(s2), t + 0.5 * dt))
+        k2 = corrected(s2, stage(s2, t + 0.5 * dt))
         s3 = 0.5 * dt * k2
-        k3 = corrected(s3, xi(ge @ space.algebra_exp(s3), t + 0.5 * dt))
+        k3 = corrected(s3, stage(s3, t + 0.5 * dt))
         s4 = dt * k3
-        k4 = corrected(s4, xi(ge @ space.algebra_exp(s4), t + dt))
+        k4 = corrected(s4, stage(s4, t + dt))
         return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # the algebra increment of one step from state ge at time t
-    increment = {"lieeuler": lambda ge, t: dt * xi(ge, t), "rkmk4": rkmk4}.get(method)
+    # the algebra increment of one step, or of a block of steps, at time(s) t
+    increment = {"lieeuler": lambda stage, t: dt * stage(None, t), "rkmk4": rkmk4}.get(method)
     if increment is None:
         raise ValueError(f"unknown integrator {method!r}")
     g = np.asarray(g0, dtype=float).copy()
@@ -109,19 +114,36 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         if consume is not None and (j == len(buf) - 1 or k == n_steps):
             consume(k - j, buf[:j + 1])
 
-    d = space.embed_dim
+    m, d = space.dim_m, space.embed_dim
     one_row = F.state_independent and g.size > 0
     if one_row:
-        c0 = eval_coeff(F, g, times[0], dim_m=space.dim_m).reshape(-1, space.dim_m)
+        c0 = eval_coeff(F, g, times[0], dim_m=m).reshape(-1, m)
         if (c0 != c0[0]).any():
             raise ValueError(f"field {F.name} is declared state-independent, but its "
                              "coefficients differ between the stacked states at t=0")
+        g_row = g.reshape(-1, d, d)[0]  # the one state the coefficients see
+
+        def stage(s, tau):  # the field ignores the state, so s is not applied
+            return space.algebra_from_coords(
+                np.stack([eval_coeff(F, g_row, ti, dim_m=m) for ti in tau]))
+    else:
+        def stage(s, tau):  # reads the current g of the loop below
+            return space.algebra_from_coords(eval_coeff(
+                F, g if s is None else g @ space.algebra_exp(s), tau, dim_m=m))
+
+    def step_exps():  # exp(Omega_k) for k = 0, 1, ..., n_steps - 1
+        if one_row:
+            for lo in range(0, n_steps, _STEP_CHUNK):
+                block = times[lo:min(lo + _STEP_CHUNK, n_steps)]
+                yield from space.algebra_exp(increment(stage, block))
+        else:  # resumed after each update of g, which the stages read
+            for k in range(n_steps):
+                yield space.algebra_exp(increment(stage, times[k]))
 
     put(0, g)
-    for k in range(n_steps):
-        ge = g.reshape(-1, d, d)[0] if one_row else g  # row 0 stands for every row
-        g = g @ space.algebra_exp(increment(ge, times[k]))
-        put(k + 1, g)
+    for k, E in enumerate(step_exps(), 1):
+        g = g @ E
+        put(k, g)
     return Trajectory(times=times, states=buf if consume is None else None,
                       integrator_id=method, step_size=dt)
 

@@ -293,11 +293,14 @@ def make_so3_left_invariant(gram) -> Space:
     """SO(3) with a left-invariant metric given by a Gram matrix.
 
     ``gram`` is the metric in the standard skew-basis coordinates; a
-    1-D input is taken as a diagonal.
+    1-D input is taken as a diagonal.  A matrix that is not exactly
+    symmetric raises ValueError: the name lists its upper triangle.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim == 1:
         gram = np.diag(gram)
+    if not np.array_equal(gram, gram.T):
+        raise ValueError(f"Gram matrix must be symmetric, got {gram.tolist()}")
     label = ",".join(repr(float(x)) for x in gram[np.triu_indices_from(gram)])
     return _build(f"so3-left[{label}]", "so3", SO3_BASIS, gram=gram)
 

@@ -53,6 +53,14 @@ RAISES = {
         lambda: spaces.from_json(_descriptor_with_m_basis(np.zeros((2, 3, 2)).tolist())),
         r"m_basis must be a nonempty \(m, d, d\) stack"),
     "make_euclidean-0": (lambda: spaces.make_euclidean(0), "dimension must be at least 1"),
+    "loop_obstruction_check-base": (
+        lambda: contraction.loop_obstruction_check(fields.sphere_height_gradient(SPHERE), SPHERE,
+                                                   [1.0, 0.0], base=2.0 * np.eye(3)),
+        "violates the group constraint"),
+    "make_so3_left_invariant-asymmetric": (
+        lambda: spaces.make_so3_left_invariant([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]]),
+        "Gram matrix must be symmetric"),
 }
 
 
@@ -88,3 +96,13 @@ def test_one_row_table_returns_its_row(tmp_path):
     G = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     G[:, :2, 2] = [[0.2, -0.3], [0.0, 0.0], [1.0, 1.0], [-5.0, 2.0]]
     assert np.array_equal(fields.eval_coeff(F, G), np.tile([1.5, -2.5], (4, 1)))
+
+
+def test_symmetric_gram_is_named_and_used():
+    gram = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    space = spaces.make_so3_left_invariant(gram)
+    assert space.name == "so3-left[1.0,0.5,0.0,2.0,0.0,1.0]"
+    B = space.dec.m_basis.reshape(3, -1)
+    coords = np.linalg.lstsq(spaces.SO3_BASIS.reshape(3, -1).T, B.T, rcond=None)[0]
+    # the m-basis is orthonormal for the Gram matrix, off-diagonal entries included
+    assert np.allclose(coords.T @ gram @ coords, np.eye(3), atol=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from homcontract import contraction, fields, reach
+from homcontract import contraction, fields, reach, smallmat
 from homcontract.spaces import SO3_BASIS
 
 AX, AY, AZ = SO3_BASIS
@@ -419,3 +419,48 @@ class TestStateIndependentStages:
         assert tube.distances.shape == (6, 100)
         # the t = 0 check of the declaration sees the stack once; every stage one state
         assert shapes == [(101, 3, 3)] + [(3, 3)] * (5 * stages)
+
+
+class TestStackedIncrements:
+    """A state-independent field's increments are built one 64-step block at a time."""
+
+    @staticmethod
+    def _run(F, space, g0s, n_steps, method, streamed):
+        if not streamed:
+            return reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01, method=method).states
+        seen = []
+        traj = reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01, method=method,
+                               consume=lambda lo, chunk: seen.append((lo, chunk.copy())))
+        assert traj.states is None
+        assert [lo for lo, _ in seen] == list(range(0, n_steps + 1, reach._STEP_CHUNK))
+        return np.concatenate([chunk for _, chunk in seen])
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("n_steps", [63, 64, 65, 129])  # around the block edges
+    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("space_name", ["so3", "sphere"])
+    def test_blocks_equal_per_row_stages(self, request, space_name, method, n_steps, streamed):
+        space = request.getfixturevalue(space_name)
+        F = TestStateIndependentStages._field(space)
+        g0s = reach.sample_metric_ball(space, expm(0.4 * AX), 0.3, 5, seed=11)
+        stacked = self._run(F, space, g0s, n_steps, method, streamed)
+        full = self._run(replace(F, state_independent=False), space, g0s, n_steps, method,
+                         streamed)
+        assert stacked.shape == (n_steps + 1, 5, 3, 3)
+        assert np.array_equal(stacked, full)
+
+    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    def test_one_exponential_per_block(self, so3, monkeypatch, method):
+        F = fields.so3_demo_schedule(so3)
+        g0s = reach.sample_metric_ball(so3, np.eye(3), 0.2, 10, seed=3)
+        sizes = []
+        so3_exp = smallmat.so3_exp
+
+        def counted(A):
+            sizes.append(int(np.prod(np.shape(A)[:-2])))
+            return so3_exp(A)
+
+        monkeypatch.setattr(smallmat, "so3_exp", counted)
+        reach.integrate(F, so3, g0s, 3.0, 0.01, method=method,
+                        consume=lambda lo, chunk: None)  # 300 steps: 5 blocks
+        assert sizes == [64, 64, 64, 64, 44]

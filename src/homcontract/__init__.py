@@ -41,7 +41,6 @@ from .reach import (
     monte_carlo_containment,
     reach_tube,
 )
-from .smallmat import expm
 from .spaces import (
     Space,
     make_circle,

@@ -30,7 +30,9 @@ class HorizontalField:
     ``state_independent`` declares that the coefficients depend on t only,
     so the flow commutes with left translation; ``reach.integrate`` then
     evaluates the coefficients on one state and builds the increments of
-    each 64-step block in one stacked pass, shared by every row.
+    each 64-step block in one stacked pass, shared by every row.  It
+    verifies the declaration at each block's first time and raises
+    ValueError where the stack's coefficients differ.
     """
 
     name: str
@@ -236,7 +238,9 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     """Field interpolated from a CSV coefficient table.
 
     Header ``g00,...,g{d-1}{d-1},x1,...,xm``; each row is a flattened
-    group element followed by its m coefficients.  A query takes the
+    group element followed by its m coefficients.  A file without a header
+    or data rows, or with any line of other than d^2 + m fields, raises
+    ValueError naming the file and the first bad line.  A query takes the
     intercept of a local-linear least-squares fit on its d^2 + 1 nearest
     table points, or the tabulated value on an exact hit.  Queries may be
     stacked (..., d, d) and are fitted in batches.  A call whose queries
@@ -251,9 +255,13 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     m = space.dim_m
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header = rows[0]
-    if len(header) != d * d + m:
-        raise ValueError(f"expected {d * d + m} columns, found {len(header)}")
+    for line, row in enumerate(rows, 1):
+        if len(row) != d * d + m:
+            raise ValueError(f"table {path}, line {line}: expected {d * d + m} columns "
+                             f"(d^2 + m), found {len(row)}")
+    if len(rows) < 2:
+        raise ValueError(f"table {path}, line {len(rows) + 1}: expected a "
+                         f"{'data row' if rows else 'header'}, found the end of the file")
     data = np.asarray(rows[1:], dtype=float)
     points = data[:, : d * d]
     values = data[:, d * d:]

@@ -18,9 +18,10 @@ from .fields import HorizontalField, eval_coeff
 from .smallmat import so3_angle  # noqa: F401  (the SO(3) distance kernel, public here too)
 from .spaces import Space
 
-# Time steps per chunk that ``integrate`` hands to a consumer: 64 steps of
-# the demo's 101 states fill a 0.47 MB buffer, reused for every chunk.  A
-# state-independent field's increments are also built 64 steps at a time.
+# Time steps per block of ``integrate``; each block is one chunk handed to
+# a consumer.  64 steps of the demo's 101 states fill a 0.47 MB buffer,
+# reused for every block, and a state-independent field's increments are
+# built one block at a time.
 _STEP_CHUNK = 64
 _CONTAINMENT_TOL = 1e-4  # largest sample distance beyond the radius that still passes
 
@@ -43,45 +44,42 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _commutator(a, b):
-    return a @ b - b @ a
-
-
 def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
               method: str = "rkmk4",
               consume: Optional[Callable[[int, np.ndarray], None]] = None) -> Trajectory:
     """Integrate dg = g . xi(g, t) from t = 0 with Lie-Euler or a 4th-order scheme.
 
     ``g0`` may be a single (d, d) element or a stacked batch (..., d, d);
-    the batch is advanced in lockstep.  The 4th-order scheme is a
-    Munthe-Kaas style method: classical four-stage weights in the algebra
-    with second-order commutator corrections before each exponential
-    re-projection.
+    the batch is advanced in lockstep over round(horizon / dt) steps.  The
+    4th-order scheme is a Munthe-Kaas style method: classical four-stage
+    weights in the algebra with second-order commutator corrections before
+    each exponential re-projection.
 
-    For a field declared ``state_independent`` the increment Omega_k of
-    step k depends on k alone, and every row of the stack takes it,
-    g_i(t) = g_i(0) Phi(t).  So the increments of each block of
-    ``_STEP_CHUNK`` steps are built in one stacked pass: the coefficients
-    of every stage time, each evaluated on row 0 of the start stack, then
-    the stage algebra elements, the commutator corrections and one
-    exponential over the block.  The stack then takes g = g exp(Omega_k)
-    step by step; every row comes out bit for bit as with per-row stages.
-    The declaration is checked once, at t = 0 on the whole stack: rows
-    whose coefficients differ from row 0's raise ValueError.
+    The steps run in blocks of ``_STEP_CHUNK``.  A field declared
+    ``state_independent`` has an increment Omega_k that depends on the step
+    k alone, and every row takes it, g_i(t) = g_i(0) Phi(t).  So a block's
+    increments are built in one stacked pass, with the coefficients of
+    every stage time evaluated on row 0 of the start stack, and one
+    exponential over the block; every row comes out bit for bit as with
+    per-row stages.  The declaration is checked at each block's first time
+    on that row and the current stack: rows whose coefficients differ
+    raise ValueError.  Any other field runs its stages on the whole stack,
+    one step at a time.
 
-    Without ``consume`` every state is stored in the returned
-    ``states`` (T+1, ..., d, d).  With it, nothing is stored: it is
-    called as ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time
-    order, with one reused buffer that it must copy from, and the
-    returned ``states`` is None.
+    Each block is also a chunk for ``consume``, called as
+    ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time order with one
+    reused buffer that it must copy from; the returned ``states`` is then
+    None.  Without it every state is stored in ``states`` (T+1, ..., d, d).
     """
-    if dt <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
 
     def corrected(sigma, a):
         # right-trivialized dexpinv truncated to two commutator terms
-        c1 = _commutator(sigma, a)
-        return a + 0.5 * c1 + (1.0 / 12.0) * _commutator(sigma, c1)
+        c1 = sigma @ a - a @ sigma
+        return a + 0.5 * c1 + (1.0 / 12.0) * (sigma @ c1 - c1 @ sigma)
 
     # ``stage(s, tau)`` is the field's algebra element at time(s) tau, at the
     # step's start state moved by exp(s), or not moved when s is None; both
@@ -100,52 +98,50 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     increment = {"lieeuler": lambda stage, t: dt * stage(None, t), "rkmk4": rkmk4}.get(method)
     if increment is None:
         raise ValueError(f"unknown integrator {method!r}")
-    g = np.asarray(g0, dtype=float).copy()
+    g = np.asarray(g0, dtype=float)
     space.check_group(g)
     n_steps = int(round(horizon / dt))
     times = dt * np.arange(n_steps + 1)
-    # the whole trajectory, or a chunk buffer that is flushed when full
-    buf = np.empty((n_steps + 1 if consume is None else min(_STEP_CHUNK, n_steps + 1),)
-                   + g.shape)
-
-    def put(k, gk):
-        j = k % len(buf)
-        buf[j] = gk
-        if consume is not None and (j == len(buf) - 1 or k == n_steps):
-            consume(k - j, buf[:j + 1])
-
     m, d = space.dim_m, space.embed_dim
     one_row = F.state_independent and g.size > 0
-    if one_row:
-        c0 = eval_coeff(F, g, times[0], dim_m=m).reshape(-1, m)
-        if (c0 != c0[0]).any():
-            raise ValueError(f"field {F.name} is declared state-independent, but its "
-                             "coefficients differ between the stacked states at t=0")
-        g_row = g.reshape(-1, d, d)[0]  # the one state the coefficients see
+    g_row = g.reshape(-1, d, d)[:1]  # the one state a state-independent field sees
 
-        def stage(s, tau):  # the field ignores the state, so s is not applied
-            return space.algebra_from_coords(
-                np.stack([eval_coeff(F, g_row, ti, dim_m=m) for ti in tau]))
-    else:
-        def stage(s, tau):  # reads the current g of the loop below
-            return space.algebra_from_coords(eval_coeff(
-                F, g if s is None else g @ space.algebra_exp(s), tau, dim_m=m))
+    def row_stage(s, tau):  # the field ignores the state, so s is not applied
+        return space.algebra_from_coords(
+            np.stack([eval_coeff(F, g_row[0], ti, dim_m=m) for ti in tau]))
 
-    def step_exps():  # exp(Omega_k) for k = 0, 1, ..., n_steps - 1
+    def stack_stage(gk):  # the stages of one step from the stack gk
+        return lambda s, tau: space.algebra_from_coords(eval_coeff(
+            F, gk if s is None else gk @ space.algebra_exp(s), tau, dim_m=m))
+
+    states = None
+    if consume is None:
+        states = np.empty((n_steps + 1,) + g.shape)
+
+        def consume(lo, chunk):
+            states[lo:lo + len(chunk)] = chunk
+
+    # a block's start state, then the state after each of its steps
+    buf = np.empty((_STEP_CHUNK + 1,) + g.shape)
+    buf[0] = g
+    for lo in range(0, n_steps, _STEP_CHUNK):
+        block = times[lo:min(lo + _STEP_CHUNK, n_steps)]
         if one_row:
-            for lo in range(0, n_steps, _STEP_CHUNK):
-                block = times[lo:min(lo + _STEP_CHUNK, n_steps)]
-                yield from space.algebra_exp(increment(stage, block))
-        else:  # resumed after each update of g, which the stages read
-            for k in range(n_steps):
-                yield space.algebra_exp(increment(stage, times[k]))
-
-    put(0, g)
-    for k, E in enumerate(step_exps(), 1):
-        g = g @ E
-        put(k, g)
-    return Trajectory(times=times, states=buf if consume is None else None,
-                      integrator_id=method, step_size=dt)
+            c = eval_coeff(F, np.concatenate([g_row, buf[0].reshape(-1, d, d)]), block[0],
+                           dim_m=m)
+            if (c != c[0]).any():
+                raise ValueError(f"field {F.name} is declared state-independent, but its "
+                                 f"coefficients at t={block[0]:g} differ between states")
+            E = space.algebra_exp(increment(row_stage, block))
+        for j, t in enumerate(block):
+            buf[j + 1] = buf[j] @ (E[j] if one_row
+                                   else space.algebra_exp(increment(stack_stage(buf[j]), t)))
+        if len(block) == _STEP_CHUNK:
+            consume(lo, buf[:-1])
+            buf[0] = buf[-1]
+    lo = n_steps - n_steps % _STEP_CHUNK
+    consume(lo, buf[:n_steps - lo + 1])
+    return Trajectory(times=times, states=states, integrator_id=method, step_size=dt)
 
 
 def _require_distance(space: Space) -> None:

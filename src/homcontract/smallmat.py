@@ -1,8 +1,8 @@
 """Dense small-matrix kernels shared by the rest of the library.
 
-Everything operates on plain numpy arrays of modest size (n <= ~6):
-matrix exponentials with a closed-form fast path for 3x3 skew inputs, and
-rotation angles.  All functions are pure.
+Everything operates on plain numpy arrays of 3x3 matrices, stacked or
+not: the skew hat map and its inverse, the closed-form exponential of
+skew matrices, and rotation angles.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -63,17 +63,3 @@ def so3_angle(Ra, Rb) -> np.ndarray:
     sin = 0.5 * np.linalg.norm(vee3(rel - np.swapaxes(rel, -1, -2)), axis=-1)
     cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
     return np.arctan2(sin, cos)
-
-
-def expm(A) -> np.ndarray:
-    """Matrix exponential; exact Rodrigues formula for 3x3 skew inputs."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    if A.shape == (3, 3) and np.max(np.abs(A + A.T)) < 1e-12:
-        return so3_exp(A)
-    import scipy.linalg  # imported here: most runs never leave the closed form
-
-    return scipy.linalg.expm(A)

@@ -452,6 +452,24 @@ class TestTabulatedFieldCli:
         payload = json.loads((tmp_path / "certificate.json").read_text())
         assert payload["mu_max"] == pytest.approx(-1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("case", ["empty", "header-only", "rows-lack-x2"])
+    def test_malformed_table_is_usage_error(self, tmp_path, capsys, case):
+        # u(x) = (-x1, x2) FAILs at c = 0.5; with x2 dropped from every row the
+        # (rows, 1) values would broadcast into both coefficients and PASS
+        xs = np.linspace(-1.2, 1.2, 41)
+        rows = [f"1.0,0.0,{x!r},0.0,1.0,{y!r},0.0,0.0,1.0,{-x!r}" for x in xs for y in xs]
+        text = {"empty": "", "header-only": "g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n",
+                "rows-lack-x2": "g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n"
+                                + "\n".join(rows) + "\n"}[case]
+        table = tmp_path / "field.csv"
+        table.write_text(text)
+        code = run(tmp_path, "certify", "--space", "euclidean:2", "--field", str(table),
+                   "--region", "box:-1:1:64", "--c", "0.5")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: table {table}, line ") and err.count("\n") == 1
+        assert not (tmp_path / "certificate.json").exists()
+
 
 class TestImports:
     def test_table_certify_and_reach_load_no_scipy(self, tmp_path):

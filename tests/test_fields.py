@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -186,6 +188,18 @@ class TestTabulatedField:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            fields.tabulated_field(euclid2, path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "line 1: expected a header"),
+        ("g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n", "line 2: expected a data row"),
+        ("g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5\n"
+         "1,0,0,0,1,0,0,0,1,0\n", "line 3: expected 11 columns .*found 10"),
+    ], ids=["empty", "header-only", "short-row"])
+    def test_malformed_table_names_its_line(self, euclid2, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"table {re.escape(str(path))}, {match}"):
             fields.tabulated_field(euclid2, path)
 
 

@@ -32,18 +32,18 @@ def test_adjoint_identity():
 
 
 def test_adjoint_fixes_own_axis():
-    g = smallmat.expm(0.77 * AZ)
+    g = smallmat.so3_exp(0.77 * AZ)
     assert np.allclose(adjoint(g, AZ), AZ, atol=1e-12)
 
 
 def test_adjoint_rotates_generators():
-    g = smallmat.expm((np.pi / 2.0) * AZ)
+    g = smallmat.so3_exp((np.pi / 2.0) * AZ)
     assert np.allclose(adjoint(g, AX), AY, atol=1e-12)
 
 
 def test_adjoint_homomorphism(rng):
-    g1 = smallmat.expm(smallmat.hat3(rng.normal(size=3)))
-    g2 = smallmat.expm(smallmat.hat3(rng.normal(size=3)))
+    g1 = smallmat.so3_exp(smallmat.hat3(rng.normal(size=3)))
+    g2 = smallmat.so3_exp(smallmat.hat3(rng.normal(size=3)))
     X = smallmat.hat3(rng.normal(size=3))
     assert np.allclose(adjoint(g1 @ g2, X), adjoint(g1, adjoint(g2, X)), atol=1e-10)
 
@@ -53,7 +53,7 @@ def test_adjoint_derivative_is_bracket(rng):
     X = smallmat.hat3(rng.normal(size=3))
     Y = smallmat.hat3(rng.normal(size=3))
     h = 1e-6
-    fd = (adjoint(smallmat.expm(h * X), Y) - adjoint(smallmat.expm(-h * X), Y)) / (2 * h)
+    fd = (adjoint(smallmat.so3_exp(h * X), Y) - adjoint(smallmat.so3_exp(-h * X), Y)) / (2 * h)
     assert np.allclose(fd, bracket(X, Y), atol=1e-6)
 
 
@@ -133,7 +133,7 @@ class TestOrthonormalize:
 
 class TestAdInvariance:
     def test_sphere_rotations_about_pole_pass(self, sphere):
-        samples = [smallmat.expm(a * AZ) for a in (0.3, 1.7, 3.0)]
+        samples = [smallmat.so3_exp(a * AZ) for a in (0.3, 1.7, 3.0)]
         report = check_ad_invariance(sphere.dec, samples, in_h=sphere.in_h)
         assert report.passed
 
@@ -147,18 +147,18 @@ class TestAdInvariance:
             h_basis=np.stack([AY]),
             m_basis=orthonormalize_basis(np.stack([AX, AZ]), trace_scale=0.5),
         )
-        samples = [smallmat.expm(a * AZ) for a in (0.3, 1.7)]
+        samples = [smallmat.so3_exp(a * AZ) for a in (0.3, 1.7)]
         report = check_ad_invariance(dec, samples)
         assert not report.passed
 
     def test_non_member_sample_raises(self, sphere):
         with pytest.raises(ValueError):
-            check_ad_invariance(sphere.dec, [smallmat.expm(0.5 * AX)], in_h=sphere.in_h)
+            check_ad_invariance(sphere.dec, [smallmat.so3_exp(0.5 * AX)], in_h=sphere.in_h)
 
     def test_one_non_member_in_a_stack_raises(self, sphere):
         members = sphere.h_samples()
         assert check_ad_invariance(sphere.dec, members, in_h=sphere.in_h).passed
-        stack = np.concatenate([members[:7], smallmat.expm(0.5 * AX)[None], members[7:]])
+        stack = np.concatenate([members[:7], smallmat.so3_exp(0.5 * AX)[None], members[7:]])
         with pytest.raises(ValueError, match="not a member"):
             check_ad_invariance(sphere.dec, stack, in_h=sphere.in_h)
 

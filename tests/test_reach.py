@@ -66,10 +66,18 @@ class TestIntegrate:
         traj = reach.integrate(F, so3, np.eye(3), 5.0, 1e-3)
         assert reach.group_constraint_drift(so3, traj) <= 1e-8
 
-    def test_bad_step_rejected(self, so3):
-        F = fields.constant_field(so3, [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            reach.integrate(F, so3, np.eye(3), 1.0, dt=0.0)
+    @pytest.mark.parametrize("horizon,dt", [
+        (1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
+        (-1.0, 0.01), (-0.01, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+    ], ids=["dt-zero", "dt-nan", "dt-inf", "horizon-minus-1", "horizon-minus-dt", "horizon-inf",
+            "horizon-nan"])
+    def test_bad_step_rejected(self, so3, horizon, dt):
+        def forbidden(g, t):
+            raise AssertionError("a coefficient call before the step check")
+
+        F = fields.HorizontalField("forbidden", so3.name, forbidden, state_independent=True)
+        with pytest.raises(ValueError, match="step size|horizon"):
+            reach.integrate(F, so3, np.eye(3), horizon, dt=dt)
 
     def test_coefficient_shape_checked(self, so3):
         # one coefficient too many, and an unstacked (m,) for a stack of states
@@ -393,7 +401,17 @@ class TestStateIndependentStages:
         seen = []
         with pytest.raises(ValueError, match="declared state-independent"):
             reach.integrate(F, so3, g0s, 1.0, 0.01, consume=lambda lo, c: seen.append(lo))
-        assert calls == [(4, 3, 3)] and seen == []
+        # one call on [start row 0; stack] at t = 0
+        assert calls == [(5, 3, 3)] and seen == []
+
+    def test_wrong_declaration_raises_at_a_later_block(self, so3):
+        # from one state the first check sees equal rows; the next block's does not
+        F = fields.HorizontalField("reads-g", so3.name, lambda g, t: g[..., 0, :] + [0, 1, 0],
+                                   state_independent=True)
+        seen = []
+        with pytest.raises(ValueError, match="declared state-independent.*t=0.64 "):
+            reach.integrate(F, so3, np.eye(3), 1.0, 0.01, consume=lambda lo, c: seen.append(lo))
+        assert seen == [0]
 
     def test_rotate_field_keeps_the_flag(self, so3, sphere):
         Q = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -417,8 +435,9 @@ class TestStateIndependentStages:
         tube = reach.reach_tube(replace(F, coeff=recorded), so3, np.eye(3), 0.1, cert,
                                 0.05, 0.01, method=method, n_samples=100, seed=7)
         assert tube.distances.shape == (6, 100)
-        # the t = 0 check of the declaration sees the stack once; every stage one state
-        assert shapes == [(101, 3, 3)] + [(3, 3)] * (5 * stages)
+        # the block's check of the declaration sees start row 0 and the stack once;
+        # every stage one state
+        assert shapes == [(102, 3, 3)] + [(3, 3)] * (5 * stages)
 
 
 class TestStackedIncrements:

@@ -94,9 +94,9 @@ def _certify(space, args, step: float):
     """Certify ``args.field`` on ``space`` over ``args.region`` at rate ``args.c``.
 
     The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, NP >= 3, 0 < DEG <= 180) or
-    ``box:LO:HI:N`` with finite numbers and counts of at least 1, is checked
-    before the field is resolved.  Returns the field, the certificate, the
-    per-sample measures and the cap's (NT, NP) grid, or None for a box.
+    ``box:LO:HI:N`` (LO < HI) with finite numbers and counts of at least 1, is
+    checked before the field is resolved.  Returns the field, the certificate
+    and the cap's (NT, NP) grid, or None for a box.
     """
     region = args.region
     kind, *parts = region.split(":")
@@ -114,26 +114,26 @@ def _certify(space, args, step: float):
         raise ValueError(f"region {region!r}: a cap needs NT >= 2 and 0 < DEG <= 180")
     if grid and n < 3:
         raise ValueError(f"region {region!r}: a cap needs NP >= 3 (NP <= 2 is one great circle)")
+    if not grid and a >= b:
+        raise ValueError(f"region {region!r}: a box needs LO < HI")
     F = _resolve_field(space, args.field)
     if grid:
         samples = contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
     else:
         samples = contraction.generator_box_samples(space, [a] * space.dim_m,
                                                     [b] * space.dim_m, n)
-    mus: list[float] = []
-    cert = contraction.certify_region(F, space, samples, args.c, region=region, step=step,
-                                      collect=mus)
-    return F, cert, np.asarray(mus), grid
+    return F, contraction.certify_region(F, space, samples, args.c, region=region,
+                                         step=step), grid
 
 
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
-    _, cert, mus, grid = _certify(space, args, args.fd_step)
+    _, cert, grid = _certify(space, args, args.fd_step)
     out = _write_result(args, "certificate.json", cert.to_dict())
     if grid:
         svgplot.heatmap(
             out / "certify.svg",
-            mus.reshape(grid),
+            cert.measures.reshape(grid),
             title=f"matrix measure over {args.region}",
             xlabel="azimuth index",
             ylabel="polar index",
@@ -141,8 +141,8 @@ def cmd_certify(args) -> int:
     else:
         svgplot.line_plot(
             out / "certify.svg",
-            np.arange(len(mus)),
-            [("mu", np.sort(mus))],
+            np.arange(cert.samples_evaluated),
+            [("mu", np.sort(cert.measures))],
             title="sorted sample measures",
             xlabel="sample rank",
             ylabel="mu",
@@ -195,15 +195,15 @@ def cmd_reach(args) -> int:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
-    F, cert, _, _ = _certify(space, args, _FD_STEP)
+    F, cert, _ = _certify(space, args, _FD_STEP)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
         return 2
     tube = reach.reach_tube(
         F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
-        K=args.K, method=args.method, n_samples=args.samples, seed=args.seed,
+        method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    report = reach.monte_carlo_containment(tube, F, space, n_samples=args.samples, seed=args.seed)
+    report = reach.monte_carlo_containment(tube)
     out = _write_result(args, "reach.json", {
         "tube": tube.to_dict(),
         "certificate": cert.to_dict(),
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dt", type=_positive(float), default=1e-3)
     pv.add_argument("--samples", type=_positive(int), default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--K", type=_positive(float), default=1.0)
     pv.add_argument("--method", default="rkmk4", choices=["rkmk4", "lieeuler"])
     pv.set_defaults(func=cmd_reach)
     return p

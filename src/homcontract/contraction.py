@@ -46,7 +46,8 @@ class ContractionCertificate:
     """Sampled certificate of mu(dX) <= c over a region.
 
     Sampling cannot prove contraction between samples; the region string
-    and sample count are recorded so density can be judged.
+    and sample count are recorded so density can be judged.  ``measures``
+    holds the per-sample measures in sample order.
     """
 
     space_id: str
@@ -56,6 +57,7 @@ class ContractionCertificate:
     mu_max: float
     argmax_index: int
     mu_argmax: np.ndarray = field(repr=False)
+    measures: np.ndarray = field(repr=False)
     samples_evaluated: int = 0
     verdict: str = "FAIL"
     slack: float = 0.0
@@ -88,14 +90,12 @@ class ContractionCertificate:
 
 
 def certify_region(F: HorizontalField, space: Space, samples,
-                   c: float, region: str = "", step: float = 1e-5,
-                   collect: Optional[list] = None) -> ContractionCertificate:
+                   c: float, region: str = "", step: float = 1e-5) -> ContractionCertificate:
     """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
     checked and linearized as one stack.  Deterministic: ties at the
-    maximum resolve to the lowest sample index.  ``collect``, if given,
-    receives the per-sample measures in sample order.
+    maximum resolve to the lowest sample index.
     """
     G = np.asarray(samples, dtype=float)
     if G.size == 0:
@@ -103,8 +103,6 @@ def certify_region(F: HorizontalField, space: Space, samples,
     space.check_group(G)
     G = G.reshape((-1,) + G.shape[-2:])
     mus = matrix_measure(linearize(F, space, G, step=step))
-    if collect is not None:
-        collect.extend(mus.tolist())
     arg_idx = int(np.argmax(mus))  # first occurrence: ties go to the lowest index
     mu_max = float(mus[arg_idx])
     return ContractionCertificate(
@@ -115,6 +113,7 @@ def certify_region(F: HorizontalField, space: Space, samples,
         mu_max=mu_max,
         argmax_index=arg_idx,
         mu_argmax=G[arg_idx].copy(),
+        measures=mus,
         samples_evaluated=len(G),
         verdict="PASS" if mu_max <= c + _SLACK else "FAIL",
         slack=_SLACK,
@@ -151,12 +150,15 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 def generator_box_samples(space: Space, lows, highs, count: int) -> np.ndarray:
     """Low-discrepancy (Halton, so deterministic) samples exp-mapped from a
-    box in m-coordinates at the identity; returns a (count, d, d) stack."""
+    box in m-coordinates at the identity; returns a (count, d, d) stack.
+    A bound pair with lows[i] >= highs[i] raises ValueError."""
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
     m = space.dim_m
     if lows.shape != (m,) or highs.shape != (m,):
         raise ValueError("box bounds must match the m-dimension")
+    if not np.all(lows < highs):  # False for NaN bounds too
+        raise ValueError(f"a box needs lows < highs, got {lows} and {highs}")
     coords = lows + _halton(count, m) * (highs - lows)
     return space.algebra_exp(space.algebra_from_coords(coords))
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import Space
+from .spaces import _GROUP_TOL, Space
 
 _COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
 
@@ -239,11 +239,13 @@ def tabulated_field(space: Space, path) -> HorizontalField:
 
     Header ``g00,...,g{d-1}{d-1},x1,...,xm``; each row is a flattened
     group element followed by its m coefficients.  A file without a header
-    or data rows, or with any line of other than d^2 + m fields, raises
-    ValueError naming the file and the first bad line.  A query takes the
-    intercept of a local-linear least-squares fit on its d^2 + 1 nearest
-    table points, or the tabulated value on an exact hit.  Queries may be
-    stacked (..., d, d) and are fitted in batches.  A call whose queries
+    or data rows, with any line of other than d^2 + m fields, or with a row
+    that has a non-finite entry or is not a group element (one stacked
+    check of the space's group constraint), raises ValueError naming the
+    file and the first bad line.  A query takes the intercept of a
+    local-linear least-squares fit on its d^2 + 1 nearest table points, or
+    the tabulated value on an exact hit.  Queries may be stacked
+    (..., d, d) and are fitted in batches.  A call whose queries
     times table rows is at most ``_BRUTE_MAX_PAIRS`` (the 5,120 queries of
     a 1,024-sample certify on tables up to about 3,000 rows) finds the
     neighbours by a brute-force search, with no scipy import; a larger call
@@ -263,6 +265,14 @@ def tabulated_field(space: Space, path) -> HorizontalField:
         raise ValueError(f"table {path}, line {len(rows) + 1}: expected a "
                          f"{'data row' if rows else 'header'}, found the end of the file")
     data = np.asarray(rows[1:], dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    err = np.full(len(data), np.inf)
+    err[finite] = space.ops.residual(data[finite, : d * d].reshape(-1, d, d))
+    if not np.all(err <= _GROUP_TOL):
+        line = int(np.argmax(err > _GROUP_TOL))
+        found = f"group constraint error {err[line]:.2e}" if finite[line] else "a non-finite entry"
+        raise ValueError(f"table {path}, line {line + 2}: expected a group element and "
+                         f"finite coefficients, found {found}")
     points = data[:, : d * d]
     values = data[:, d * d:]
     n_rows = len(points)

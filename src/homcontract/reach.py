@@ -171,11 +171,9 @@ def distance(space: Space, p, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReachTube:
-    """Center trajectory plus exponential radius schedule K e^{ct} r0.
-
-    A tube built with ball samples also holds their distances to the
-    center, shape (T+1, n_samples), and the seed the ball was drawn with.
-    """
+    """Center trajectory, radius schedule K e^{ct} r0, and the Monte Carlo
+    ball's distances to the center, shape (T+1, n_samples), with the seed
+    the ball was drawn with."""
 
     center: Trajectory
     K: float
@@ -183,7 +181,7 @@ class ReachTube:
     r0: float
     space_id: str
     field_id: str
-    distances: np.ndarray = field(default=None, repr=False)
+    distances: np.ndarray = field(repr=False)
     seed: int = 0
 
     def radius(self, t) -> np.ndarray:
@@ -205,42 +203,29 @@ class ReachTube:
 
 def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                certificate: ContractionCertificate, horizon: float, dt: float,
-               K: float = 1.0, method: str = "rkmk4", n_samples: int = 0,
-               seed: int = 0) -> ReachTube:
-    """Contraction tube around the integrated center trajectory.
+               method: str = "rkmk4", n_samples: int = 100, seed: int = 0) -> ReachTube:
+    """Contraction tube around the center from ``g0``, with its Monte Carlo ball.
 
-    Requires a PASS certificate, at any rate c (its label names the sign);
-    a failed certificate gives no sound tube and is an error.  The
-    ``n_samples`` metric-ball samples (drawn with ``seed``) are integrated
-    in lockstep with the center, and the tube keeps their distances to it.
+    Requires a PASS certificate, at any rate c (its label names the sign),
+    a space with a shipped distance, ``n_samples >= 1`` and a positive,
+    finite ``r0``, and raises before any integration otherwise.  The ball
+    of ``n_samples`` (drawn with ``seed``) is integrated with the center in
+    one stack [g0; ball], never stored: each chunk of steps is reduced to
+    the center (T+1, d, d) and the ball's distances to it (T+1, n_samples).
+    K = 1: the distance is that of the metric in which the certificate's
+    frame is orthonormal, where mu <= c gives d(t) <= e^{ct} d(0).
     """
     if not certificate.passed:
         raise ValueError("certificate verdict is FAIL; no sound tube exists")
+    _require_distance(space)
+    if n_samples < 1:
+        raise ValueError(f"a tube needs at least one ball sample, got n_samples={n_samples}")
+    if not 0.0 < r0 < np.inf:
+        raise ValueError(f"ball radius must be positive and finite, got r0={r0}")
     g0 = np.asarray(g0, dtype=float)
-    if n_samples:
-        _require_distance(space)
-    center, distances = _lockstep(F, space, g0, r0, n_samples, seed, horizon, dt, method)
-    return ReachTube(
-        center=center,
-        K=float(K),
-        c=float(certificate.rate_c),
-        r0=float(r0),
-        space_id=space.name,
-        field_id=F.name,
-        distances=distances if n_samples else None,
-        seed=seed,
-    )
-
-
-def _lockstep(F, space: Space, g0, r0, n, seed, horizon, dt, method):
-    """Integrate [g0; ball of ``n`` samples, radius ``r0``, drawn with ``seed``]
-    in lockstep, reducing each chunk of steps as it arrives, to the center
-    (T+1, d, d) and the ball's distances to it (T+1, n).  The stack is never
-    stored.  Callers run ``_require_distance``."""
-    ball = sample_metric_ball(space, g0, r0, n, seed)
+    ball = sample_metric_ball(space, g0, r0, n_samples, seed)
     n_times = int(round(horizon / dt)) + 1
-    center = np.empty((n_times,) + g0.shape)
-    dists = np.empty((n_times, n))
+    center, dists = np.empty((n_times,) + g0.shape), np.empty((n_times, n_samples))
 
     def reduce(lo, chunk):
         hi = lo + len(chunk)
@@ -249,7 +234,16 @@ def _lockstep(F, space: Space, g0, r0, n, seed, horizon, dt, method):
 
     traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt,
                      method=method, consume=reduce)
-    return replace(traj, states=center), dists
+    return ReachTube(
+        center=replace(traj, states=center),
+        K=1.0,
+        c=float(certificate.rate_c),
+        r0=float(r0),
+        space_id=space.name,
+        field_id=F.name,
+        distances=dists,
+        seed=seed,
+    )
 
 
 def _tube_extremes(dists, radii) -> tuple[float, float]:
@@ -274,7 +268,7 @@ class ContainmentReport:
     max_margin: float  # max over samples/times of d(sample, center) - radius
     max_drift: float   # max over samples/times of |d(t) - d(0)|
     tol: float
-    distances: np.ndarray = field(default=None, repr=False)  # (T+1, n_samples)
+    distances: np.ndarray = field(repr=False)  # (T+1, n_samples)
 
     @property
     def passed(self) -> bool:
@@ -302,24 +296,17 @@ def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np
     return np.asarray(g0, dtype=float) @ space.algebra_exp(space.algebra_from_coords(coords))
 
 
-def monte_carlo_containment(tube: ReachTube, F: HorizontalField, space: Space,
-                            n_samples: int = 100, seed: int = 0) -> ContainmentReport:
-    """Check that ball samples integrated with the center's scheme stay in the tube.
+def monte_carlo_containment(tube: ReachTube) -> ContainmentReport:
+    """Check that the tube's ball samples stay inside its radius schedule.
 
-    Uses the tube's own sample distances when it was built with the same
-    ``n_samples`` and ``seed``; otherwise integrates a fresh lockstep stack,
-    the tube's start state plus a new ball.
+    Reads the sample distances ``reach_tube`` integrated with the center;
+    integrates nothing.
     """
-    _require_distance(space)
     dists = tube.distances
-    if dists is None or dists.shape[1] != n_samples or tube.seed != seed:
-        c = tube.center
-        _, dists = _lockstep(F, space, c.states[0], tube.r0, n_samples, seed,
-                             c.horizon, c.step_size, c.integrator_id)
     max_margin, max_drift = _tube_extremes(dists, tube.radius(tube.center.times))
     return ContainmentReport(
-        n_samples=n_samples,
-        seed=seed,
+        n_samples=dists.shape[1],
+        seed=tube.seed,
         max_margin=max_margin,
         max_drift=max_drift,
         tol=_CONTAINMENT_TOL,

@@ -48,8 +48,8 @@ def test_criterion_2_so3_tube_reproduction(so3):
     F = fields.so3_demo_schedule(so3)
     samples = contraction.generator_box_samples(so3, [-3.2] * 3, [3.2] * 3, 64)
     cert = contraction.certify_region(F, so3, samples, c=0.0)
-    tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, horizon=5.0, dt=1e-3)
-    rep = reach.monte_carlo_containment(tube, F, so3, n_samples=100)
+    tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, horizon=5.0, dt=1e-3, n_samples=100)
+    rep = reach.monte_carlo_containment(tube)
     elapsed = time.perf_counter() - t0
     within = float(rep.distances.max()) <= 0.1 + 1e-4
     ok = cert.passed and within and rep.max_drift <= 1e-5 and elapsed < 30.0
@@ -86,9 +86,7 @@ def test_criterion_3_sphere_cap_certificate(sphere):
     t0 = time.perf_counter()
     F = fields.sphere_height_gradient(sphere)
     samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 64, 64)
-    mus = []
-    cert = contraction.certify_region(F, sphere, samples, c=-0.5, region="cap60",
-                                      collect=mus)
+    cert = contraction.certify_region(F, sphere, samples, c=-0.5, region="cap60")
     oracle = max(hessian_oracle_mu(g) for g in samples)
     elapsed = time.perf_counter() - t0
     ok = (cert.passed and -0.501 <= cert.mu_max <= -0.499

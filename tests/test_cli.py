@@ -305,7 +305,7 @@ class TestBadNumbers:
         (REACH + ("--dt", "0"), "argument --dt: must be positive, got '0'"),
         (LOOP + ("--n-quad", "0"), "argument --n-quad: must be positive, got '0'"),
         (REACH + ("--samples", "five"), "argument --samples: invalid int value: 'five'"),
-        (REACH + ("--K", "inf"), "argument --K: must be finite, got 'inf'"),
+        (REACH + ("--r0", "nan"), "argument --r0: must be finite, got 'nan'"),
         (REACH + ("--horizon", "inf"), "argument --horizon: must be finite, got 'inf'"),
         (REACH + ("--c", "inf"), "argument --c: must be finite, got 'inf'"),
         (LOOP + ("--c", "nan"), "argument --c: must be finite, got 'nan'"),
@@ -335,7 +335,18 @@ class TestBadNumbers:
             f"error: unknown region {region!r} (use cap:DEG:NT:NP or box:LO:HI:N)\n")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("option", ["--r0", "--K"])
+    @pytest.mark.parametrize("region", ["box:0:0:64", "box:1:-1:8"])
+    def test_box_needs_lo_below_hi(self, tmp_path, capsys, monkeypatch, region):
+        # box:0:0:64 is the identity sampled 64 times: it passed at c = -0.9,
+        # where box:-0.5:0.5:64 fails
+        monkeypatch.setattr(fields, "builtin_field", None)  # resolving the field would raise
+        code = run(tmp_path, "certify", "--space", "sphere2", "--field", "sphere-grad-height",
+                   "--region", region, "--c", "-0.9")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: region {region!r}: a box needs LO < HI\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--r0"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_tube_scale_not_positive(self, tmp_path, capsys, option, value):
         assert run(tmp_path, *self.REACH, option, value) == 1

@@ -99,8 +99,8 @@ class TestCertifyRegion:
     def test_collect_and_argmax(self, sphere):
         F = fields.sphere_height_gradient(sphere)
         samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 5, 5)
-        mus = []
-        cert = contraction.certify_region(F, sphere, samples, c=0.0, collect=mus)
+        cert = contraction.certify_region(F, sphere, samples, c=0.0)
+        mus = cert.measures
         assert len(mus) == len(samples) == cert.samples_evaluated
         assert cert.mu_max == pytest.approx(max(mus))
         assert mus[cert.argmax_index] == pytest.approx(cert.mu_max)
@@ -277,8 +277,7 @@ class TestStackedPath:
         F = fields.sphere_height_gradient(sphere)
         samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 5, 7)
         assert samples.shape == (35, 3, 3)
-        mus = []
-        contraction.certify_region(F, sphere, samples, c=0.0, collect=mus)
+        mus = contraction.certify_region(F, sphere, samples, c=0.0).measures
         thetas = np.linspace(0.0, np.radians(60.0), 5)
         expected = np.repeat(-np.cos(thetas), 7)
         assert np.max(np.abs(np.asarray(mus) - expected)) < 1e-8
@@ -287,8 +286,8 @@ class TestStackedPath:
         F = fields.constant_field(euclid2, [0.3, -0.7])
         samples = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 16)
         assert samples.shape == (16, 3, 3)
-        mus = []
-        cert = contraction.certify_region(F, euclid2, samples, c=0.0, collect=mus)
+        cert = contraction.certify_region(F, euclid2, samples, c=0.0)
+        mus = cert.measures
         assert len(set(mus)) == 1
         assert cert.argmax_index == 0
         assert np.array_equal(cert.mu_argmax, samples[0])

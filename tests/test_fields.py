@@ -164,6 +164,8 @@ class TestDemoFields:
 
 
 class TestTabulatedField:
+    HEADER = "g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n"
+
     def test_reproduces_linear_table(self, euclid2, tmp_path):
         # tabulate u(x) = M x on a grid and expect the interpolant to match
         M = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -195,7 +197,13 @@ class TestTabulatedField:
         ("g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n", "line 2: expected a data row"),
         ("g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5\n"
          "1,0,0,0,1,0,0,0,1,0\n", "line 3: expected 11 columns .*found 10"),
-    ], ids=["empty", "header-only", "short-row"])
+        (HEADER + "1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5\n5,0,0,0,1,0,0,0,1,0,0\n",
+         r"line 3: expected a group element .*found group constraint error 4\.00e\+00"),
+        (HEADER + "1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5\n1,0,nan,0,1,0,0,0,1,0,0\n",
+         "line 3: expected a group element and finite coefficients, found a non-finite entry"),
+        (HEADER + "1,0,0.5,0,1,0.5,0,0,1,-0.5,inf\n",
+         "line 2: expected a group element and finite coefficients, found a non-finite entry"),
+    ], ids=["empty", "header-only", "short-row", "not-an-element", "nan-point", "inf-coefficient"])
     def test_malformed_table_names_its_line(self, euclid2, tmp_path, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -4,12 +4,13 @@ Every case names the check's own message, so a case fails if its check is
 removed and the input goes on to fail somewhere else, or not at all.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from homcontract import contraction, fields, liealg, spaces
+from homcontract import contraction, fields, liealg, reach, spaces
 
 SPHERE = spaces.make_sphere2()
 SO3 = spaces.make_so3_biinvariant()
@@ -32,6 +33,9 @@ RAISES = {
     "generator_box_samples-bounds": (
         lambda: contraction.generator_box_samples(SO3, [-1.0] * 2, [1.0] * 3, 4),
         "box bounds must match the m-dimension"),
+    "generator_box_samples-point": (
+        lambda: contraction.generator_box_samples(SO3, [-1.0, 0.5, -1.0], [1.0, 0.5, 1.0], 4),
+        "a box needs lows < highs"),
     "find_period-zero": (lambda: contraction.find_period(SO3, np.zeros((3, 3))),
                          "zero generator has no period"),
     "constant_field-size": (lambda: fields.constant_field(SO3, [1.0, 0.0]),
@@ -66,6 +70,25 @@ RAISES = {
 def test_bad_input_raises_its_own_message(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"n_samples": 0}, "at least one ball sample, got n_samples=0"),
+    ({"r0": 0.0}, "ball radius must be positive and finite, got r0=0.0"),
+    ({"r0": -1.0}, "ball radius must be positive and finite, got r0=-1.0"),
+    ({"r0": np.nan}, "ball radius must be positive and finite, got r0=nan"),
+], ids=["n_samples-0", "r0-0", "r0-negative", "r0-nan"])
+def test_reach_tube_refuses_a_bad_ball(kw, match):
+    F = fields.so3_demo_schedule(SO3)
+    cert = contraction.certify_region(F, SO3, [np.eye(3)], c=0.0)
+
+    def forbidden(g, t):
+        raise AssertionError("coefficient call before the input check")
+
+    args = {"r0": 0.1, "n_samples": 10, **kw}
+    with pytest.raises(ValueError, match=match):
+        reach.reach_tube(dataclasses.replace(F, coeff=forbidden), SO3, np.eye(3),
+                         certificate=cert, horizon=1.0, dt=0.01, **args)
 
 
 def test_find_period_refuses_a_wrong_closed_form(monkeypatch):

@@ -145,11 +145,11 @@ class TestDistance:
 
 
 class TestReachTube:
-    def _nonexpansive_tube(self, so3, r0=0.1, horizon=1.0, dt=0.01):
+    def _nonexpansive_tube(self, so3, r0=0.1, horizon=1.0, dt=0.01, **kw):
         F = fields.so3_demo_schedule(so3)
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
-        return F, reach.reach_tube(F, so3, np.eye(3), r0, cert, horizon, dt)
+        return F, reach.reach_tube(F, so3, np.eye(3), r0, cert, horizon, dt, **kw)
 
     def test_radius_schedule(self, so3):
         _, tube = self._nonexpansive_tube(so3)
@@ -189,8 +189,9 @@ class TestMonteCarloContainment:
         assert max(dists) > 0.15  # ball is actually filled out
 
     def test_so3_nonexpansive_containment(self, so3):
-        F, tube = TestReachTube()._nonexpansive_tube(so3, r0=0.1, horizon=1.0, dt=1e-3)
-        rep = reach.monte_carlo_containment(tube, F, so3, n_samples=30)
+        F, tube = TestReachTube()._nonexpansive_tube(so3, r0=0.1, horizon=1.0, dt=1e-3,
+                                                     n_samples=30)
+        rep = reach.monte_carlo_containment(tube)
         assert rep.passed
         assert rep.max_drift <= 1e-5  # bi-invariant flow is isometric
 
@@ -199,13 +200,13 @@ class TestMonteCarloContainment:
         samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 10, 10)
         cert = contraction.certify_region(F, sphere, samples, c=-0.5)
         g0 = expm(0.3 * AX)  # inside the cap with room for the ball
-        tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 1e-3)
-        rep = reach.monte_carlo_containment(tube, F, sphere, n_samples=40)
+        tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 1e-3, n_samples=40)
+        rep = reach.monte_carlo_containment(tube)
         assert rep.passed, rep.max_margin
 
     def test_report_shapes(self, so3):
-        F, tube = TestReachTube()._nonexpansive_tube(so3, horizon=0.2, dt=0.01)
-        rep = reach.monte_carlo_containment(tube, F, so3, n_samples=7)
+        F, tube = TestReachTube()._nonexpansive_tube(so3, horizon=0.2, dt=0.01, n_samples=7)
+        rep = reach.monte_carlo_containment(tube)
         assert rep.distances.shape == (len(tube.center.times), 7)
         assert rep.n_samples == 7
 
@@ -244,8 +245,8 @@ class TestSmallDistances:
         F = fields.so3_demo_schedule(so3)
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
-        tube = reach.reach_tube(F, so3, np.eye(3), r0, cert, 1.0, 0.01)
-        rep = reach.monte_carlo_containment(tube, F, so3, n_samples=20, seed=3)
+        tube = reach.reach_tube(F, so3, np.eye(3), r0, cert, 1.0, 0.01, n_samples=20, seed=3)
+        rep = reach.monte_carlo_containment(tube)
         assert rep.passed
         assert rep.max_drift <= 1e-6 * r0
         rng = np.random.default_rng(3)  # the ball radii drawn by sample_metric_ball
@@ -255,44 +256,51 @@ class TestSmallDistances:
 
 
 class TestLockstepTube:
-    """A tube built with ball samples integrates them with its center in one stack."""
+    """A tube integrates its ball samples with its center in one stack, and
+    each row comes out as it would from integrating it alone."""
 
-    def _so3_tubes(self, so3, **kw):
+    @staticmethod
+    def _alone(F, space, g0, r0, n, seed, horizon, dt):
+        """The center and the ball's distances to it, each integrated on its own."""
+        center = reach.integrate(F, space, g0, horizon, dt).states
+        ball = reach.sample_metric_ball(space, g0, r0, n, seed)
+        balls = reach.integrate(F, space, ball, horizon, dt).states
+        return center, reach.distance(space, center[:, None], balls)
+
+    def test_so3_center_and_report_exact(self, so3):
         F = fields.so3_demo_schedule(so3)
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
-        plain = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01)
-        return F, plain, reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, **kw)
-
-    def test_so3_center_and_report_exact(self, so3):
-        F, plain, tube = self._so3_tubes(so3, n_samples=100, seed=7)
-        alone = reach.integrate(F, so3, np.eye(3), 1.0, 0.01)
-        assert np.array_equal(tube.center.states, alone.states)
-        assert np.array_equal(tube.center.times, alone.times)
+        tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=100, seed=7)
+        center, dists = self._alone(F, so3, np.eye(3), 0.1, 100, 7, 1.0, 0.01)
+        assert np.array_equal(tube.center.states, center)
+        assert np.array_equal(tube.center.times, 0.01 * np.arange(101))
         assert tube.center.states.flags.c_contiguous
-        assert plain.distances is None and tube.distances.shape == (101, 100)
-        got = reach.monte_carlo_containment(tube, F, so3, n_samples=100, seed=7)
-        want = reach.monte_carlo_containment(plain, F, so3, n_samples=100, seed=7)
-        assert np.array_equal(got.distances, want.distances)
-        assert got.max_margin == want.max_margin
-        assert got.max_drift == want.max_drift
+        assert np.array_equal(tube.distances, dists)
+        rep = reach.monte_carlo_containment(tube)
+        assert rep.distances is tube.distances
+        assert (rep.n_samples, rep.seed) == (100, 7)
+        assert rep.max_margin == (dists - tube.radius(tube.center.times)[:, None]).max()
+        assert rep.max_drift == np.abs(dists - dists[0]).max()
 
     def test_sphere_lockstep_matches(self, sphere):
         F = fields.sphere_height_gradient(sphere)
         samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 10, 10)
         cert = contraction.certify_region(F, sphere, samples, c=-0.5)
         g0 = expm(0.3 * AX)
-        plain = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 0.01)
         tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 0.01, n_samples=40, seed=2)
-        assert np.max(np.abs(tube.center.states - plain.center.states)) <= 1e-12
-        got = reach.monte_carlo_containment(tube, F, sphere, n_samples=40, seed=2)
-        want = reach.monte_carlo_containment(plain, F, sphere, n_samples=40, seed=2)
-        assert np.max(np.abs(got.distances - want.distances)) <= 1e-12
-        assert got.max_margin == pytest.approx(want.max_margin, abs=1e-12)
-        assert got.max_drift == pytest.approx(want.max_drift, abs=1e-12)
+        center, dists = self._alone(F, sphere, g0, 0.15, 40, 2, 2.0, 0.01)
+        assert np.max(np.abs(tube.center.states - center)) <= 1e-12
+        assert np.max(np.abs(tube.distances - dists)) <= 1e-12
+        rep = reach.monte_carlo_containment(tube)
+        radii = tube.radius(tube.center.times)[:, None]
+        assert rep.max_margin == pytest.approx((dists - radii).max(), abs=1e-12)
+        assert rep.max_drift == pytest.approx(np.abs(dists - dists[0]).max(), abs=1e-12)
 
-    def test_mismatched_ball_integrates_afresh(self, so3, monkeypatch):
-        F, plain, tube = self._so3_tubes(so3, n_samples=10, seed=7)
+    def test_one_integration_per_tube(self, so3, monkeypatch):
+        F = fields.so3_demo_schedule(so3)
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
+        cert = contraction.certify_region(F, so3, samples, c=0.0)
         calls = []
         real = reach.integrate
 
@@ -301,13 +309,10 @@ class TestLockstepTube:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(reach, "integrate", counted)
-        reach.monte_carlo_containment(tube, F, so3, n_samples=10, seed=7)
-        assert calls == []
-        for n, seed in [(10, 8), (12, 7)]:
-            got = reach.monte_carlo_containment(tube, F, so3, n_samples=n, seed=seed)
-            want = reach.monte_carlo_containment(plain, F, so3, n_samples=n, seed=seed)
-            assert np.array_equal(got.distances, want.distances)
-        assert len(calls) == 4
+        tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=10, seed=7)
+        assert len(calls) == 1
+        reach.monte_carlo_containment(tube)
+        assert len(calls) == 1
 
 
 class TestStreamedIntegrate:

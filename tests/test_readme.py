@@ -1,5 +1,7 @@
-"""The README's CLI commands and its library sketch run as written."""
+"""The README's CLI commands and its library sketch run as written, and the
+CLI options it names exist."""
 
+import argparse
 import json
 import re
 import shlex
@@ -43,3 +45,21 @@ def test_readme_library_sketch_runs(capsys):
     sketch = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
     exec(compile(sketch, str(README), "exec"), {})
     assert capsys.readouterr().out == "PASS True\n"
+
+
+def cli_options() -> set[str]:
+    """The option strings of the top-level parser and of every subcommand."""
+    parser = cli.build_parser()
+    parsers = [parser] + [choice for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for choice in action.choices.values()]
+    return {opt for p in parsers for action in p._actions for opt in action.option_strings}
+
+
+def test_readme_options_exist():
+    # the install lines name pip's options, not the CLI's
+    text = "\n".join(line for line in README.read_text().splitlines()
+                     if "pip install" not in line)
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    missing = named - cli_options()
+    assert named and not missing, sorted(missing)

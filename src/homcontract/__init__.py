@@ -38,7 +38,6 @@ from .reach import (
     Trajectory,
     distance,
     integrate,
-    monte_carlo_containment,
     reach_tube,
 )
 from .spaces import (

@@ -203,27 +203,22 @@ def cmd_reach(args) -> int:
         F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
         method=args.method, n_samples=args.samples, seed=args.seed,
     )
-    report = reach.monte_carlo_containment(tube)
-    out = _write_result(args, "reach.json", {
-        "tube": tube.to_dict(),
-        "certificate": cert.to_dict(),
-        "containment": report.to_dict(),
-    })
+    out = _write_result(args, "reach.json", tube.to_dict())
     reach.trajectory_to_csv(space, tube.center, out / "center_trajectory.csv")
     svgplot.line_plot(
         out / "reach.svg",
         tube.center.times,
-        [("radius", tube.radius(tube.center.times)), ("sample distances", report.distances)],
+        [("radius", tube.radius(tube.center.times)), ("sample distances", tube.distances)],
         title="tube radius and Monte Carlo sample distances",
         xlabel="t",
         ylabel="distance",
     )
     print(
-        f"containment {('PASS' if report.passed else 'FAIL')}: "
-        f"max_margin={report.max_margin:.3e} max_drift={report.max_drift:.3e} "
-        f"({report.n_samples} samples)"
+        f"containment {('PASS' if tube.passed else 'FAIL')}: "
+        f"max_margin={tube.max_margin:.3e} max_drift={tube.max_drift:.3e} "
+        f"({tube.n_samples} samples)"
     )
-    return 0 if report.passed else 2
+    return 0 if tube.passed else 2
 
 
 def _finite(kind):

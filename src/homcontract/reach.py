@@ -1,14 +1,16 @@
 """Lie-group integration, invariant distances, and contraction tubes.
 
 Integrators advance states by exponentials of algebra increments, so
-trajectories stay on the group by construction.  Tubes pair a center
-trajectory with the exponential radius schedule K e^{ct} r0 and are
-checked empirically by Monte Carlo containment.
+trajectories stay on the group by construction.  A tube holds its
+certificate, its center trajectory with the radius schedule K e^{ct} r0,
+and the distances of a Monte Carlo ball to the center, from which it
+reads its own containment verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,10 +73,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     reused buffer that it must copy from; the returned ``states`` is then
     None.  Without it every state is stored in ``states`` (T+1, ..., d, d).
     """
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    if not 0.0 <= horizon < np.inf:
-        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
+    n_steps = _step_count(horizon, dt)
 
     def corrected(sigma, a):
         # right-trivialized dexpinv truncated to two commutator terms
@@ -100,7 +99,6 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         raise ValueError(f"unknown integrator {method!r}")
     g = np.asarray(g0, dtype=float)
     space.check_group(g)
-    n_steps = int(round(horizon / dt))
     times = dt * np.arange(n_steps + 1)
     m, d = space.dim_m, space.embed_dim
     one_row = F.state_independent and g.size > 0
@@ -144,6 +142,15 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     return Trajectory(times=times, states=states, integrator_id=method, step_size=dt)
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """round(horizon / dt), for a positive, finite step and a non-negative, finite horizon."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
+    return int(round(horizon / dt))
+
+
 def _require_distance(space: Space) -> None:
     """Raise NotImplementedError unless the m-basis is orthonormal for the
     trace form that the kind's closed-form distance measures."""
@@ -171,33 +178,46 @@ def distance(space: Space, p, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReachTube:
-    """Center trajectory, radius schedule K e^{ct} r0, and the Monte Carlo
-    ball's distances to the center, shape (T+1, n_samples), with the seed
-    the ball was drawn with."""
+    """The whole reach answer: the certificate, the center trajectory, the
+    radius schedule K e^{ct} r0 with c the certificate's rate, and the Monte
+    Carlo ball's distances to the center, shape (T+1, n_samples), with the
+    seed the ball was drawn with.  The containment verdict is read from the
+    distances and the radius."""
 
     center: Trajectory
+    certificate: ContractionCertificate
     K: float
-    c: float
     r0: float
-    space_id: str
-    field_id: str
     distances: np.ndarray = field(repr=False)
     seed: int = 0
+
+    c = property(lambda self: self.certificate.rate_c)
+    space_id = property(lambda self: self.certificate.space_id)
+    field_id = property(lambda self: self.certificate.field_id)
+    n_samples = property(lambda self: self.distances.shape[1])
+    max_margin = property(lambda self: self._extremes[0])  # max over (t, n) of d - radius(t)
+    max_drift = property(lambda self: self._extremes[1])  # max over (t, n) of |d(t) - d(0)|
+    passed = property(lambda self: self.max_margin <= _CONTAINMENT_TOL)
+
+    @cached_property
+    def _extremes(self) -> tuple[float, float]:
+        # one reduction however often the verdict is read
+        return _tube_extremes(self.distances, self.radius(self.center.times))
 
     def radius(self, t) -> np.ndarray:
         return self.K * np.exp(self.c * np.asarray(t, dtype=float)) * self.r0
 
     def to_dict(self) -> dict:
+        """The ``tube``, ``certificate`` and ``containment`` sections of reach.json."""
+        traj = self.center
         return {
-            "space": self.space_id,
-            "field": self.field_id,
-            "K": self.K,
-            "c": self.c,
-            "r0": self.r0,
-            "horizon": self.center.horizon,
-            "dt": self.center.step_size,
-            "integrator": self.center.integrator_id,
-            "radius_schedule": "K*exp(c*t)*r0",
+            "tube": {"space": self.space_id, "field": self.field_id, "K": self.K, "c": self.c,
+                     "r0": self.r0, "horizon": traj.horizon, "dt": traj.step_size,
+                     "integrator": traj.integrator_id, "radius_schedule": "K*exp(c*t)*r0"},
+            "certificate": self.certificate.to_dict(),
+            "containment": {"n_samples": self.n_samples, "seed": self.seed,
+                            "max_margin": self.max_margin, "max_drift": self.max_drift,
+                            "tol": _CONTAINMENT_TOL, "verdict": "PASS" if self.passed else "FAIL"},
         }
 
 
@@ -206,25 +226,29 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                method: str = "rkmk4", n_samples: int = 100, seed: int = 0) -> ReachTube:
     """Contraction tube around the center from ``g0``, with its Monte Carlo ball.
 
-    Requires a PASS certificate, at any rate c (its label names the sign),
-    a space with a shipped distance, ``n_samples >= 1`` and a positive,
-    finite ``r0``, and raises before any integration otherwise.  The ball
-    of ``n_samples`` (drawn with ``seed``) is integrated with the center in
-    one stack [g0; ball], never stored: each chunk of steps is reduced to
-    the center (T+1, d, d) and the ball's distances to it (T+1, n_samples).
+    Requires a PASS certificate (at any rate c) for this field on this
+    space, a space with a shipped distance, ``n_samples >= 1``, a positive,
+    finite ``r0`` and a step and horizon ``integrate`` takes, and raises
+    before any integration otherwise.  The ball of ``n_samples`` (drawn
+    with ``seed``) is integrated with the center in one stack [g0; ball],
+    never stored: each chunk of steps is reduced to the center (T+1, d, d)
+    and the ball's distances to it (T+1, n_samples).
     K = 1: the distance is that of the metric in which the certificate's
     frame is orthonormal, where mu <= c gives d(t) <= e^{ct} d(0).
     """
     if not certificate.passed:
         raise ValueError("certificate verdict is FAIL; no sound tube exists")
+    if (certificate.field_id, certificate.space_id) != (F.name, space.name):
+        raise ValueError(f"certificate covers {certificate.field_id} on {certificate.space_id}, "
+                         f"not {F.name} on {space.name}")
     _require_distance(space)
     if n_samples < 1:
         raise ValueError(f"a tube needs at least one ball sample, got n_samples={n_samples}")
     if not 0.0 < r0 < np.inf:
         raise ValueError(f"ball radius must be positive and finite, got r0={r0}")
+    n_times = _step_count(horizon, dt) + 1
     g0 = np.asarray(g0, dtype=float)
     ball = sample_metric_ball(space, g0, r0, n_samples, seed)
-    n_times = int(round(horizon / dt)) + 1
     center, dists = np.empty((n_times,) + g0.shape), np.empty((n_times, n_samples))
 
     def reduce(lo, chunk):
@@ -234,16 +258,8 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
 
     traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt,
                      method=method, consume=reduce)
-    return ReachTube(
-        center=replace(traj, states=center),
-        K=1.0,
-        c=float(certificate.rate_c),
-        r0=float(r0),
-        space_id=space.name,
-        field_id=F.name,
-        distances=dists,
-        seed=seed,
-    )
+    return ReachTube(center=replace(traj, states=center), certificate=certificate, K=1.0,
+                     r0=float(r0), distances=dists, seed=seed)
 
 
 def _tube_extremes(dists, radii) -> tuple[float, float]:
@@ -259,32 +275,6 @@ def _tube_extremes(dists, radii) -> tuple[float, float]:
     return float(max_margin), float(max_drift)
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Monte Carlo check that sampled trajectories stay inside the tube."""
-
-    n_samples: int
-    seed: int
-    max_margin: float  # max over samples/times of d(sample, center) - radius
-    max_drift: float   # max over samples/times of |d(t) - d(0)|
-    tol: float
-    distances: np.ndarray = field(repr=False)  # (T+1, n_samples)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_margin <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "max_margin": self.max_margin,
-            "max_drift": self.max_drift,
-            "tol": self.tol,
-            "verdict": "PASS" if self.passed else "FAIL",
-        }
-
-
 def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np.ndarray:
     """Uniform samples of the metric ball pushed through the exponential."""
     rng = np.random.default_rng(seed)
@@ -294,24 +284,6 @@ def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np
     radii = r0 * rng.random(n) ** (1.0 / m)
     coords = dirs * radii[:, None]
     return np.asarray(g0, dtype=float) @ space.algebra_exp(space.algebra_from_coords(coords))
-
-
-def monte_carlo_containment(tube: ReachTube) -> ContainmentReport:
-    """Check that the tube's ball samples stay inside its radius schedule.
-
-    Reads the sample distances ``reach_tube`` integrated with the center;
-    integrates nothing.
-    """
-    dists = tube.distances
-    max_margin, max_drift = _tube_extremes(dists, tube.radius(tube.center.times))
-    return ContainmentReport(
-        n_samples=dists.shape[1],
-        seed=tube.seed,
-        max_margin=max_margin,
-        max_drift=max_drift,
-        tol=_CONTAINMENT_TOL,
-        distances=dists,
-    )
 
 
 def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:

@@ -162,12 +162,15 @@ class Space:
 
     def check_group(self, g) -> None:
         """Raise if g, or any element of a stack (..., d, d), violates the
-        group's defining constraint; the message names the first offender."""
+        group's defining constraint; the message names the first offender.
+        An element with a non-finite entry violates it on every kind."""
         g = np.asarray(g, dtype=float)
         if g.shape[-2:] != (self.embed_dim, self.embed_dim):
             raise ValueError(f"group element has wrong shape {g.shape}")
-        err = self.ops.residual(g)
-        bad = ~(err <= _GROUP_TOL)  # NaN entries count as violations
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        err = np.full(finite.shape, np.nan)
+        err[finite] = self.ops.residual(g[finite])
+        bad = ~(err <= _GROUP_TOL)
         if np.any(bad):
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
             where = f" at stack index {idx}" if idx else ""

@@ -17,6 +17,13 @@ SO3 = spaces.make_so3_biinvariant()
 EUCLID2 = spaces.make_euclidean(2)
 
 
+def _translation(i: int, value: float) -> np.ndarray:
+    """An element of euclidean:2 whose translation entry i is ``value``."""
+    g = np.eye(3)
+    g[i, 2] = value
+    return g
+
+
 def _descriptor_with_m_basis(m_basis) -> str:
     data = json.loads(SPHERE.to_json())
     data["m_basis"] = m_basis
@@ -55,6 +62,12 @@ RAISES = {
         lambda: spaces.from_json(_descriptor_with_m_basis(np.zeros((2, 3, 2)).tolist())),
         r"m_basis must be a nonempty \(m, d, d\) stack"),
     "make_euclidean-0": (lambda: spaces.make_euclidean(0), "dimension must be at least 1"),
+    "check_group-nan-translation": (lambda: EUCLID2.check_group(_translation(0, np.nan)),
+                                    "violates the group constraint"),
+    "integrate-inf-translation": (
+        lambda: reach.integrate(fields.constant_field(EUCLID2, [1.0, 0.0]), EUCLID2,
+                                _translation(1, np.inf), 0.1, 0.01),
+        "violates the group constraint"),
     "loop_obstruction_check-base": (
         lambda: contraction.loop_obstruction_check(fields.sphere_height_gradient(SPHERE), SPHERE,
                                                    [1.0, 0.0], base=2.0 * np.eye(3)),
@@ -89,6 +102,25 @@ def test_reach_tube_refuses_a_bad_ball(kw, match):
     with pytest.raises(ValueError, match=match):
         reach.reach_tube(dataclasses.replace(F, coeff=forbidden), SO3, np.eye(3),
                          certificate=cert, horizon=1.0, dt=0.01, **args)
+
+
+@pytest.mark.parametrize("horizon,dt,match", [
+    (np.inf, 0.01, "horizon must be non-negative and finite, got inf"),
+    (np.nan, 0.01, "horizon must be non-negative and finite, got nan"),
+    (-1.0, 0.01, "horizon must be non-negative and finite, got -1.0"),
+    (1.0, 0.0, "step size must be positive and finite, got 0.0"),
+    (1.0, np.nan, "step size must be positive and finite, got nan"),
+], ids=["horizon-inf", "horizon-nan", "horizon-negative", "dt-0", "dt-nan"])
+def test_reach_tube_refuses_a_bad_step(horizon, dt, match):
+    F = fields.so3_demo_schedule(SO3)
+    cert = contraction.certify_region(F, SO3, [np.eye(3)], c=0.0)
+
+    def forbidden(g, t):
+        raise AssertionError("coefficient call before the input check")
+
+    with pytest.raises(ValueError, match=match):
+        reach.reach_tube(dataclasses.replace(F, coeff=forbidden), SO3, np.eye(3), 0.1, cert,
+                         horizon, dt, n_samples=10)
 
 
 def test_find_period_refuses_a_wrong_closed_form(monkeypatch):

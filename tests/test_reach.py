@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from homcontract import contraction, fields, reach, smallmat
+from homcontract import cli, contraction, fields, reach, smallmat
 from homcontract.spaces import SO3_BASIS
 
 AX, AY, AZ = SO3_BASIS
+# every shipped distance, by CLI spec
+DISTANCE_SPACES = {spec: cli._resolve_space(spec) for spec in
+                   ("so3", "sphere2", "circle", "euclidean:2")}
+
+
+def _elements(space, x) -> np.ndarray:
+    """Group elements exp(A), A with coordinates x (..., n_h + n_m) in the h- and m-bases."""
+    basis = np.concatenate([space.dec.h_basis, space.dec.m_basis])
+    return space.algebra_exp(np.einsum("...i,ijk->...jk", x, basis))
 
 
 class TestIntegrate:
@@ -143,6 +152,22 @@ class TestDistance:
         with pytest.raises(NotImplementedError):
             reach.distance(so3_left, np.eye(3), expm(0.1 * AX))
 
+    @pytest.mark.parametrize("spec", DISTANCE_SPACES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_symmetric_zero_at_a_state_and_left_invariant(self, spec, data):
+        space = DISTANCE_SPACES[spec]
+        coords = st.floats(-4.0, 4.0)
+        n_g = len(space.dec.h_basis) + space.dim_m
+        n = data.draw(st.integers(1, 8), label="stacked states")
+        p, q = _elements(space, data.draw(arrays(np.float64, (2, n, n_g), elements=coords)))
+        g = _elements(space, data.draw(arrays(np.float64, n_g, elements=coords)))
+        d = reach.distance(space, p, q)
+        tol = 1e-10 * (1.0 + d)
+        assert np.all(np.abs(reach.distance(space, q, p) - d) <= tol)
+        assert np.all(reach.distance(space, p, p) <= 1e-10)
+        assert np.all(np.abs(reach.distance(space, g @ p, g @ q) - d) <= tol)
+
 
 class TestReachTube:
     def _nonexpansive_tube(self, so3, r0=0.1, horizon=1.0, dt=0.01, **kw):
@@ -179,6 +204,36 @@ class TestReachTube:
         with pytest.raises(ValueError, match="FAIL"):
             reach.reach_tube(F, sphere, np.eye(3), 0.1, cert, 1.0, 0.01)
 
+    @staticmethod
+    def _refused(monkeypatch, F, space, cert):
+        """A PASS certificate for another field or space: refused, nothing integrated."""
+        assert cert.passed
+        calls = []
+        real = reach.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reach, "integrate", counted)
+        with pytest.raises(ValueError, match="certificate covers"):
+            reach.reach_tube(F, space, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=10)
+        assert calls == []
+
+    def test_certificate_for_another_field_refused(self, sphere, monkeypatch):
+        samples = contraction.sphere_cap_grid(sphere, np.radians(60.0), 8, 8)
+        good = fields.builtin_field(sphere, "sphere-grad-height")
+        noneq = fields.builtin_field(sphere, "sphere-noneq")
+        assert not contraction.certify_region(noneq, sphere, samples, c=-0.5).passed
+        cert = contraction.certify_region(good, sphere, samples, c=-0.5)
+        self._refused(monkeypatch, noneq, sphere, cert)
+
+    def test_certificate_for_another_space_refused(self, so3, monkeypatch):
+        left = cli._resolve_space("so3-left:1,1,1")  # the same metric, another space
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 16)
+        cert = contraction.certify_region(fields.so3_demo_schedule(so3), so3, samples, c=0.0)
+        self._refused(monkeypatch, fields.so3_demo_schedule(left), left, cert)
+
 
 class TestMonteCarloContainment:
     def test_ball_samples_within_radius(self, so3):
@@ -191,9 +246,8 @@ class TestMonteCarloContainment:
     def test_so3_nonexpansive_containment(self, so3):
         F, tube = TestReachTube()._nonexpansive_tube(so3, r0=0.1, horizon=1.0, dt=1e-3,
                                                      n_samples=30)
-        rep = reach.monte_carlo_containment(tube)
-        assert rep.passed
-        assert rep.max_drift <= 1e-5  # bi-invariant flow is isometric
+        assert tube.passed
+        assert tube.max_drift <= 1e-5  # bi-invariant flow is isometric
 
     def test_sphere_contracting_containment(self, sphere):
         F = fields.sphere_height_gradient(sphere)
@@ -201,14 +255,12 @@ class TestMonteCarloContainment:
         cert = contraction.certify_region(F, sphere, samples, c=-0.5)
         g0 = expm(0.3 * AX)  # inside the cap with room for the ball
         tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 1e-3, n_samples=40)
-        rep = reach.monte_carlo_containment(tube)
-        assert rep.passed, rep.max_margin
+        assert tube.passed, tube.max_margin
 
     def test_report_shapes(self, so3):
         F, tube = TestReachTube()._nonexpansive_tube(so3, horizon=0.2, dt=0.01, n_samples=7)
-        rep = reach.monte_carlo_containment(tube)
-        assert rep.distances.shape == (len(tube.center.times), 7)
-        assert rep.n_samples == 7
+        assert tube.distances.shape == (len(tube.center.times), 7)
+        assert tube.n_samples == 7
 
 
 class TestCsv:
@@ -246,13 +298,12 @@ class TestSmallDistances:
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
         tube = reach.reach_tube(F, so3, np.eye(3), r0, cert, 1.0, 0.01, n_samples=20, seed=3)
-        rep = reach.monte_carlo_containment(tube)
-        assert rep.passed
-        assert rep.max_drift <= 1e-6 * r0
+        assert tube.passed
+        assert tube.max_drift <= 1e-6 * r0
         rng = np.random.default_rng(3)  # the ball radii drawn by sample_metric_ball
         rng.standard_normal((20, 3))
         radii = r0 * rng.random(20) ** (1.0 / 3.0)
-        assert np.max(np.abs(rep.distances[0] - radii)) <= 1e-9 * r0
+        assert np.max(np.abs(tube.distances[0] - radii)) <= 1e-9 * r0
 
 
 class TestLockstepTube:
@@ -277,11 +328,9 @@ class TestLockstepTube:
         assert np.array_equal(tube.center.times, 0.01 * np.arange(101))
         assert tube.center.states.flags.c_contiguous
         assert np.array_equal(tube.distances, dists)
-        rep = reach.monte_carlo_containment(tube)
-        assert rep.distances is tube.distances
-        assert (rep.n_samples, rep.seed) == (100, 7)
-        assert rep.max_margin == (dists - tube.radius(tube.center.times)[:, None]).max()
-        assert rep.max_drift == np.abs(dists - dists[0]).max()
+        assert (tube.n_samples, tube.seed) == (100, 7)
+        assert tube.max_margin == (dists - tube.radius(tube.center.times)[:, None]).max()
+        assert tube.max_drift == np.abs(dists - dists[0]).max()
 
     def test_sphere_lockstep_matches(self, sphere):
         F = fields.sphere_height_gradient(sphere)
@@ -292,10 +341,9 @@ class TestLockstepTube:
         center, dists = self._alone(F, sphere, g0, 0.15, 40, 2, 2.0, 0.01)
         assert np.max(np.abs(tube.center.states - center)) <= 1e-12
         assert np.max(np.abs(tube.distances - dists)) <= 1e-12
-        rep = reach.monte_carlo_containment(tube)
         radii = tube.radius(tube.center.times)[:, None]
-        assert rep.max_margin == pytest.approx((dists - radii).max(), abs=1e-12)
-        assert rep.max_drift == pytest.approx(np.abs(dists - dists[0]).max(), abs=1e-12)
+        assert tube.max_margin == pytest.approx((dists - radii).max(), abs=1e-12)
+        assert tube.max_drift == pytest.approx(np.abs(dists - dists[0]).max(), abs=1e-12)
 
     def test_one_integration_per_tube(self, so3, monkeypatch):
         F = fields.so3_demo_schedule(so3)
@@ -311,7 +359,7 @@ class TestLockstepTube:
         monkeypatch.setattr(reach, "integrate", counted)
         tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=10, seed=7)
         assert len(calls) == 1
-        reach.monte_carlo_containment(tube)
+        tube.to_dict()  # the containment verdict and its maxima
         assert len(calls) == 1
 
 

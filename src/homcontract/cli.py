@@ -190,7 +190,7 @@ def cmd_loop_check(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    steps = round(args.horizon / args.dt)
+    steps = reach._step_count(args.horizon, args.dt)
     if steps < 1 or abs(steps * args.dt - args.horizon) > 1e-9 * args.horizon:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)

@@ -28,25 +28,30 @@ class HorizontalField:
     ``coeff`` maps (g, t) to an R^m coefficient vector and must accept
     stacked group elements of shape (..., d, d), returning (..., m).
     ``state_independent`` declares that the coefficients depend on t only,
-    so the flow commutes with left translation; ``reach.integrate`` then
-    evaluates the coefficients on one state and builds the increments of
-    each 64-step block in one stacked pass, shared by every row.  It
-    verifies the declaration at each block's first time and raises
-    ValueError where the stack's coefficients differ.
+    so the flow commutes with left translation.  Such a field must also
+    accept an array of times: t of shape (n,) with g of shape (n, d, d)
+    returns (n, m), row i the coefficients at t[i], bit for bit as a call
+    with the scalar t[i].  ``reach.integrate`` then evaluates each stage of
+    a 64-step block in one call, with g a broadcast view of one state, and
+    builds the block's increments in one stacked pass, shared by every
+    row.  It verifies the declaration at each block's first time and
+    raises ValueError where the stack's coefficients differ.
     """
 
     name: str
     space_name: str
-    coeff: Callable[[np.ndarray, float], np.ndarray]
+    coeff: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     state_independent: bool = False
 
 
-def eval_coeff(F: HorizontalField, g, t: float = 0.0, dim_m=None) -> np.ndarray:
+def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
     """Coefficients of F at g of shape (..., d, d), returned as (..., m).
 
-    With ``dim_m`` given, any other shape raises.  A non-finite coefficient
-    raises, naming the first offending stack index; the finite case costs
-    one ``isfinite`` pass, and the index is searched for only on failure.
+    ``t`` is a scalar, or for a state-independent field an array of times
+    matching the stack.  With ``dim_m`` given, any other shape raises.  A
+    non-finite coefficient raises, naming the first offending stack index,
+    its time and its state; the finite case costs one ``isfinite`` pass,
+    and the index is searched for only on failure.
     """
     g = np.asarray(g, dtype=float)
     c = np.asarray(F.coeff(g, t), dtype=float)
@@ -57,8 +62,9 @@ def eval_coeff(F: HorizontalField, g, t: float = 0.0, dim_m=None) -> np.ndarray:
         bad = ~np.all(np.isfinite(np.atleast_1d(c)), axis=-1)
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f" at stack index {idx} of {bad.shape}" if idx else ""
+        t_bad = float(np.broadcast_to(t, bad.shape)[idx])
         raise ValueError(
-            f"field {F.name}: non-finite coefficients at t={t}{where}, g=\n{g[idx]}")
+            f"field {F.name}: non-finite coefficients at t={t_bad}{where}, g=\n{g[idx]}")
     return c
 
 
@@ -192,8 +198,12 @@ def constant_field(space: Space, u) -> HorizontalField:
 def so3_demo_schedule(space: Space) -> HorizontalField:
     """Time-varying open-loop input used by the attitude reachability demo."""
 
-    def coeff(g, t):
-        u = np.array([(5.0 - t) / 5.0, 1.0 - (t / 5.0) ** 2, np.sin(np.pi * t / 2.0)])
+    def coeff(g, t):  # t a scalar, or times (n,) for a stack (n, 3, 3)
+        t = np.asarray(t)
+        # s * s, not s ** 2: a numpy scalar squares with libm pow, 1 ulp off the
+        # product at some times (t = 2.551), and an array with the product
+        s = t / 5.0
+        u = np.stack([(5.0 - t) / 5.0, 1.0 - s * s, np.sin(np.pi * t / 2.0)], axis=-1)
         out = np.empty(g.shape[:-2] + (3,))
         out[...] = u
         return out

@@ -60,13 +60,14 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     The steps run in blocks of ``_STEP_CHUNK``.  A field declared
     ``state_independent`` has an increment Omega_k that depends on the step
     k alone, and every row takes it, g_i(t) = g_i(0) Phi(t).  So a block's
-    increments are built in one stacked pass, with the coefficients of
-    every stage time evaluated on row 0 of the start stack, and one
-    exponential over the block; every row comes out bit for bit as with
-    per-row stages.  The declaration is checked at each block's first time
-    on that row and the current stack: rows whose coefficients differ
-    raise ValueError.  Any other field runs its stages on the whole stack,
-    one step at a time.
+    increments are built in one stacked pass: one coefficient call per
+    stage, on the block's stage times with a broadcast of row 0 of the
+    start stack, and one exponential over the block.  Each step is then one
+    product of the stack's rows with its increment, and every row comes
+    out bit for bit as with per-row stages.  The declaration is checked at
+    each block's first time on that row and the current stack: rows whose
+    coefficients differ raise ValueError.  Any other field runs its stages
+    on the whole stack, one step at a time.
 
     Each block is also a chunk for ``consume``, called as
     ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time order with one
@@ -106,7 +107,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
 
     def row_stage(s, tau):  # the field ignores the state, so s is not applied
         return space.algebra_from_coords(
-            np.stack([eval_coeff(F, g_row[0], ti, dim_m=m) for ti in tau]))
+            eval_coeff(F, np.broadcast_to(g_row[0], tau.shape + (d, d)), tau, dim_m=m))
 
     def stack_stage(gk):  # the stages of one step from the stack gk
         return lambda s, tau: space.algebra_from_coords(eval_coeff(
@@ -132,8 +133,10 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
                                  f"coefficients at t={block[0]:g} differ between states")
             E = space.algebra_exp(increment(row_stage, block))
         for j, t in enumerate(block):
-            buf[j + 1] = buf[j] @ (E[j] if one_row
-                                   else space.algebra_exp(increment(stack_stage(buf[j]), t)))
+            if one_row:  # one (rows * d, d) x (d, d) product
+                np.matmul(buf[j].reshape(-1, d), E[j], out=buf[j + 1].reshape(-1, d))
+            else:
+                buf[j + 1] = buf[j] @ space.algebra_exp(increment(stack_stage(buf[j]), t))
         if len(block) == _STEP_CHUNK:
             consume(lo, buf[:-1])
             buf[0] = buf[-1]
@@ -143,12 +146,16 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
 
 
 def _step_count(horizon: float, dt: float) -> int:
-    """round(horizon / dt), for a positive, finite step and a non-negative, finite horizon."""
+    """round(horizon / dt), for a positive, finite step, a non-negative, finite
+    horizon and a finite ratio of the two."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
     if not 0.0 <= horizon < np.inf:
         raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
-    return int(round(horizon / dt))
+    ratio = float(horizon) / float(dt)  # Python floats: inf on overflow, no warning
+    if not ratio < np.inf:
+        raise ValueError(f"horizon / step size must be finite, got {horizon} / {dt}")
+    return int(round(ratio))
 
 
 def _require_distance(space: Space) -> None:

@@ -1,8 +1,8 @@
 """Dense small-matrix kernels shared by the rest of the library.
 
 Everything operates on plain numpy arrays of 3x3 matrices, stacked or
-not: the skew hat map and its inverse, the closed-form exponential of
-skew matrices, and rotation angles.  All functions are pure.
+not: the skew hat map, the closed-form exponential of skew matrices,
+and rotation angles.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -18,12 +18,6 @@ def hat3(w) -> np.ndarray:
     O[..., 1, 0], O[..., 1, 2] = w[..., 2], -w[..., 0]
     O[..., 2, 0], O[..., 2, 1] = -w[..., 1], w[..., 0]
     return O
-
-
-def vee3(A) -> np.ndarray:
-    """Inverse of hat3 (assumes the input is skew)."""
-    A = np.asarray(A, dtype=float)
-    return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
 
 
 _I3 = np.eye(3)
@@ -57,9 +51,13 @@ def so3_angle(Ra, Rb) -> np.ndarray:
     """Rotation angle between (broadcasting) stacked rotations.
 
     atan2 of sin (from the skew part) and cos (from the trace) of the
-    relative rotation, accurate at small angles and near pi alike.
+    relative rotation, accurate at small angles and near pi alike.  Only
+    the three skew differences and the diagonal of the relative rotation
+    are read.
     """
     rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
-    sin = 0.5 * np.linalg.norm(vee3(rel - np.swapaxes(rel, -1, -2)), axis=-1)
-    cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
+    skew = np.stack([rel[..., 2, 1] - rel[..., 1, 2], rel[..., 0, 2] - rel[..., 2, 0],
+                     rel[..., 1, 0] - rel[..., 0, 1]], axis=-1)
+    sin = 0.5 * np.linalg.norm(skew, axis=-1)
+    cos = 0.5 * (rel[..., 0, 0] + rel[..., 1, 1] + rel[..., 2, 2] - 1.0)
     return np.arctan2(sin, cos)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -231,6 +232,26 @@ class TestReach:
         assert "FAIL" in capsys.readouterr().err
 
 
+class TestStateIndependentPathExact:
+    """The demo reach writes the same bytes through the state-independent path
+    (one coefficient call per stage per block) as through the per-step stages."""
+
+    def test_outputs_byte_identical(self, tmp_path, capsys, monkeypatch):
+        argv = ("reach", "--space", "so3", "--field", "so3-demo-schedule",
+                "--horizon", "0.2", "--dt", "1e-3", "--samples", "20")
+        assert run(tmp_path / "declared", *argv) == 0
+        resolve = cli._resolve_field
+
+        def undeclared(space, spec):
+            return dataclasses.replace(resolve(space, spec), state_independent=False)
+
+        monkeypatch.setattr(cli, "_resolve_field", undeclared)
+        assert run(tmp_path / "undeclared", *argv) == 0
+        for name in ("reach.json", "center_trajectory.csv", "reach.svg"):
+            declared = (tmp_path / "declared" / name).read_bytes()
+            assert declared == (tmp_path / "undeclared" / name).read_bytes(), name
+
+
 def _descriptor(tmp_path, space, **changes) -> str:
     """Path of a descriptor of ``space`` with some keys replaced or added."""
     data = json.loads(space.to_json())
@@ -365,6 +386,18 @@ class TestBadNumbers:
         assert run(tmp_path, *self.REACH, "--horizon", horizon) == 1
         assert capsys.readouterr().err == (
             f"error: --horizon {horizon} is not a multiple of --dt 0.01\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_step_count_overflow(self, tmp_path, capsys, monkeypatch):
+        # each operand is finite, but 1e300 / 1e-300 overflows to inf
+        def forbidden(*a, **k):
+            raise AssertionError("work before the step check")
+
+        monkeypatch.setattr(fields, "builtin_field", forbidden)
+        monkeypatch.setattr(reach, "integrate", forbidden)
+        assert run(tmp_path, *self.REACH, "--horizon", "1e300", "--dt", "1e-300") == 1
+        assert capsys.readouterr().err == (
+            "error: horizon / step size must be finite, got 1e+300 / 1e-300\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,needle", [

@@ -34,6 +34,34 @@ class TestEvalCoeff:
             fields.linearize(F, sphere, np.eye(3))
 
 
+class TestArrayOfTimes:
+    """A state-independent field takes times (n,) with a stack (n, d, d), row i
+    bit for bit the call at the scalar time t[i]."""
+
+    # every RKMK4 stage time of the reach demo (dt = 1e-3 to t = 5), and times
+    # well outside it
+    TIMES = np.concatenate([5e-4 * np.arange(10001),
+                            np.random.default_rng(4).uniform(-50.0, 50.0, 500)])
+
+    @pytest.mark.parametrize("make", [
+        fields.so3_demo_schedule,
+        lambda so3: fields.constant_field(so3, [0.3, -1.0, 0.7]),
+        lambda so3: fields.rotate_field(fields.so3_demo_schedule(so3), expm(0.7 * AX)),
+    ], ids=["so3-demo-schedule", "constant", "rotated-demo"])
+    def test_equals_stacked_scalar_calls(self, so3, make):
+        F = make(so3)
+        assert F.state_independent
+        g0 = expm(0.4 * AX + 0.2 * AZ)
+        batched = F.coeff(np.broadcast_to(g0, self.TIMES.shape + (3, 3)), self.TIMES)
+        assert batched.shape == (len(self.TIMES), 3)
+        assert np.array_equal(batched, np.stack([F.coeff(g0, t) for t in self.TIMES]))
+        assert np.array_equal(batched, np.stack([F.coeff(g0, float(t)) for t in self.TIMES]))
+        # eval_coeff passes the times through, checking the (n, m) shape
+        assert np.array_equal(
+            fields.eval_coeff(F, np.broadcast_to(g0, (5, 3, 3)), self.TIMES[:5], dim_m=3),
+            batched[:5])
+
+
 class TestLieDerivative:
     """The frame (Lie) derivatives of the coefficients, as linearize computes them."""
 

@@ -88,6 +88,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step size|horizon"):
             reach.integrate(F, so3, np.eye(3), horizon, dt=dt)
 
+    def test_step_ratio_overflow_rejected(self, so3):
+        # each operand is finite, their ratio is not
+        def forbidden(g, t):
+            raise AssertionError("a coefficient call before the step check")
+
+        F = fields.HorizontalField("forbidden", so3.name, forbidden, state_independent=True)
+        with pytest.raises(ValueError, match="horizon / step size must be finite, got "
+                                             "1e[+]300 / 1e-300"):
+            reach.integrate(F, so3, np.eye(3), 1e300, 1e-300)
+        cert = contraction.certify_region(fields.so3_demo_schedule(so3), so3, [np.eye(3)], c=0.0)
+        with pytest.raises(ValueError, match="horizon / step size must be finite"):
+            reach.reach_tube(replace(fields.so3_demo_schedule(so3), coeff=forbidden), so3,
+                             np.eye(3), 0.1, cert, 1e300, 1e-300, n_samples=5)
+
     def test_coefficient_shape_checked(self, so3):
         # one coefficient too many, and an unstacked (m,) for a stack of states
         too_many = fields.HorizontalField(
@@ -477,10 +491,11 @@ class TestStateIndependentStages:
     @pytest.mark.parametrize("method,stages", [("rkmk4", 4), ("lieeuler", 1)])
     def test_demo_stages_get_one_state(self, so3, method, stages):
         F = fields.so3_demo_schedule(so3)
-        shapes = []
+        shapes, strides = [], []
 
         def recorded(g, t):
             shapes.append(np.shape(g))
+            strides.append(g.strides[0])
             return F.coeff(g, t)
 
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 16)
@@ -489,8 +504,50 @@ class TestStateIndependentStages:
                                 0.05, 0.01, method=method, n_samples=100, seed=7)
         assert tube.distances.shape == (6, 100)
         # the block's check of the declaration sees start row 0 and the stack once;
-        # every stage one state
-        assert shapes == [(102, 3, 3)] + [(3, 3)] * (5 * stages)
+        # every stage one call on the block's 5 times, with one state broadcast
+        assert shapes == [(102, 3, 3)] + [(5, 3, 3)] * stages
+        assert strides[1:] == [0] * stages
+
+
+class TestOneCallPerStage:
+    """A state-independent field gets one coefficient call per stage per block."""
+
+    @pytest.mark.parametrize("method,calls", [("rkmk4", 25), ("lieeuler", 10)])
+    def test_calls_per_block(self, so3, method, calls):
+        F = fields.so3_demo_schedule(so3)
+        seen = []
+
+        def counted(g, t):
+            seen.append(np.shape(t))
+            return F.coeff(g, t)
+
+        # 300 steps: 5 blocks, each (1 declaration check + the stages)
+        reach.integrate(replace(F, coeff=counted), so3, np.eye(3), 3.0, 0.01, method=method,
+                        consume=lambda lo, chunk: None)
+        assert len(seen) == calls
+        stages = calls // 5 - 1
+        # each block: the check at its first time, then its stage times at once
+        assert seen == sum(([()] + [(n,)] * stages for n in (64, 64, 64, 64, 44)), [])
+
+    def test_non_finite_names_its_time(self, so3):
+        dt = 0.01
+        # the second half-step stage time of step 70, in the second block
+        t_bad = dt * 70 + 0.5 * dt
+        F = fields.so3_demo_schedule(so3)
+
+        def nan_once(g, t):
+            c = F.coeff(g, t)
+            c[np.asarray(t) == t_bad] = np.nan
+            return c
+
+        G = replace(F, name="nan-once", coeff=nan_once)
+        g0s = reach.sample_metric_ball(so3, np.eye(3), 0.3, 4, seed=2)
+        with pytest.raises(ValueError) as info:
+            reach.integrate(G, so3, g0s, 1.0, dt, consume=lambda lo, chunk: None)
+        msg = str(info.value)
+        assert f"non-finite coefficients at t={t_bad} at stack index (6,) of (36,)" in msg
+        # the one state the stage saw, row 0 of the start stack
+        assert msg.endswith(f"g=\n{g0s[0]}")
 
 
 class TestStackedIncrements:

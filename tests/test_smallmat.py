@@ -87,3 +87,39 @@ class TestSmallAngleLog:
         out = smallmat.so3_angle(np.eye(3), R)
         assert out.shape == (3,)
         assert np.allclose(out, angles, rtol=1e-9, atol=0.0)
+
+
+def _old_so3_angle(Ra, Rb):
+    """The kernel as first written: the full skew part through vee, np.trace."""
+    rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
+    skew = rel - np.swapaxes(rel, -1, -2)
+    vee = np.stack([skew[..., 2, 1], skew[..., 0, 2], skew[..., 1, 0]], axis=-1)
+    sin = 0.5 * np.linalg.norm(vee, axis=-1)
+    cos = 0.5 * (np.trace(rel, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(sin, cos)
+
+
+# relative angles near 0, near pi, and anywhere between
+_REL_ANGLE = st.one_of(st.floats(0.0, 1e-7), st.floats(np.pi - 1e-6, np.pi),
+                       st.floats(0.0, np.pi))
+_AXIS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.dot(v, v) > 1e-4)
+
+
+class TestSo3AngleKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.data())
+    def test_equals_the_vee_trace_formula(self, T, n, data):
+        # centers (T, 1, 3, 3) against samples (T, n, 3, 3), as a reach tube reads them
+        def rotations(count, angle):
+            axes = np.array(data.draw(st.lists(_AXIS, min_size=count, max_size=count)))
+            angles = np.array(data.draw(st.lists(angle, min_size=count, max_size=count)))
+            w = angles[:, None] * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+            return smallmat.so3_exp(smallmat.hat3(w))
+
+        centers = rotations(T, st.floats(0.0, np.pi)).reshape(T, 1, 3, 3)
+        samples = centers @ rotations(T * n, _REL_ANGLE).reshape(T, n, 3, 3)
+        got = smallmat.so3_angle(centers, samples)
+        assert got.shape == (T, n)
+        assert np.array_equal(got, _old_so3_angle(centers, samples))
+        assert np.array_equal(smallmat.so3_angle(samples, centers),
+                              _old_so3_angle(samples, centers))

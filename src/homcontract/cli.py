@@ -301,6 +301,9 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,12 +36,42 @@ class HorizontalField:
     builds the block's increments in one stacked pass, shared by every
     row.  It verifies the declaration at each block's first time and
     raises ValueError where the stack's coefficients differ.
+
+    ``gradient``, when given, maps (g, t) to the pair (c, grad): c of shape
+    (..., m) as ``coeff`` returns it, and grad of shape (..., m, d, d),
+    entry i the derivative of coefficient i with respect to the ambient
+    entries of g.  ``linearize`` then reads the frame derivatives from it
+    instead of taking finite differences.
     """
 
     name: str
     space_name: str
     coeff: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     state_independent: bool = False
+    gradient: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+def _checked(F: HorizontalField, g: np.ndarray, t, what: str, out, tail) -> np.ndarray:
+    """``out``, F's ``what`` at the stack g, as floats of shape g.shape[:-2] + tail.
+
+    Any other shape raises, unless ``tail`` is None (then one trailing axis
+    is per-element).  A non-finite entry raises, naming the first offending
+    stack index, its time and its state; the finite case costs one
+    ``isfinite`` pass, and the index is searched for only on failure.
+    """
+    out = np.asarray(out, dtype=float)
+    if tail is not None and out.shape != g.shape[:-2] + tail:
+        raise ValueError(f"field {F.name}: {what} shape {out.shape}, "
+                         f"expected {g.shape[:-2] + tail}")
+    if not np.isfinite(out).all():
+        per_element = (-1,) if tail is None else tuple(range(-len(tail), 0))
+        bad = ~np.all(np.isfinite(np.atleast_1d(out)), axis=per_element)
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at stack index {idx} of {bad.shape}" if idx else ""
+        t_bad = float(np.broadcast_to(t, bad.shape)[idx])
+        raise ValueError(
+            f"field {F.name}: non-finite {what}s at t={t_bad}{where}, g=\n{g[idx]}")
+    return out
 
 
 def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
@@ -50,22 +80,11 @@ def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
     ``t`` is a scalar, or for a state-independent field an array of times
     matching the stack.  With ``dim_m`` given, any other shape raises.  A
     non-finite coefficient raises, naming the first offending stack index,
-    its time and its state; the finite case costs one ``isfinite`` pass,
-    and the index is searched for only on failure.
+    its time and its state.
     """
     g = np.asarray(g, dtype=float)
-    c = np.asarray(F.coeff(g, t), dtype=float)
-    if dim_m is not None and c.shape != g.shape[:-2] + (dim_m,):
-        raise ValueError(f"field {F.name}: coefficient shape {c.shape}, "
-                         f"expected {g.shape[:-2] + (dim_m,)}")
-    if not np.isfinite(c).all():
-        bad = ~np.all(np.isfinite(np.atleast_1d(c)), axis=-1)
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f" at stack index {idx} of {bad.shape}" if idx else ""
-        t_bad = float(np.broadcast_to(t, bad.shape)[idx])
-        raise ValueError(
-            f"field {F.name}: non-finite coefficients at t={t_bad}{where}, g=\n{g[idx]}")
-    return c
+    return _checked(F, g, t, "coefficient", F.coeff(g, t),
+                    None if dim_m is None else (dim_m,))
 
 
 def _frame_derivatives(F: HorizontalField, space: Space, g, t: float, step: float,
@@ -99,10 +118,24 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
 
     ``g`` may be a stack (..., d, d); the result is then (..., m, m), one
     matrix per element, from a single stacked coefficient evaluation.
-    Column j is the frame derivative of the coefficients plus the
-    connection correction sum_k coeff_k alpha[:, j, k].
+    Column j is the frame derivative of the coefficients along g exp(s A_j),
+    A_j the m-basis of ``space``, plus the connection correction
+    sum_k coeff_k alpha[:, j, k].  A field with a ``gradient`` gives the
+    frame derivative as <grad_i, g A_j> from one call, whose shapes and
+    finiteness are checked as ``eval_coeff`` checks coefficients; ``step``
+    and ``richardson`` then do not apply.  Any other field takes central
+    differences of step ``step``, and with ``richardson`` halves the step
+    once and extrapolates.
     """
-    P, c = _frame_derivatives(F, space, g, t, step, richardson)
+    if F.gradient is None:
+        P, c = _frame_derivatives(F, space, g, t, step, richardson)
+    else:
+        g = np.asarray(g, dtype=float)
+        m, d = space.dim_m, space.embed_dim
+        c, grad = F.gradient(g, t)
+        c = _checked(F, g, t, "coefficient", c, (m,))
+        grad = _checked(F, g, t, "gradient", grad, (m, d, d))
+        P = np.einsum("...iab,...jab->...ij", grad, g[..., None, :, :] @ space.dec.m_basis)
     return P + np.einsum("ijk,...k->...ij", space.alpha, c)
 
 
@@ -134,17 +167,26 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
 
 
 def rotate_field(F: HorizontalField, Q) -> HorizontalField:
-    """Coefficients of the same field in a Q-rotated orthonormal m-basis."""
+    """Coefficients of the same field in a Q-rotated orthonormal m-basis.
+
+    A ``gradient`` rotates with them: grad'_j = sum_i grad_i Q_ij.
+    """
     Q = np.asarray(Q, dtype=float)
 
     def coeff(g, t):
         return np.asarray(F.coeff(g, t), dtype=float) @ Q
+
+    def gradient(g, t):
+        c, grad = F.gradient(g, t)
+        return (np.asarray(c, dtype=float) @ Q,
+                np.einsum("...iab,ij->...jab", np.asarray(grad, dtype=float), Q))
 
     return HorizontalField(
         name=F.name + "@rot",
         space_name=F.space_name,
         coeff=coeff,
         state_independent=F.state_independent,
+        gradient=None if F.gradient is None else gradient,
     )
 
 
@@ -235,13 +277,81 @@ def circle_sine(space: Space) -> HorizontalField:
 
 # Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
 _FIT_CHUNK = 256
-# A coefficient call searches the table by brute force while queries x rows
-# stays at or below this; at about 16 ns per pair (2-CPU x86 host) that is
-# under 0.3 s, less than importing scipy.spatial for a k-d tree.
+# A fit call searches the table by brute force while queries x rows stays
+# at or below this; at about 16 ns per pair (2-CPU x86 host) that is under
+# 0.3 s, less than importing scipy.spatial for a k-d tree.
 _BRUTE_MAX_PAIRS = 2 ** 24
 # Distance entries per brute-force chunk (8-byte distance and index each),
 # so the search holds about 16 MB whatever the table size.
 _BRUTE_CHUNK_ENTRIES = 2 ** 20
+
+
+class _LocalFit:
+    """Local-linear least-squares fit on the nearest rows of a table.
+
+    ``points`` (N, D) are the rows' flattened group elements and ``values``
+    (N, m) their coefficients.  Each query is fitted on its k = min(N, D + 1)
+    nearest rows, ordered by exact distance; a row tied at the k-th
+    distance is not chosen by lowest index.
+    """
+
+    def __init__(self, points: np.ndarray, values: np.ndarray):
+        self.points, self.values = points, values
+        self.k = min(len(points), points.shape[1] + 1)
+        # brute force ranks rows by |p|^2 - 2 q.p, the squared distance less
+        # the query's own |q|^2; centring keeps these terms small, so rounding
+        # can reorder only near-ties
+        self.mean = points.mean(axis=0)
+        self.centred = points - self.mean
+        self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
+        self.tree = None
+        # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
+        # explicitly because its default differs between numpy 1.x and 2.x
+        self.cutoff = max(self.k, points.shape[1] + 1) * np.finfo(float).eps
+
+    def neighbours(self, q: np.ndarray, brute: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and row indices (n, k) of the k nearest rows to each of
+        the queries q (n, D), nearest first: by brute force, or from one
+        ``scipy.spatial.cKDTree`` over the table, built on first use."""
+        if brute:
+            d2 = self.sq_norms - 2.0 * (q - self.mean) @ self.centred.T
+            idx = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
+            dist = np.linalg.norm(self.points[idx] - q[:, None, :], axis=-1)
+            order = np.argsort(dist, axis=1, kind="stable")
+            return (np.take_along_axis(dist, order, axis=1),
+                    np.take_along_axis(idx, order, axis=1))
+        if self.tree is None:
+            from scipy.spatial import cKDTree
+            self.tree = cKDTree(self.points)
+        dist, idx = self.tree.query(q, k=self.k)
+        return dist.reshape(len(q), self.k), idx.reshape(len(q), self.k)
+
+    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Intercept (n, m) and slope (n, D, m) of the fit at the queries q (n, D).
+
+        One neighbour search and one ``pinv(A) @ values`` per chunk give both:
+        row 0 of the solution is the intercept, the rows below it the slope.
+        An exact hit keeps its tabulated row as the intercept; with k = 1 the
+        slope is 0.
+        """
+        n_rows, D = self.points.shape
+        c = np.empty((len(q), self.values.shape[1]))
+        slope = np.zeros((len(q), D, self.values.shape[1]))
+        brute = len(q) * n_rows <= _BRUTE_MAX_PAIRS
+        chunk = max(1, min(_FIT_CHUNK, _BRUTE_CHUNK_ENTRIES // n_rows)) if brute else _FIT_CHUNK
+        for lo in range(0, len(q), chunk):
+            qc = q[lo:lo + chunk]
+            dist, idx = self.neighbours(qc, brute)
+            nearest = self.values[idx[:, 0]]
+            if self.k == 1:
+                c[lo:lo + chunk] = nearest
+                continue
+            A = np.concatenate([np.ones(idx.shape + (1,)), self.points[idx] - qc[:, None, :]],
+                               axis=-1)
+            sol = np.linalg.pinv(A, rcond=self.cutoff) @ self.values[idx]
+            c[lo:lo + chunk] = np.where(dist[:, :1] >= 1e-12, sol[:, 0], nearest)
+            slope[lo:lo + chunk] = sol[:, 1:]
+        return c, slope
 
 
 def tabulated_field(space: Space, path) -> HorizontalField:
@@ -252,16 +362,17 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     or data rows, with any line of other than d^2 + m fields, or with a row
     that has a non-finite entry or is not a group element (one stacked
     check of the space's group constraint), raises ValueError naming the
-    file and the first bad line.  A query takes the intercept of a
-    local-linear least-squares fit on its d^2 + 1 nearest table points, or
-    the tabulated value on an exact hit.  Queries may be stacked
-    (..., d, d) and are fitted in batches.  A call whose queries
-    times table rows is at most ``_BRUTE_MAX_PAIRS`` (the 5,120 queries of
-    a 1,024-sample certify on tables up to about 3,000 rows) finds the
-    neighbours by a brute-force search, with no scipy import; a larger call
-    builds one ``scipy.spatial.cKDTree`` over the table, kept for later
-    calls.  Either way the neighbours are ordered by exact distance; a
-    neighbour tied at the k-th distance is not chosen by lowest row.
+    file and the first bad line.  A query is fitted local-linearly, by
+    least squares, on its d^2 + 1 nearest table points.  ``coeff`` is the
+    fit's intercept, or the tabulated value on an exact hit; ``gradient``
+    is the same intercept with the fit's slope, so ``linearize`` takes one
+    neighbour search and one fit per element and no finite differences.
+    Queries may be stacked (..., d, d) and are fitted in batches.  A call
+    whose queries times table rows is at most ``_BRUTE_MAX_PAIRS`` (the
+    1,024 queries of a 1,024-sample certify on tables up to 16,384 rows)
+    finds the neighbours by a brute-force search, with no scipy import; a
+    larger call builds one ``scipy.spatial.cKDTree`` over the table, kept
+    for later calls.
     """
     d = space.embed_dim
     m = space.dim_m
@@ -283,61 +394,17 @@ def tabulated_field(space: Space, path) -> HorizontalField:
         found = f"group constraint error {err[line]:.2e}" if finite[line] else "a non-finite entry"
         raise ValueError(f"table {path}, line {line + 2}: expected a group element and "
                          f"finite coefficients, found {found}")
-    points = data[:, : d * d]
-    values = data[:, d * d:]
-    n_rows = len(points)
-    k = min(n_rows, d * d + 1)
-    # brute force ranks rows by |p|^2 - 2 q.p, the squared distance less
-    # the query's own |q|^2; centring keeps these terms small, so rounding
-    # can reorder only near-ties
-    mean = points.mean(axis=0)
-    centred = points - mean
-    sq_norms = np.einsum("ij,ij->i", centred, centred)
-    trees = []
-    # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
-    # explicitly because its default differs between numpy 1.x and 2.x
-    cutoff = max(k, d * d + 1) * np.finfo(float).eps
-
-    def brute_neighbours(q):
-        d2 = sq_norms - 2.0 * (q - mean) @ centred.T
-        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        dist = np.linalg.norm(points[idx] - q[:, None, :], axis=-1)
-        order = np.argsort(dist, axis=1, kind="stable")
-        return (np.take_along_axis(dist, order, axis=1),
-                np.take_along_axis(idx, order, axis=1))
-
-    def tree_neighbours(q):
-        if not trees:
-            from scipy.spatial import cKDTree
-            trees.append(cKDTree(points))
-        dist, idx = trees[0].query(q, k=k)
-        return dist.reshape(len(q), k), idx.reshape(len(q), k)
-
-    def fit(q, dist, idx):
-        out = values[idx[:, 0]]
-        if k == 1:
-            return out
-        fitted = dist[:, 0] >= 1e-12
-        q, idx = q[fitted], idx[fitted]
-        A = np.concatenate([np.ones((len(q), k, 1)), points[idx] - q[:, None, :]], axis=-1)
-        intercept = np.linalg.pinv(A, rcond=cutoff)[:, 0, :]
-        out[fitted] = np.einsum("nk,nkm->nm", intercept, values[idx])
-        return out
+    fit = _LocalFit(data[:, : d * d], data[:, d * d:])
 
     def coeff(g, t):
-        flat = g.reshape(-1, d * d)
-        out = np.empty((len(flat), m))
-        if len(flat) * n_rows <= _BRUTE_MAX_PAIRS:
-            neighbours = brute_neighbours
-            chunk = max(1, min(_FIT_CHUNK, _BRUTE_CHUNK_ENTRIES // n_rows))
-        else:
-            neighbours, chunk = tree_neighbours, _FIT_CHUNK
-        for lo in range(0, len(flat), chunk):
-            q = flat[lo:lo + chunk]
-            out[lo:lo + chunk] = fit(q, *neighbours(q))
-        return out.reshape(g.shape[:-2] + (m,))
+        return fit(g.reshape(-1, d * d))[0].reshape(g.shape[:-2] + (m,))
 
-    return HorizontalField(f"tabulated[{path}]", space.name, coeff)
+    def gradient(g, t):
+        c, slope = fit(g.reshape(-1, d * d))
+        return (c.reshape(g.shape[:-2] + (m,)),
+                np.swapaxes(slope, -1, -2).reshape(g.shape[:-2] + (m, d, d)))
+
+    return HorizontalField(f"tabulated[{path}]", space.name, coeff, gradient=gradient)
 
 
 # Demo fields by CLI name: "BASE" or "BASE:ARGS", the text after the first

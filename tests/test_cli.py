@@ -400,6 +400,22 @@ class TestBadNumbers:
             "error: horizon / step size must be finite, got 1e+300 / 1e-300\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 65.5 TiB for an array with shape (1000000000001, 3, 3) and "
+         "data type float64", "error: out of memory: Unable to allocate 65.5 TiB for an array "
+         "with shape (1000000000001, 3, 3) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, message, line):
+        # stands in for the (T+1, d, d) buffers of a huge step count, which
+        # this test must not allocate
+        def exhausted(*a, **k):
+            raise MemoryError(*([message] if message else []))
+
+        monkeypatch.setattr(reach, "reach_tube", exhausted)
+        assert run(tmp_path, *self.REACH) == 1
+        assert capsys.readouterr().err == line
+
     @pytest.mark.parametrize("argv,needle", [
         (("--space", "so3", "--field", "constant:1,0,0", "--generator", "1,0"),
          "--generator needs 3 finite coordinates, got 2: '1,0'"),

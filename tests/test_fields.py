@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -339,3 +340,147 @@ class TestTabulatedNeighbours:
             A = np.concatenate([np.ones((10, 1)), points[idx] - q], axis=1)
             want = vals[idx[0]] if i == 7 else np.linalg.lstsq(A, vals[idx], rcond=None)[0][0]
             assert np.max(np.abs(got[i] - want)) < 1e-12
+
+
+def _write_table(path, G, vals):
+    """A coefficient table of the stacked elements G (n, d, d) and values (n, m)."""
+    n, d, _ = G.shape
+    header = [f"g{i}{j}" for i in range(d) for j in range(d)] + [
+        f"x{i + 1}" for i in range(vals.shape[1])]
+    np.savetxt(path, np.concatenate([G.reshape(n, d * d), vals], axis=1), delimiter=",",
+               header=",".join(header), comments="")
+    return path
+
+
+def _translations(xy):
+    G = np.broadcast_to(np.eye(3), xy.shape[:-1] + (3, 3)).copy()
+    G[..., :2, 2] = xy
+    return G
+
+
+class TestTableLinearization:
+    """A table linearizes from the slope of its own local fit."""
+
+    M = np.array([[-1.0, 0.5], [0.0, -2.0]])  # not symmetric
+
+    def _linear(self, euclid2, tmp_path):
+        xs = np.linspace(-1.0, 1.0, 21)
+        G = _translations(np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2))
+        return fields.tabulated_field(
+            euclid2, _write_table(tmp_path / "linear.csv", G, G[:, :2, 2] @ self.M.T)), G
+
+    def _curved(self, euclid2, tmp_path):
+        # the 400-row seed-8 table of TestTabulatedNeighbours
+        xy = np.random.default_rng(8).uniform(-1.2, 1.2, size=(400, 2))
+        vals = np.stack([np.sin(2.0 * xy[:, 0]) * xy[:, 1], np.cos(xy[:, 1]) - xy[:, 0] ** 2],
+                        axis=1)
+        return fields.tabulated_field(
+            euclid2, _write_table(tmp_path / "curved.csv", _translations(xy), vals))
+
+    def test_linear_table_gives_its_matrix(self, euclid2, tmp_path, monkeypatch):
+        from homcontract import contraction
+
+        F, G = self._linear(euclid2, tmp_path)
+        evals, queries = [], []
+        eval_coeff, neighbours = fields.eval_coeff, fields._LocalFit.neighbours
+
+        def counted_eval(*args, **kwargs):
+            evals.append(args)
+            return eval_coeff(*args, **kwargs)
+
+        def counted_search(self, q, brute):
+            queries.append(len(q))
+            return neighbours(self, q, brute)
+
+        monkeypatch.setattr(fields, "eval_coeff", counted_eval)
+        monkeypatch.setattr(fields._LocalFit, "neighbours", counted_search)
+        S = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 1024)
+        P = fields.linearize(F, euclid2, S)
+        assert P.shape == (1024, 2, 2)
+        assert np.max(np.abs(P - self.M)) < 1e-12
+        assert evals == [] and sum(queries) == 1024  # one search per sample, not 2m + 1
+        hit = G[137]  # an exact table point keeps its row and takes the fit's slope
+        assert np.max(np.abs(fields.linearize(F, euclid2, hit) - self.M)) < 1e-12
+        c, _ = F.gradient(hit, 0.0)
+        assert np.array_equal(c, self.M @ hit[:2, 2])
+
+    def test_curved_table_matches_analytic_jacobian(self, euclid2, tmp_path):
+        # central differences across a switch of neighbour set were off by
+        # 484 here, and mu_max read 15.68
+        from homcontract import contraction
+
+        F = self._curved(euclid2, tmp_path)
+        S = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 1024)
+        x, y = S[:, 0, 2], S[:, 1, 2]
+        J = np.stack([np.stack([2.0 * np.cos(2.0 * x) * y, np.sin(2.0 * x)], axis=-1),
+                      np.stack([-2.0 * x, -np.sin(y)], axis=-1)], axis=-2)
+        assert np.max(np.abs(fields.linearize(F, euclid2, S) - J)) < 0.5
+        mu_true = contraction.matrix_measure(J).max()
+        assert abs(mu_true - 1.961) < 1e-3
+        cert = contraction.certify_region(F, euclid2, S, c=2.0)
+        assert abs(cert.mu_max - mu_true) < 0.1
+
+    def test_rotated_table_rotates_its_linearization(self, euclid2, so3, tmp_path):
+        from homcontract import contraction
+        from homcontract.spaces import rotate_basis
+
+        so3_rows = contraction.generator_box_samples(so3, [-1.0] * 3, [1.0] * 3, 300)
+        so3_vals = np.stack([so3_rows[:, 0, 1], so3_rows[:, 1, 2] ** 2,
+                             np.sin(so3_rows[:, 2, 0])], axis=1)
+        tables = [(euclid2, self._curved(euclid2, tmp_path)),
+                  (so3, fields.tabulated_field(
+                      so3, _write_table(tmp_path / "so3.csv", so3_rows, so3_vals)))]
+        for space, F in tables:
+            m = space.dim_m
+            Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((m, m)))
+            S = contraction.generator_box_samples(space, [-0.8] * m, [0.8] * m, 64)
+            rotated = fields.rotate_field(F, Q)
+            assert rotated.gradient is not None
+            P = fields.linearize(F, space, S)
+            P_rot = fields.linearize(rotated, rotate_basis(space, Q), S)
+            assert np.max(np.abs(P_rot - Q.T @ P @ Q)) < 1e-12
+
+    def test_one_row_table_has_zero_slope(self, euclid2, tmp_path):
+        F = fields.tabulated_field(euclid2, _write_table(
+            tmp_path / "one.csv", _translations(np.array([[0.2, 0.3]])), np.array([[1.0, -1.0]])))
+        c, grad = F.gradient(_translations(np.array([[0.5, -0.5], [0.0, 0.0]])), 0.0)
+        assert np.array_equal(c, [[1.0, -1.0], [1.0, -1.0]])
+        assert grad.shape == (2, 2, 3, 3) and not grad.any()
+
+
+class TestGradientField:
+    """A field that supplies ``gradient`` is linearized from it."""
+
+    @staticmethod
+    def _entry(so3, bad=None, grad_shape=None):
+        # c = (g_22, 0, 0), so grad_0 is the unit matrix at (2, 2)
+        def coeff(g, t):
+            c = np.zeros(g.shape[:-2] + (3,))
+            c[..., 0] = g[..., 2, 2]
+            return c
+
+        def gradient(g, t):
+            grad = np.zeros(g.shape[:-2] + (3, 3, 3))
+            grad[..., 0, 2, 2] = 1.0
+            if bad is not None:
+                grad[bad + (1, 0, 0)] = np.nan
+            return coeff(g, t), grad.reshape(grad_shape or grad.shape)
+
+        return fields.HorizontalField("entry", so3.name, coeff, gradient=gradient)
+
+    def test_matches_central_differences(self, so3):
+        G = np.stack([expm(0.4 * AX + 0.2 * AY), expm(-1.1 * AZ), np.eye(3)])
+        F = self._entry(so3)
+        fd = fields.linearize(dataclasses.replace(F, gradient=None), so3, G)
+        assert np.max(np.abs(fields.linearize(F, so3, G) - fd)) < 1e-9
+
+    def test_nonfinite_gradient_names_its_index(self, so3):
+        G = np.broadcast_to(np.eye(3), (4, 5, 3, 3))
+        with pytest.raises(ValueError, match=r"entry: non-finite gradients at t=0\.0 at stack "
+                                             r"index \(2, 3\) of \(4, 5\)"):
+            fields.linearize(self._entry(so3, bad=(2, 3)), so3, G)
+
+    def test_wrong_gradient_shape_rejected(self, so3):
+        with pytest.raises(ValueError, match=r"gradient shape \(4, 27\), expected \(4, 3, 3, 3\)"):
+            fields.linearize(self._entry(so3, grad_shape=(4, 27)), so3,
+                             np.broadcast_to(np.eye(3), (4, 3, 3)))

@@ -33,7 +33,6 @@ SPACES = {
 }
 # keyed by a spec's text up to and including its first colon
 _SPACE_BY_HEAD = {"".join(usage.partition(":")[:2]): make for usage, make in SPACES.items()}
-_FD_STEP = 1e-5  # certify's default finite-difference step, and the one reach always uses
 
 
 def _resolve_space(spec: str) -> spaces.Space:
@@ -171,9 +170,7 @@ def cmd_loop_check(args) -> int:
     if args.base_coords:
         coords = _m_coords(space, "--base-coords", args.base_coords)
         base = space.algebra_exp(space.algebra_from_coords(coords))
-    report = contraction.loop_obstruction_check(
-        F, space, gen, base=base, n_quad=args.n_quad, c=args.c
-    )
+    report = contraction.loop_obstruction_check(F, space, gen, base, args.n_quad, args.c)
     out = _write_result(args, "loop_report.json", report.to_dict())
     svgplot.line_plot(
         out / "loop_f.svg",
@@ -195,7 +192,7 @@ def cmd_reach(args) -> int:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
-    F, cert, _ = _certify(space, args, _FD_STEP)
+    F, cert, _ = _certify(space, args, fields._FD_STEP)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
         return 2
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--region", required=True, help="cap:DEG:NT:NP or box:LO:HI:N")
     pr.add_argument("--c", type=_finite(float), required=True)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fd-step", type=_positive(float), default=_FD_STEP)
+    pr.add_argument("--fd-step", type=_positive(float), default=fields._FD_STEP)
     pr.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("loop-check", help="loop obstruction along a periodic subgroup")

@@ -38,10 +38,13 @@ def compute_alpha(dec: ReductiveDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceClassification:
-    is_symmetric: bool
-    is_naturally_reductive: bool
+    """Largest U entry and m-bracket leak; each flag holds where its number is <= _TOL."""
+
     max_u_norm: float
     max_mm_leak: float
+
+    is_symmetric = property(lambda self: self.max_mm_leak <= _TOL)
+    is_naturally_reductive = property(lambda self: self.max_u_norm <= _TOL)
 
     def to_dict(self) -> dict:
         return {
@@ -53,21 +56,15 @@ class SpaceClassification:
 
 
 def classify(dec: ReductiveDecomposition) -> SpaceClassification:
-    """Flag the space as symmetric / naturally reductive / generic.
+    """The magnitudes that flag the space symmetric / naturally reductive / generic.
 
-    Symmetric: every bracket of m-basis pairs falls back into h.
-    Naturally reductive: the U term vanishes.  Violating magnitudes are
-    reported so borderline cases can be judged by the caller.
+    Symmetric: every bracket of m-basis pairs falls back into h.  Naturally
+    reductive: the U term vanishes.  The flags are read from the reported
+    magnitudes, so borderline cases can be judged by the caller.
     """
     bm = dec.bracket_m
-    mm_leak = float(np.linalg.norm(bm, axis=-1).max(initial=0.0))
-    u_norm = float(np.abs(_U(bm)).max(initial=0.0))
-    return SpaceClassification(
-        is_symmetric=mm_leak <= _TOL,
-        is_naturally_reductive=u_norm <= _TOL,
-        max_u_norm=u_norm,
-        max_mm_leak=mm_leak,
-    )
+    return SpaceClassification(max_u_norm=float(np.abs(_U(bm)).max(initial=0.0)),
+                               max_mm_leak=float(np.linalg.norm(bm, axis=-1).max(initial=0.0)))
 
 
 def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import HorizontalField, linearize, rotate_field
+from .fields import _FD_STEP, HorizontalField, linearize, rotate_field
 from .spaces import Space, rotate_basis
 
 # A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
@@ -45,32 +45,29 @@ def matrix_measure(P):
 class ContractionCertificate:
     """Sampled certificate of mu(dX) <= c over a region.
 
-    Sampling cannot prove contraction between samples; the region string
-    and sample count are recorded so density can be judged.  ``measures``
-    holds the per-sample measures in sample order.
+    Holds the rate c and the (N, d, d) ``samples`` with their ``measures``;
+    sampling proves nothing between samples, so they are kept to judge
+    density.  ``mu_max`` (the first maximum, at ``argmax_index``, sample
+    ``mu_argmax``) and the verdict, mu_max <= c + slack, are read from them.
     """
 
     space_id: str
     field_id: str
     region: str
     rate_c: float
-    mu_max: float
-    argmax_index: int
-    mu_argmax: np.ndarray = field(repr=False)
+    samples: np.ndarray = field(repr=False)
     measures: np.ndarray = field(repr=False)
-    samples_evaluated: int = 0
-    verdict: str = "FAIL"
-    slack: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
+    slack = _SLACK
+    argmax_index = property(lambda self: int(np.argmax(self.measures)))  # ties: lowest index
+    mu_max = property(lambda self: float(self.measures[self.argmax_index]))
+    mu_argmax = property(lambda self: self.samples[self.argmax_index])
+    samples_evaluated = property(lambda self: len(self.measures))
+    passed = property(lambda self: self.mu_max <= self.rate_c + self.slack)
+    verdict = property(lambda self: "PASS" if self.passed else "FAIL")
 
-    @property
-    def label(self) -> str:
-        if self.rate_c == 0.0:
-            return "nonexpansive"
-        return "expanding" if self.rate_c > 0.0 else "contracting"
+    label = property(lambda self: "nonexpansive" if self.rate_c == 0.0 else
+                     "expanding" if self.rate_c > 0.0 else "contracting")
 
     def to_dict(self) -> dict:
         return {
@@ -90,34 +87,20 @@ class ContractionCertificate:
 
 
 def certify_region(F: HorizontalField, space: Space, samples,
-                   c: float, region: str = "", step: float = 1e-5) -> ContractionCertificate:
+                   c: float, region: str = "", step: float = _FD_STEP) -> ContractionCertificate:
     """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
-    checked and linearized as one stack.  Deterministic: ties at the
-    maximum resolve to the lowest sample index.
+    copied onto the certificate, checked and linearized as one stack.
+    Deterministic: ties at the maximum resolve to the lowest sample index.
     """
-    G = np.asarray(samples, dtype=float)
+    G = np.array(samples, dtype=float)
     if G.size == 0:
         raise ValueError("no samples supplied")
     space.check_group(G)
     G = G.reshape((-1,) + G.shape[-2:])
     mus = matrix_measure(linearize(F, space, G, step=step))
-    arg_idx = int(np.argmax(mus))  # first occurrence: ties go to the lowest index
-    mu_max = float(mus[arg_idx])
-    return ContractionCertificate(
-        space_id=space.name,
-        field_id=F.name,
-        region=region,
-        rate_c=float(c),
-        mu_max=mu_max,
-        argmax_index=arg_idx,
-        mu_argmax=G[arg_idx].copy(),
-        measures=mus,
-        samples_evaluated=len(G),
-        verdict="PASS" if mu_max <= c + _SLACK else "FAIL",
-        slack=_SLACK,
-    )
+    return ContractionCertificate(space.name, F.name, region, float(c), G, mus)
 
 
 def _first_primes(n: int) -> list[int]:
@@ -188,13 +171,13 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
 
 @dataclass(frozen=True)
 class BasisIndependenceReport:
-    measures: np.ndarray
-    max_deviation: float
-    tol: float
+    """The measures at one state in its own and in random bases; their spread passes <= tol."""
 
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tol
+    measures: np.ndarray
+
+    tol = _BASIS_TOL
+    max_deviation = property(lambda self: float(self.measures.max() - self.measures.min()))
+    passed = property(lambda self: self.max_deviation <= self.tol)
 
 
 def basis_independence_check(F: HorizontalField, space: Space, g,
@@ -209,13 +192,8 @@ def basis_independence_check(F: HorizontalField, space: Space, g,
     mus = [matrix_measure(linearize(F, space, g))]
     for _ in range(trials):
         Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        mus.append(
-            matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g))
-        )
-    mus = np.asarray(mus)
-    return BasisIndependenceReport(
-        measures=mus, max_deviation=float(mus.max() - mus.min()), tol=_BASIS_TOL
-    )
+        mus.append(matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g)))
+    return BasisIndependenceReport(np.asarray(mus))
 
 
 def find_period(space: Space, A) -> Optional[float]:
@@ -236,22 +214,23 @@ def find_period(space: Space, A) -> Optional[float]:
 
 @dataclass(frozen=True)
 class LoopReport:
-    """Quadrature record of the frame-aligned linearization around a loop."""
+    """Quadrature record of f = <P u, u> around a loop: the unit generator,
+    the base, the ``times`` over one period, f's ``values`` there and the
+    claimed rate ``c``; period, integral, maximum and flag are read from them."""
 
     space_id: str
     field_id: str
     generator: np.ndarray = field(repr=False)
     base: np.ndarray = field(repr=False)
-    period: float = 0.0
-    times: np.ndarray = field(default=None, repr=False)
-    values: np.ndarray = field(default=None, repr=False)
-    integral: float = 0.0
-    max_value: float = 0.0
-    inconsistent_rate: Optional[float] = None
+    times: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    c: Optional[float] = None
 
-    @property
-    def inconsistent(self) -> bool:
-        return self.inconsistent_rate is not None
+    period = property(lambda self: float(self.times[-1]))
+    integral = property(lambda self: float(np.trapezoid(self.values, self.times)))
+    max_value = property(lambda self: float(np.max(self.values)))
+    inconsistent = property(lambda self: self.c is not None and self.max_value <= self.c < 0.0)
+    inconsistent_rate = property(lambda self: self.c if self.inconsistent else None)
 
     def to_dict(self) -> dict:
         return {
@@ -272,25 +251,30 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
                            base=None, n_quad: int = 1024, c: Optional[float] = None) -> LoopReport:
     """Sample f(t) = <P(g(t)) u, u> around the loop g(t) = base exp(t A).
 
-    ``base`` (default the identity) must be a group element; otherwise
-    ValueError, as from ``Space.check_group``.
+    ``base`` (default the identity) must be a group element, ``n_quad`` at
+    least 1 and the generator nonzero and finite; otherwise ValueError.
     The generator (an m-coordinate vector or algebra matrix) must produce a
-    periodic one-parameter subgroup with unit coordinate vector u.  P is the
-    frame linearization in the space's own basis, one stacked call over the
-    loop; a quadratic form reads the same in every orthonormal frame.  f is
-    the derivative of a periodic coefficient, so its trapezoid integral over
+    periodic one-parameter subgroup; only its direction u is used: it is
+    divided by its largest entry before it is normalized, so its magnitude
+    can neither overflow nor underflow the norm.  P is the frame
+    linearization in the space's own basis, one stacked call over the loop;
+    a quadratic form reads the same in every orthonormal frame.  f is the
+    derivative of a periodic coefficient, so its trapezoid integral over
     one period vanishes and its maximum cannot be uniformly negative.  If a
-    claimed rate c < 0 nevertheless dominates max f, the report is flagged
-    INCONSISTENT.
+    claimed rate c < 0 nevertheless dominates max f, the report is
+    flagged INCONSISTENT.
     """
+    if n_quad < 1:
+        raise ValueError(f"a loop needs n_quad >= 1 quadrature intervals, got {n_quad}")
     base = space.identity() if base is None else np.asarray(base, dtype=float)
     space.check_group(base)
     gen = np.asarray(generator, dtype=float)
     u = gen if gen.ndim == 1 else space.dec.coords_m(gen)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        raise ValueError("zero generator")
-    u = u / norm
+    scale = np.max(np.abs(u))
+    if not 0.0 < scale < np.inf:  # False for NaN too
+        raise ValueError(f"generator must be nonzero and finite, got {u.tolist()}")
+    u = u / scale
+    u = u / np.linalg.norm(u)
     A1 = space.algebra_from_coords(u)
     period = find_period(space, A1)
     if period is None:
@@ -299,18 +283,4 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     ts = np.linspace(0.0, period, n_quad + 1)
     G = base @ space.algebra_exp(ts[:, None, None] * A1)
     fs = linearize(F, space, G) @ u @ u
-    integral = float(np.trapezoid(fs, ts))
-    max_f = float(np.max(fs))
-    inconsistent = c if (c is not None and c < 0.0 and max_f <= c) else None
-    return LoopReport(
-        space_id=space.name,
-        field_id=F.name,
-        generator=A1,
-        base=base,
-        period=float(period),
-        times=ts,
-        values=fs,
-        integral=integral,
-        max_value=max_f,
-        inconsistent_rate=inconsistent,
-    )
+    return LoopReport(space.name, F.name, A1, base, ts, fs, c)

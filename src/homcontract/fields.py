@@ -19,6 +19,7 @@ import numpy as np
 from .spaces import _GROUP_TOL, Space
 
 _COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
+_FD_STEP = 1e-5  # default central-difference step of linearize, certify and reach
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _frame_derivatives(F: HorizontalField, space: Space, g, t: float, step: floa
 
 
 def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
-              step: float = 1e-5, richardson: bool = False) -> np.ndarray:
+              step: float = _FD_STEP, richardson: bool = False) -> np.ndarray:
     """The m x m frame linearization at g.
 
     ``g`` may be a stack (..., d, d); the result is then (..., m, m), one
@@ -141,13 +142,13 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
 
 @dataclass(frozen=True)
 class CosetReport:
+    """The largest linearization gap over the isotropy pairs checked; passes <= tol."""
+
     max_gap: float
-    tol: float
     pairs_checked: int
 
-    @property
-    def passed(self) -> bool:
-        return self.max_gap <= self.tol
+    tol = _COSET_TOL
+    passed = property(lambda self: self.max_gap <= self.tol)
 
 
 def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None) -> CosetReport:
@@ -163,7 +164,7 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
     hs = np.reshape(np.asarray(h_samples, dtype=float), (-1, d, d))
     P = linearize(F, space, np.concatenate([g[None], g @ hs]))
     gap = float(np.abs(P[1:] - P[0]).max(initial=0.0))
-    return CosetReport(max_gap=gap, tol=_COSET_TOL, pairs_checked=len(hs))
+    return CosetReport(max_gap=gap, pairs_checked=len(hs))
 
 
 def rotate_field(F: HorizontalField, Q) -> HorizontalField:
@@ -407,6 +408,15 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     return HorizontalField(f"tabulated[{path}]", space.name, coeff, gradient=gradient)
 
 
+def _linear_matrix(space: Space, arg: str) -> np.ndarray:
+    """The n x n matrix, n = d - 1, whose row-major entries ``arg`` lists."""
+    x, n = [float(v) for v in arg.split(",")], space.embed_dim - 1
+    if len(x) != n * n:
+        raise ValueError(f"field euclidean-linear on {space.name} needs n^2 = {n * n} "
+                         f"entries, found {len(x)}: {arg!r}")
+    return np.reshape(x, (n, n))
+
+
 # Demo fields by CLI name: "BASE" or "BASE:ARGS", the text after the first
 # colon going to the constructor as ``arg`` (ignored by fields without one).
 BUILTIN_FIELDS = {
@@ -416,7 +426,7 @@ BUILTIN_FIELDS = {
         space, [float(x) for x in arg.split(",")]),
     "so3-demo-schedule": lambda space, arg: so3_demo_schedule(space),
     "euclidean-linear:m11,m12,...": lambda space, arg: euclidean_linear(
-        space, np.reshape([float(x) for x in arg.split(",")], (space.embed_dim - 1,) * 2)),
+        space, _linear_matrix(space, arg)),
     "circle-sin": lambda space, arg: circle_sine(space),
 }
 _FIELD_BY_BASE = {usage.partition(":")[0]: make for usage, make in BUILTIN_FIELDS.items()}

@@ -118,13 +118,13 @@ def orthonormalize_basis(raw, gram=None, trace_scale: float = 0.5) -> np.ndarray
 
 @dataclass(frozen=True)
 class AdInvarianceReport:
-    max_leak: float
-    tol: float
-    max_metric_gap: float = 0.0
+    """The largest h-leak of Ad_h(m) and metric gap; both pass <= tol."""
 
-    @property
-    def passed(self) -> bool:
-        return self.max_leak <= self.tol and self.max_metric_gap <= self.tol
+    max_leak: float
+    max_metric_gap: float
+
+    tol = _AD_TOL
+    passed = property(lambda self: self.max_leak <= self.tol and self.max_metric_gap <= self.tol)
 
 
 def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None) -> AdInvarianceReport:
@@ -142,4 +142,4 @@ def check_ad_invariance(dec: ReductiveDecomposition, h_samples, in_h=None) -> Ad
     ch, C = dec.split_coords(adjoint(H[:, None], dec.m_basis))  # [sample, j, coordinate]
     leak = np.abs(np.einsum("sji,iab->sjab", ch, dec.h_basis)).max(initial=0.0)
     gap = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(dec.dim_m)).max(initial=0.0)
-    return AdInvarianceReport(max_leak=float(leak), tol=_AD_TOL, max_metric_gap=float(gap))
+    return AdInvarianceReport(max_leak=float(leak), max_metric_gap=float(gap))

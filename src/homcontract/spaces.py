@@ -296,10 +296,12 @@ def make_so3_left_invariant(gram) -> Space:
     """SO(3) with a left-invariant metric given by a Gram matrix.
 
     ``gram`` is the metric in the standard skew-basis coordinates; a
-    1-D input is taken as a diagonal.  A matrix that is not exactly
-    symmetric raises ValueError: the name lists its upper triangle.
+    1-D input is taken as a diagonal.  A non-finite entry, or a matrix not
+    exactly symmetric, raises ValueError: the name lists its upper triangle.
     """
     gram = np.asarray(gram, dtype=float)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"Gram matrix entries must be finite, got {gram.tolist()}")
     if gram.ndim == 1:
         gram = np.diag(gram)
     if not np.array_equal(gram, gram.T):

@@ -431,6 +431,32 @@ class TestBadNumbers:
         assert capsys.readouterr().err == f"error: {needle}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,needle", [
+        (("classify", "--space", "so3-left:1,1,nan"),
+         "Gram matrix entries must be finite, got [1.0, 1.0, nan]"),
+        (("classify", "--space", "so3-left:1,1,inf"),
+         "Gram matrix entries must be finite, got [1.0, 1.0, inf]"),
+        (("certify", "--space", "euclidean:2", "--field", "euclidean-linear:1,0,0",
+          "--region", "box:-1:1:4", "--c", "0"),
+         "field euclidean-linear on euclidean:2 needs n^2 = 4 entries, found 3: '1,0,0'"),
+    ], ids=["gram-nan", "gram-inf", "euclidean-linear-count"])
+    def test_spec_refused_where_it_is_parsed(self, tmp_path, capsys, argv, needle):
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr().err == f"error: {needle}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("generator", ["1e300,0,0", "1e-200,0,0"])
+    def test_loop_generator_magnitude_is_ignored(self, tmp_path, capsys, generator):
+        def body(gen):
+            out = tmp_path / gen
+            argv = ("loop-check", "--space", "so3", "--field", "constant:0,0,1", "--generator", gen)
+            assert run(out, *argv) == 0
+            payload = json.loads((out / "loop_report.json").read_text())
+            del payload["config"]
+            return payload, capsys.readouterr()
+
+        assert body(generator) == body("1,0,0")
+
     def test_key_error_message_unquoted(self, tmp_path, capsys):
         assert run(tmp_path, *self.LOOP[:3], "--field", "nofield", "--generator", "1") == 1
         err = capsys.readouterr().err

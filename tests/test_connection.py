@@ -114,6 +114,12 @@ class TestClassify:
         assert not cls.is_naturally_reductive and not cls.is_symmetric
         assert cls.max_u_norm > 1e-2
 
+    def test_flags_read_from_the_numbers(self):
+        cls = connection.SpaceClassification(max_u_norm=1.0, max_mm_leak=0.0)
+        assert cls.is_symmetric is True and cls.is_naturally_reductive is False
+        assert cls.to_dict() == {"symmetric": True, "naturally_reductive": False,
+                                 "max_u_norm": 1.0, "max_mm_leak": 0.0}
+
     def test_euclidean_symmetric(self, euclid2):
         assert euclid2.classification.is_symmetric
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -269,6 +270,57 @@ class TestLoopObstruction:
         F = fields.constant_field(euclid2, [1.0, 0.0])
         with pytest.raises(ValueError, match="periodic"):
             contraction.loop_obstruction_check(F, euclid2, [1.0, 0.0])
+
+
+class TestDerivedAnswers:
+    """A result holds what it was computed from; every other reading follows it."""
+
+    def test_certificate_reads_its_samples_and_measures(self, sphere):
+        F = fields.sphere_height_gradient(sphere)
+        samples = contraction.sphere_cap_grid(sphere, 1.0, 4, 4)
+        cert = contraction.certify_region(F, sphere, samples, c=0.0)
+        assert np.array_equal(cert.samples, samples)
+        assert cert.samples_evaluated == 16
+        assert cert.mu_max == cert.measures.max()
+        assert np.array_equal(cert.mu_argmax, samples[np.argmax(cert.measures)])
+        samples[:] = 0.0  # the certificate keeps its own copy
+        assert np.array_equal(cert.mu_argmax, contraction.sphere_cap_grid(
+            sphere, 1.0, 4, 4)[cert.argmax_index])
+
+    def test_certificate_verdict_follows_its_rate(self, sphere):
+        F = fields.sphere_height_gradient(sphere)
+        cert = contraction.certify_region(F, sphere, contraction.sphere_cap_grid(sphere, 1.0, 4, 4),
+                                          c=0.0)
+        assert cert.passed and cert.verdict == "PASS"
+        tighter = dataclasses.replace(cert, rate_c=cert.mu_max - 1.0)
+        assert tighter.passed is False
+        assert tighter.verdict == tighter.to_dict()["verdict"] == "FAIL"
+        assert tighter.label == "contracting"
+
+    def test_loop_report_flag_follows_its_rate(self, circle):
+        # the sawtooth of TestLoopObstruction, f = -0.5 all round the loop
+        def saw(R, t):
+            theta = np.arctan2(R[..., 1, 0], R[..., 0, 0])
+            return (-0.5 * ((theta - 1.0) % (2.0 * np.pi)))[..., None]
+
+        F = fields.HorizontalField("sawtooth", circle.name, saw)
+        rep = contraction.loop_obstruction_check(F, circle, [1.0])
+        assert rep.max_value < 0.0 and not rep.inconsistent
+        assert rep.period == rep.times[-1] == 2.0 * np.pi
+        flagged = dataclasses.replace(rep, c=rep.max_value)
+        assert flagged.inconsistent and flagged.inconsistent_rate == rep.max_value
+        assert flagged.to_dict()["verdict"] == "INCONSISTENT"
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_loop_generator_magnitude_is_ignored(self, sphere, so3, scale):
+        F = fields.sphere_height_gradient(sphere)
+        # scaling by 0.5 is exact, so the scaled direction is exactly (1, 0.5)
+        ref = contraction.loop_obstruction_check(F, sphere, [1.0, 0.5], n_quad=64)
+        rep = contraction.loop_obstruction_check(F, sphere, [scale, 0.5 * scale], n_quad=64)
+        assert rep.to_dict() == ref.to_dict()
+        G = fields.constant_field(so3, [0.0, 0.0, 1.0])
+        assert (contraction.loop_obstruction_check(G, so3, [scale, 0.0, 0.0]).to_dict()
+                == contraction.loop_obstruction_check(G, so3, [1.0, 0.0, 0.0]).to_dict())
 
 
 class TestStackedPath:

@@ -76,6 +76,31 @@ RAISES = {
         lambda: spaces.make_so3_left_invariant([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
                                                 [0.0, 0.0, 1.0]]),
         "Gram matrix must be symmetric"),
+    "make_so3_left_invariant-nan": (
+        lambda: spaces.make_so3_left_invariant([1.0, 1.0, np.nan]),
+        "Gram matrix entries must be finite"),
+    "make_so3_left_invariant-inf": (
+        lambda: spaces.make_so3_left_invariant([1.0, np.inf, 1.0]),
+        "Gram matrix entries must be finite"),
+    "make_so3_left_invariant-nan-pair": (
+        lambda: spaces.make_so3_left_invariant([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]]),
+        "Gram matrix entries must be finite"),
+    "builtin_field-euclidean-linear-count": (
+        lambda: fields.builtin_field(EUCLID2, "euclidean-linear:1,0,0"),
+        r"field euclidean-linear on euclidean:2 needs n\^2 = 4 entries, found 3"),
+    "loop_obstruction_check-nan-generator": (
+        lambda: contraction.loop_obstruction_check(fields.constant_field(SO3, [0.0, 0.0, 1.0]),
+                                                   SO3, [np.nan, 0.0, 0.0]),
+        r"generator must be nonzero and finite, got \[nan, 0.0, 0.0\]"),
+    "loop_obstruction_check-inf-generator": (
+        lambda: contraction.loop_obstruction_check(fields.constant_field(SO3, [0.0, 0.0, 1.0]),
+                                                   SO3, [np.inf, 1.0, 0.0]),
+        r"generator must be nonzero and finite, got \[inf, 1.0, 0.0\]"),
+    "loop_obstruction_check-n_quad": (
+        lambda: contraction.loop_obstruction_check(fields.circle_sine(spaces.make_circle()),
+                                                   spaces.make_circle(), [1.0], n_quad=0),
+        "a loop needs n_quad >= 1 quadrature intervals, got 0"),
 }
 
 
@@ -121,6 +146,21 @@ def test_reach_tube_refuses_a_bad_step(horizon, dt, match):
     with pytest.raises(ValueError, match=match):
         reach.reach_tube(dataclasses.replace(F, coeff=forbidden), SO3, np.eye(3), 0.1, cert,
                          horizon, dt, n_samples=10)
+
+
+def test_reach_tube_refuses_a_certificate_whose_rate_its_measures_miss():
+    # the verdict is read from the measures, so a copy at a tighter rate fails
+    F = fields.so3_demo_schedule(SO3)
+    cert = contraction.certify_region(F, SO3, [np.eye(3)], c=0.0)
+    tighter = dataclasses.replace(cert, rate_c=cert.mu_max - 1.0)
+    assert cert.passed and tighter.passed is False and tighter.verdict == "FAIL"
+
+    def forbidden(g, t):
+        raise AssertionError("coefficient call before the input check")
+
+    with pytest.raises(ValueError, match="certificate verdict is FAIL"):
+        reach.reach_tube(dataclasses.replace(F, coeff=forbidden), SO3, np.eye(3), 0.1, tighter,
+                         1.0, 0.01, n_samples=10)
 
 
 def test_find_period_refuses_a_wrong_closed_form(monkeypatch):

@@ -102,7 +102,7 @@ def _certify(space, args, step: float):
     if kind == "cap" and space.kind != "sphere":
         raise ValueError(f"region {region!r}: a cap needs a sphere space, not {space.name} "
                          "(use box:LO:HI:N)")
-    count, number = _positive(int), _finite(float)
+    count, number = _number(int, positive=True), _number(float)
     types = {"cap": (number, count, count), "box": (number, number, count)}.get(kind)
     try:
         a, b, n = [t(p) for t, p in zip(types, parts, strict=True)]
@@ -218,22 +218,14 @@ def cmd_reach(args) -> int:
     return 0 if tube.passed else 2
 
 
-def _finite(kind):
-    """An argparse type: ``kind`` of the text, rejected if infinite or NaN."""
+def _number(kind, positive=False):
+    """An argparse type: ``kind`` of the text, rejected if infinite or NaN,
+    and with ``positive`` also unless > 0."""
     def parse(text):
         value = kind(text)
         if not -np.inf < value < np.inf:  # False for NaN; exact for ints of any size
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names the type in its messages
-    return parse
-
-
-def _positive(kind):
-    """An argparse type: ``kind`` of the text, rejected unless it is finite and > 0."""
-    def parse(text):
-        value = _finite(kind)(text)
-        if not value > 0:
+        if positive and not value > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
@@ -245,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homcontract",
         description="contraction certificates and reachable tubes on homogeneous spaces",
     )
+    real, positive = _number(float), _number(float, positive=True)
+    count = _number(int, positive=True)
     p.add_argument("--out", default=None, help="output directory (or $HOMCONTRACT_OUT)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -256,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--space", required=True)
     pr.add_argument("--field", required=True)
     pr.add_argument("--region", required=True, help="cap:DEG:NT:NP or box:LO:HI:N")
-    pr.add_argument("--c", type=_finite(float), required=True)
+    pr.add_argument("--c", type=real, required=True)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fd-step", type=_positive(float), default=fields._FD_STEP)
+    pr.add_argument("--fd-step", type=positive, default=fields._FD_STEP)
     pr.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("loop-check", help="loop obstruction along a periodic subgroup")
@@ -266,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--field", required=True)
     pl.add_argument("--generator", required=True, help="m-coordinates, e.g. 1,0")
     pl.add_argument("--base-coords", default=None, help="base point as exp of m-coords")
-    pl.add_argument("--n-quad", type=_positive(int), default=1024)
-    pl.add_argument("--c", type=_finite(float), default=None)
+    pl.add_argument("--n-quad", type=count, default=1024)
+    pl.add_argument("--c", type=real, default=None)
     pl.set_defaults(func=cmd_loop_check)
 
     pv = sub.add_parser("reach", help="contraction tube with Monte Carlo containment")
     pv.add_argument("--space", required=True)
     pv.add_argument("--field", required=True)
     pv.add_argument("--region", default="box:-3.2:3.2:64")
-    pv.add_argument("--c", type=_finite(float), default=0.0)
-    pv.add_argument("--r0", type=_positive(float), default=0.1)
-    pv.add_argument("--horizon", type=_positive(float), default=5.0)
-    pv.add_argument("--dt", type=_positive(float), default=1e-3)
-    pv.add_argument("--samples", type=_positive(int), default=100)
+    pv.add_argument("--c", type=real, default=0.0)
+    pv.add_argument("--r0", type=positive, default=0.1)
+    pv.add_argument("--horizon", type=positive, default=5.0)
+    pv.add_argument("--dt", type=positive, default=1e-3)
+    pv.add_argument("--samples", type=count, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--method", default="rkmk4", choices=["rkmk4", "lieeuler"])
     pv.set_defaults(func=cmd_reach)

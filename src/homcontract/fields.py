@@ -228,6 +228,8 @@ def constant_field(space: Space, u) -> HorizontalField:
     u = np.asarray(u, dtype=float)
     if u.shape != (space.dim_m,):
         raise ValueError("input dimension does not match the space")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"constant field entries must be finite, got {u.tolist()}")
 
     def coeff(g, t):
         out = np.empty(g.shape[:-2] + u.shape)
@@ -360,10 +362,10 @@ def tabulated_field(space: Space, path) -> HorizontalField:
 
     Header ``g00,...,g{d-1}{d-1},x1,...,xm``; each row is a flattened
     group element followed by its m coefficients.  A file without a header
-    or data rows, with any line of other than d^2 + m fields, or with a row
-    that has a non-finite entry or is not a group element (one stacked
-    check of the space's group constraint), raises ValueError naming the
-    file and the first bad line.  A query is fitted local-linearly, by
+    or data rows, with any line of other than d^2 + m fields or a cell that
+    is not a number, or with a row that has a non-finite entry or is not a
+    group element (one stacked check of the space's group constraint),
+    raises ValueError naming the file and the first bad line.  A query is fitted local-linearly, by
     least squares, on its d^2 + 1 nearest table points.  ``coeff`` is the
     fit's intercept, or the tabulated value on an exact hit; ``gradient``
     is the same intercept with the fit's slope, so ``linearize`` takes one
@@ -386,7 +388,17 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     if len(rows) < 2:
         raise ValueError(f"table {path}, line {len(rows) + 1}: expected a "
                          f"{'data row' if rows else 'header'}, found the end of the file")
-    data = np.asarray(rows[1:], dtype=float)
+    try:
+        data = np.asarray(rows[1:], dtype=float)
+    except ValueError:  # numpy reads each cell with float(); find the bad one
+        for line, row in enumerate(rows[1:], 2):
+            for cell in row:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"table {path}, line {line}: expected a number, "
+                                     f"found {cell!r}") from None
+        raise
     finite = np.isfinite(data).all(axis=1)
     err = np.full(len(data), np.inf)
     err[finite] = space.ops.residual(data[finite, : d * d].reshape(-1, d, d))
@@ -419,22 +431,29 @@ def _linear_matrix(space: Space, arg: str) -> np.ndarray:
 
 # Demo fields by CLI name: "BASE" or "BASE:ARGS", the text after the first
 # colon going to the constructor as ``arg`` (ignored by fields without one).
+# Each row gives the space kind its field is written for, or None for any.
 BUILTIN_FIELDS = {
-    "sphere-grad-height": lambda space, arg: sphere_height_gradient(space),
-    "sphere-noneq": lambda space, arg: sphere_nonequivariant(space),
-    "constant:u1,...,um": lambda space, arg: constant_field(
-        space, [float(x) for x in arg.split(",")]),
-    "so3-demo-schedule": lambda space, arg: so3_demo_schedule(space),
-    "euclidean-linear:m11,m12,...": lambda space, arg: euclidean_linear(
-        space, _linear_matrix(space, arg)),
-    "circle-sin": lambda space, arg: circle_sine(space),
+    "sphere-grad-height": ("sphere", lambda space, arg: sphere_height_gradient(space)),
+    "sphere-noneq": ("sphere", lambda space, arg: sphere_nonequivariant(space)),
+    "constant:u1,...,um": (None, lambda space, arg: constant_field(
+        space, [float(x) for x in arg.split(",")])),
+    "so3-demo-schedule": ("so3", lambda space, arg: so3_demo_schedule(space)),
+    "euclidean-linear:m11,m12,...": ("euclidean", lambda space, arg: euclidean_linear(
+        space, _linear_matrix(space, arg))),
+    "circle-sin": ("circle", lambda space, arg: circle_sine(space)),
 }
-_FIELD_BY_BASE = {usage.partition(":")[0]: make for usage, make in BUILTIN_FIELDS.items()}
+_FIELD_BY_BASE = {usage.partition(":")[0]: row for usage, row in BUILTIN_FIELDS.items()}
 
 
 def builtin_field(space: Space, name: str) -> HorizontalField:
-    """Resolve a demo field by CLI name, e.g. ``constant:0,0,1``."""
+    """Resolve a demo field by CLI name, e.g. ``constant:0,0,1``.
+
+    A field written for another kind of space raises ValueError before it is built.
+    """
     base, _, arg = name.partition(":")
     if base not in _FIELD_BY_BASE:
         raise KeyError(f"unknown field {name!r} (built-ins: {', '.join(BUILTIN_FIELDS)})")
-    return _FIELD_BY_BASE[base](space, arg)
+    kind, make = _FIELD_BY_BASE[base]
+    if kind not in (None, space.kind):
+        raise ValueError(f"field {base} is defined on {kind} spaces, not {space.name}")
+    return make(space, arg)

@@ -296,8 +296,11 @@ def make_so3_left_invariant(gram) -> Space:
     """SO(3) with a left-invariant metric given by a Gram matrix.
 
     ``gram`` is the metric in the standard skew-basis coordinates; a
-    1-D input is taken as a diagonal.  A non-finite entry, or a matrix not
-    exactly symmetric, raises ValueError: the name lists its upper triangle.
+    1-D input is taken as a diagonal.  A non-finite entry, a matrix not
+    exactly symmetric, or one with an eigenvalue <= 0 or a smallest/largest
+    eigenvalue ratio below 1e-10 (the rank tolerance of
+    ``orthonormalize_basis``) raises ValueError naming the matrix.  The
+    space's name lists its upper triangle.
     """
     gram = np.asarray(gram, dtype=float)
     if not np.all(np.isfinite(gram)):
@@ -306,6 +309,10 @@ def make_so3_left_invariant(gram) -> Space:
         gram = np.diag(gram)
     if not np.array_equal(gram, gram.T):
         raise ValueError(f"Gram matrix must be symmetric, got {gram.tolist()}")
+    eig = np.linalg.eigvalsh(gram)
+    if eig.size and not (eig[0] > 0 and eig[0] >= 1e-10 * eig[-1]):
+        raise ValueError("Gram matrix must be positive definite with smallest/largest "
+                         f"eigenvalue ratio >= 1e-10, got {gram.tolist()}")
     label = ",".join(repr(float(x)) for x in gram[np.triu_indices_from(gram)])
     return _build(f"so3-left[{label}]", "so3", SO3_BASIS, gram=gram)
 

@@ -22,8 +22,15 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(vals, dtype=float) - lo) / span * (out_hi - out_lo)
 
 
-def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
-    parts = [
+def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi) -> list[str]:
+    """The figure's opening lines: canvas, labels, plot box and five ticks per axis."""
+    q = np.arange(5)
+    fx, fy = xlo + (xhi - xlo) * q / 4, ylo + (yhi - ylo) * q / 4
+    ticks = np.stack([_scale(fx, xlo, xhi, _ML, _W - _MR), fx,
+                      _scale(fy, ylo, yhi, _H - _MB, _MT), fy], axis=1)
+    tick = (f'<text x="%.1f" y="{_H - _MB + 15}" text-anchor="middle" font-size="10">%.3g</text>\n'
+            f'<text x="{_ML - 5}" y="%.1f" text-anchor="end" font-size="10">%.3g</text>')
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
@@ -33,21 +40,8 @@ def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
         f'transform="rotate(-90 14 {_H / 2})">{ylabel}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         f'fill="none" stroke="black"/>',
+        "\n".join([tick] * len(q)) % tuple(ticks.ravel().tolist()),
     ]
-    for i in range(5):
-        fx = xlo + (xhi - xlo) * i / 4
-        fy = ylo + (yhi - ylo) * i / 4
-        px = _scale(fx, xlo, xhi, _ML, _W - _MR)
-        py = _scale(fy, ylo, yhi, _H - _MB, _MT)
-        parts.append(
-            f'<text x="{px:.1f}" y="{_H - _MB + 15}" text-anchor="middle" '
-            f'font-size="10">{fx:.3g}</text>'
-        )
-        parts.append(
-            f'<text x="{_ML - 5}" y="{py:.1f}" text-anchor="end" '
-            f'font-size="10">{fy:.3g}</text>'
-        )
-    return parts
 
 
 def _points(px, py) -> str:
@@ -121,26 +115,27 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
 
 
 def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
-    """Write a grid heatmap of the 2-D array Z (blue = low, red = high)."""
+    """Write a grid heatmap of the 2-D array Z (blue = low, red = high).
+
+    Every cell's x, y, red and blue are stacked into one (cells, 4) array
+    and formatted in one pass, as :func:`_points` formats a polyline.
+    """
     Z = np.asarray(Z, dtype=float)
     lo, hi = float(Z.min()), float(Z.max())
     span = hi - lo if hi > lo else 1.0
     ny, nx = Z.shape
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
-    parts = _frame(title, xlabel, ylabel, 0, nx, 0, ny)
-    for i in range(ny):
-        for j in range(nx):
-            f = (Z[i, j] - lo) / span
-            r, b = int(255 * f), int(255 * (1 - f))
-            parts.append(
-                f'<rect x="{_ML + j * cw:.2f}" y="{_H - _MB - (i + 1) * ch:.2f}" '
-                f'width="{cw:.2f}" height="{ch:.2f}" fill="rgb({r},60,{b})"/>'
-            )
-    parts.append(
-        f'<text x="{_W - _MR}" y="{_MT - 8}" text-anchor="end" font-size="10">'
-        f"range [{lo:.4g}, {hi:.4g}]</text>"
-    )
-    parts.append("</svg>")
+    f = (Z - lo) / span
+    cells = np.stack(np.broadcast_arrays(_ML + np.arange(nx) * cw,
+                                         (_H - _MB - (np.arange(ny) + 1) * ch)[:, None],
+                                         255 * f, 255 * (1 - f)), axis=-1)
+    # %d truncates a float as int() does
+    rect = (f'\n<rect x="%.2f" y="%.2f" width="{cw:.2f}" height="{ch:.2f}" '
+            'fill="rgb(%d,60,%d)"/>')
     with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+        fh.write("\n".join(_frame(title, xlabel, ylabel, 0, nx, 0, ny)))
+        fh.write(rect * Z.size % tuple(cells.ravel().tolist()))
+        fh.write(f'\n<text x="{_W - _MR}" y="{_MT - 8}" text-anchor="end" font-size="10">'
+                 f"range [{lo:.4g}, {hi:.4g}]</text>")
+        fh.write("\n</svg>")

@@ -464,6 +464,50 @@ class TestBadNumbers:
         assert '"' not in err
 
 
+# The kind of each built-in space spec with its dim m, and the kind each
+# built-in field is written for (None: any kind).
+SPACE_KINDS = {"sphere2": ("sphere", 2), "so3": ("so3", 3), "so3-left:1,1,4": ("so3", 3),
+               "circle": ("circle", 1), "euclidean:2": ("euclidean", 2)}
+FIELD_KINDS = {"sphere-grad-height": "sphere", "sphere-noneq": "sphere", "constant": None,
+               "so3-demo-schedule": "so3", "euclidean-linear": "euclidean",
+               "circle-sin": "circle"}
+
+
+class TestSpecRefusals:
+    @pytest.mark.parametrize("space", SPACE_KINDS)
+    @pytest.mark.parametrize("field", FIELD_KINDS)
+    def test_field_runs_only_on_its_kind(self, tmp_path, capsys, field, space):
+        kind, m = SPACE_KINDS[space]
+        arg = {"constant": ":" + ",".join(["0.5"] * m),
+               "euclidean-linear": ":-1,0,0,-1"}.get(field, "")
+        code = run(tmp_path, "certify", "--space", space, "--field", field + arg,
+                   "--region", "box:-1:1:4", "--c", "100")
+        err = capsys.readouterr().err
+        if FIELD_KINDS[field] in (None, kind):
+            assert (code, err) == (0, "")
+        else:
+            name = cli._resolve_space(space).name
+            assert code == 1
+            assert err == (f"error: field {field} is defined on {FIELD_KINDS[field]} spaces, "
+                           f"not {name}\n")
+
+    @pytest.mark.parametrize("entry,shown", [("-1", "-1.0"), ("1e300", "1e+300"),
+                                             ("1e-300", "1e-300")])
+    def test_gram_refused_by_its_eigenvalues(self, tmp_path, capsys, entry, shown):
+        assert run(tmp_path, "classify", "--space", f"so3-left:1,1,{entry}") == 1
+        assert capsys.readouterr().err == (
+            "error: Gram matrix must be positive definite with smallest/largest eigenvalue "
+            f"ratio >= 1e-10, got [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, {shown}]]\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_constant_entries_refused_where_parsed(self, tmp_path, capsys):
+        assert run(tmp_path, "certify", "--space", "so3", "--field", "constant:1,0,nan",
+                   "--region", "box:-1:1:4", "--c", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: constant field entries must be finite, got [1.0, 0.0, nan]\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestNameHints:
     def test_every_listed_space_resolves(self, tmp_path, capsys):
         assert run(tmp_path, "classify", "--space", "torus9") == 1

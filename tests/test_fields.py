@@ -239,6 +239,15 @@ class TestTabulatedField:
         with pytest.raises(ValueError, match=f"table {re.escape(str(path))}, {match}"):
             fields.tabulated_field(euclid2, path)
 
+    @pytest.mark.parametrize("cell", ["abc", "", "0x1"])
+    def test_cell_not_a_number_names_its_line(self, euclid2, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5\n"
+                        f"1,0,0,0,1,0,0,0,1,{cell},0\n")
+        with pytest.raises(ValueError, match=f"table {re.escape(str(path))}, line 3: "
+                                             f"expected a number, found '{cell}'$"):
+            fields.tabulated_field(euclid2, path)
+
 
 class TestStackedErrors:
     def _nan_at_x(self, euclid2, x_bad):

@@ -6,6 +6,7 @@ removed and the input goes on to fail somewhere else, or not at all.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -199,3 +200,18 @@ def test_symmetric_gram_is_named_and_used():
     coords = np.linalg.lstsq(spaces.SO3_BASIS.reshape(3, -1).T, B.T, rcond=None)[0]
     # the m-basis is orthonormal for the Gram matrix, off-diagonal entries included
     assert np.allclose(coords.T @ gram @ coords, np.eye(3), atol=1e-12)
+
+
+def test_gram_with_a_negative_eigenvalue_is_refused():
+    # positive diagonal and symmetric, but the eigenvalues are 3, 1 and -1
+    gram = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(ValueError, match=re.escape(f"Gram matrix must be positive definite "
+                                                   f"with smallest/largest eigenvalue ratio "
+                                                   f">= 1e-10, got {gram}")):
+        spaces.make_so3_left_invariant(gram)
+
+
+def test_constant_field_refuses_non_finite_entries():
+    with pytest.raises(ValueError, match=re.escape("constant field entries must be finite, "
+                                                   "got [0.0, inf]")):
+        fields.constant_field(EUCLID2, [0.0, np.inf])

@@ -5,7 +5,7 @@ linearizations and matrix measures, test the periodic-loop obstruction,
 and propagate contraction-based reachable tubes on SO(3).
 """
 
-from .connection import SpaceClassification, classify, compute_U, compute_alpha
+from .connection import SpaceClassification, classify, compute_alpha
 from .contraction import (
     ContractionCertificate,
     LoopReport,
@@ -33,13 +33,7 @@ from .liealg import (
     check_ad_invariance,
     orthonormalize_basis,
 )
-from .reach import (
-    ReachTube,
-    Trajectory,
-    distance,
-    integrate,
-    reach_tube,
-)
+from .reach import ReachTube, distance, integrate, reach_tube
 from .spaces import (
     Space,
     make_circle,

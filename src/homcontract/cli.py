@@ -202,11 +202,14 @@ def cmd_reach(args) -> int:
     )
     out = _write_result(args, "reach.json", tube.to_dict())
     reach.trajectory_to_csv(space, tube.center, out / "center_trajectory.csv")
+    t = tube.center.times
+    lowest, highest = tube.envelope
     svgplot.line_plot(
         out / "reach.svg",
-        tube.center.times,
-        [("radius", tube.radius(tube.center.times)), ("sample distances", tube.distances)],
-        title="tube radius and Monte Carlo sample distances",
+        t,
+        [("radius", tube.radius(t)), ("largest sample distance", highest),
+         ("smallest sample distance", lowest)],
+        title="tube radius and the Monte Carlo sample distance envelope",
         xlabel="t",
         ylabel="distance",
     )

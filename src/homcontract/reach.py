@@ -207,9 +207,14 @@ class ReachTube:
     passed = property(lambda self: self.max_margin <= _CONTAINMENT_TOL)
 
     @cached_property
+    def envelope(self) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest and the largest sample distance at each time, (T+1,) each."""
+        return self.distances.min(axis=1), self.distances.max(axis=1)
+
+    @cached_property
     def _extremes(self) -> tuple[float, float]:
         # one reduction however often the verdict is read
-        return _tube_extremes(self.distances, self.radius(self.center.times))
+        return _tube_extremes(self.distances, self.radius(self.center.times), self.envelope[1])
 
     def radius(self, t) -> np.ndarray:
         return self.K * np.exp(self.c * np.asarray(t, dtype=float)) * self.r0
@@ -269,14 +274,14 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                      r0=float(r0), distances=dists, seed=seed)
 
 
-def _tube_extremes(dists, radii) -> tuple[float, float]:
+def _tube_extremes(dists, radii, per_time_max) -> tuple[float, float]:
     """max over (t, n) of dists[t, n] - radii[t], and of |dists[t, n] - dists[0, n]|.
 
     Rounded subtraction is monotone in each operand, so reducing over
     samples or times first gives the dense maxima bit for bit in O(T + n)
-    extra memory.
+    extra memory.  ``per_time_max`` is dists.max(axis=1), reduced once by the caller.
     """
-    max_margin = (dists.max(axis=1) - radii).max()
+    max_margin = (per_time_max - radii).max()
     d0 = dists[0]
     max_drift = max((dists.max(axis=0) - d0).max(), (d0 - dists.min(axis=0)).max())
     return float(max_margin), float(max_drift)

@@ -56,8 +56,9 @@ def so3_angle(Ra, Rb) -> np.ndarray:
     are read.
     """
     rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
-    skew = np.stack([rel[..., 2, 1] - rel[..., 1, 2], rel[..., 0, 2] - rel[..., 2, 0],
-                     rel[..., 1, 0] - rel[..., 0, 1]], axis=-1)
-    sin = 0.5 * np.linalg.norm(skew, axis=-1)
+    a = rel[..., 2, 1] - rel[..., 1, 2]
+    b = rel[..., 0, 2] - rel[..., 2, 0]
+    c = rel[..., 1, 0] - rel[..., 0, 1]
+    sin = 0.5 * np.sqrt(a * a + b * b + c * c)
     cos = 0.5 * (rel[..., 0, 0] + rel[..., 1, 1] + rel[..., 2, 2] - 1.0)
     return np.arctan2(sin, cos)

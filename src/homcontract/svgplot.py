@@ -12,9 +12,6 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 _PLOT_W = _W - _ML - _MR  # pixel columns of the plot area
-# Lines scaled and thinned per batch in line_plot: 8 lines of 5,001 points
-# scale into 0.3 MB; larger batches raised the reach demo's peak RSS.
-_LINE_CHUNK = 8
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -52,47 +49,39 @@ def _points(px, py) -> str:
     return ("%.2f,%.2f " * n % tuple(xy.tolist()))[:-1]
 
 
-def _m4_keep(px, PY) -> list[np.ndarray]:
-    """Per polyline (column of PY, shape (N, L)), the indices of the first,
-    last, lowest and highest point of each run of consecutive points that
-    fall in one pixel column, ascending.  This is M4 aggregation (Jugel et
-    al., VLDB 2014): the polyline drawn through them is the same at pixel
-    resolution."""
+def _m4_keep(px, py) -> np.ndarray:
+    """The indices of the first, last, lowest and highest point of each run
+    of consecutive points that fall in one pixel column, ascending.  This is
+    M4 aggregation (Jugel et al., VLDB 2014): the polyline drawn through
+    them is the same at pixel resolution."""
     col = np.clip(px - _ML, 0, _PLOT_W - 1).astype(int)
     starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
     last = np.r_[starts[1:], len(px)] - 1
     # each run's indices, padded with its last index: arg-extremes take the
     # first occurrence, so padding never displaces a real point
     idx = np.minimum(starts[:, None] + np.arange(int((last - starts).max()) + 1), last[:, None])
-    seg = PY[idx]  # (runs, width, L)
-    rows = np.arange(len(starts))[:, None]
-    first = np.broadcast_to(starts[:, None], (len(starts), PY.shape[1]))
-    cand = np.stack([first, idx[rows, seg.argmin(axis=1)], idx[rows, seg.argmax(axis=1)],
-                     np.broadcast_to(last[:, None], first.shape)], axis=1)
+    rows = np.arange(len(starts))
+    seg = py[idx]  # (runs, width)
+    cand = np.stack([starts, idx[rows, seg.argmin(axis=1)], idx[rows, seg.argmax(axis=1)],
+                     last], axis=1)
     cand.sort(axis=1)
     new = np.ones(cand.shape, dtype=bool)
     new[:, 1:] = cand[:, 1:] != cand[:, :-1]
-    return [cand[:, :, j][new[:, :, j]] for j in range(PY.shape[1])]
+    return cand[new]
 
 
 def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
-    """Write a polyline plot; ``series`` is a list of (label, y-array).
-
-    A y-array is one line of len(x) points, or a 2-D stack of lines along
-    either axis.  Past 4 points per pixel column the lines are thinned by
-    :func:`_m4_keep`.  Lines are scaled, thinned and written
-    ``_LINE_CHUNK`` at a time, so no scaled copy of all of them is made.
+    """Write a polyline plot; ``series`` is a list of (label, y-array), each
+    y-array one line of len(x) points.  Past 4 points per pixel column a
+    line is thinned by :func:`_m4_keep`.
     """
     x = np.asarray(x, dtype=float)
-    blocks = []  # per series, its lines as columns (len(x), k)
-    for _, y in series:
-        ya = np.atleast_2d(np.asarray(y, dtype=float))
-        block = ya if ya.shape[0] == len(x) else ya.T
-        if block.shape[0] != len(x):
-            raise ValueError(f"series of shape {ya.shape} does not match {len(x)} x values")
-        blocks.append(block)
-    ylo = min(float(b.min()) for b in blocks)
-    yhi = max(float(b.max()) for b in blocks)
+    ys = [np.asarray(y, dtype=float) for _, y in series]
+    for y in ys:
+        if y.shape != x.shape:
+            raise ValueError(f"series of shape {y.shape} does not match {len(x)} x values")
+    ylo = min(float(y.min()) for y in ys)
+    yhi = max(float(y.max()) for y in ys)
     if yhi - ylo < 1e-12:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     xlo, xhi = float(x.min()), float(x.max())
@@ -100,14 +89,12 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
     thin = len(px) > 4 * _PLOT_W
     with open(path, "w") as fh:
         fh.write("\n".join(_frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)))
-        for i, ((label, _), block) in enumerate(zip(series, blocks)):
+        for i, ((label, _), y) in enumerate(zip(series, ys)):
             color = _COLORS[i % len(_COLORS)]
-            for c0 in range(0, block.shape[1], _LINE_CHUNK):
-                PY = _scale(block[:, c0:c0 + _LINE_CHUNK], ylo, yhi, _H - _MB, _MT)
-                keep = _m4_keep(px, PY) if thin else [slice(None)] * PY.shape[1]
-                for j, kj in enumerate(keep):
-                    fh.write(f'\n<polyline points="{_points(px[kj], PY[kj, j])}" '
-                             f'fill="none" stroke="{color}" stroke-width="1"/>')
+            py = _scale(y, ylo, yhi, _H - _MB, _MT)
+            keep = _m4_keep(px, py) if thin else slice(None)
+            fh.write(f'\n<polyline points="{_points(px[keep], py[keep])}" '
+                     f'fill="none" stroke="{color}" stroke-width="1"/>')
             if label:
                 fh.write(f'\n<text x="{_W - _MR - 5}" y="{_MT + 14 + 13 * i}" '
                          f'text-anchor="end" font-size="11" fill="{color}">{label}</text>')

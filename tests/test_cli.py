@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import homcontract
-from homcontract import cli, contraction, fields, reach, spaces
+from homcontract import cli, contraction, fields, reach, spaces, svgplot
 
 
 def run(tmp_path, *argv):
@@ -222,6 +223,30 @@ class TestReach:
         assert payload["tube"]["r0"] == 0.1
         assert (tmp_path / "center_trajectory.csv").exists()
         assert (tmp_path / "reach.svg").read_text().startswith("<svg")
+
+    def test_figure_shows_the_verdict(self, tmp_path, capsys):
+        # 101 points, fewer than 4 per pixel column: every point is drawn
+        code = run(tmp_path, "reach", "--space", "so3", "--field", "so3-demo-schedule",
+                   "--region", "box:-2:2:16", "--c", "0", "--r0", "0.1",
+                   "--horizon", "0.5", "--dt", "0.005", "--samples", "10", "--seed", "3")
+        assert code == 0
+        svg = (tmp_path / "reach.svg").read_text()
+        lines = re.findall(r'points="([^"]*)"', svg)
+        labels = re.findall(r'font-size="11" fill="[^"]*">([^<]*)</text>', svg)
+        assert len(lines) == 3
+        assert labels == ["radius", "largest sample distance", "smallest sample distance"]
+
+        so3 = spaces.make_so3_biinvariant()
+        F = fields.so3_demo_schedule(so3)
+        cert = contraction.certify_region(
+            F, so3, contraction.generator_box_samples(so3, [-2] * 3, [2] * 3, 16), c=0.0)
+        tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 0.5, 0.005, n_samples=10, seed=3)
+        t = tube.center.times
+        ys = [tube.radius(t), tube.distances.max(axis=1), tube.distances.min(axis=1)]
+        lo, hi = min(y.min() for y in ys), max(y.max() for y in ys)
+        for pts, y in zip(lines, ys):
+            py = svgplot._scale(y, lo, hi, svgplot._H - svgplot._MB, svgplot._MT)
+            assert [p.split(",")[1] for p in pts.split(" ")] == [f"{v:.2f}" for v in py]
 
     def test_reach_refuses_failed_certificate(self, tmp_path, capsys):
         code = run(tmp_path, "reach", "--space", "sphere2",

@@ -426,7 +426,7 @@ class TestStreamedTube:
     def test_tube_extremes_equal_dense(self, case):
         dists, rate = case
         radii = 0.1 * np.exp(rate * np.linspace(0.0, 1.0, len(dists)))
-        margin, drift = reach._tube_extremes(dists, radii)
+        margin, drift = reach._tube_extremes(dists, radii, dists.max(axis=1))
         assert margin == (dists - radii[:, None]).max()
         assert drift == np.abs(dists - dists[0][None, :]).max()
 

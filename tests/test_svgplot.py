@@ -26,16 +26,15 @@ class TestPolylinePoints:
     def test_line_plot_polylines(self, tmp_path):
         rng = np.random.default_rng(4)
         x = np.linspace(0.0, 5.0, 301)
-        series = [("radius", 0.1 * np.exp(-x)), ("samples", rng.normal(size=(301, 4)))]
+        series = [("radius", 0.1 * np.exp(-x))] + [("", y) for y in rng.normal(size=(4, 301))]
         path = tmp_path / "plot.svg"
         svgplot.line_plot(path, x, series)
         got = re.findall(r'points="([^"]*)"', path.read_text())
-        ys = np.concatenate([series[0][1], series[1][1].ravel()])
+        ys = np.concatenate([y for _, y in series])
         lo, hi = ys.min(), ys.max()
         px = svgplot._scale(x, x.min(), x.max(), svgplot._ML, svgplot._W - svgplot._MR)
-        cols = [series[0][1]] + list(series[1][1].T)
-        want = [old_points(px, svgplot._scale(c, lo, hi, svgplot._H - svgplot._MB,
-                                              svgplot._MT)) for c in cols]
+        want = [old_points(px, svgplot._scale(y, lo, hi, svgplot._H - svgplot._MB,
+                                              svgplot._MT)) for _, y in series]
         assert got == want
 
     def test_dense_lines_keep_column_extremes(self, tmp_path):
@@ -43,19 +42,18 @@ class TestPolylinePoints:
         # lowest and highest point of every column, formatted as in the full join
         rng = np.random.default_rng(5)
         x = np.linspace(0.0, 5.0, 5001)
-        series = [("radius", np.full(5001, 0.1)),
-                  ("samples", np.cumsum(rng.normal(size=(5001, 3)), axis=0))]
+        series = [("radius", np.full(5001, 0.1))] + [
+            ("", y) for y in np.cumsum(rng.normal(size=(3, 5001)), axis=1)]
         path = tmp_path / "dense.svg"
         svgplot.line_plot(path, x, series)
         got = re.findall(r'points="([^"]*)"', path.read_text())
-        ys = np.concatenate([series[0][1], series[1][1].ravel()])
+        ys = np.concatenate([y for _, y in series])
         lo, hi = ys.min(), ys.max()
         px = svgplot._scale(x, x.min(), x.max(), svgplot._ML, svgplot._W - svgplot._MR)
         column = np.minimum(np.floor(px - svgplot._ML), 559)
-        cols = [series[0][1]] + list(series[1][1].T)
-        assert len(got) == len(cols)
-        for pts, c in zip(got, cols):
-            py = svgplot._scale(c, lo, hi, svgplot._H - svgplot._MB, svgplot._MT)
+        assert len(got) == len(series)
+        for pts, (_, y) in zip(got, series):
+            py = svgplot._scale(y, lo, hi, svgplot._H - svgplot._MB, svgplot._MT)
             full = old_points(px, py).split(" ")
             want = []
             for k in np.unique(column):
@@ -66,56 +64,21 @@ class TestPolylinePoints:
             assert pts.split(" ") == want
 
 
-def dense_line_plot(x, series, title="", xlabel="t", ylabel="value"):
-    """line_plot's text built from one scaled copy of all lines, joined at once."""
-    x = np.asarray(x, dtype=float)
-    blocks = [np.atleast_2d(y) if np.atleast_2d(y).shape[0] == len(x) else np.atleast_2d(y).T
-              for _, y in series]
-    ys = np.concatenate(blocks, axis=1)
-    ylo, yhi = float(ys.min()), float(ys.max())
-    if yhi - ylo < 1e-12:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
-    xlo, xhi = float(x.min()), float(x.max())
-    parts = svgplot._frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
-    px = svgplot._scale(x, xlo, xhi, svgplot._ML, svgplot._W - svgplot._MR)
-    PY = svgplot._scale(ys, ylo, yhi, svgplot._H - svgplot._MB, svgplot._MT)
-    thin = len(px) > 4 * svgplot._PLOT_W
-    keep = svgplot._m4_keep(px, PY) if thin else [slice(None)] * PY.shape[1]
-    j0 = 0
-    for i, ((label, _), block) in enumerate(zip(series, blocks)):
-        color = svgplot._COLORS[i % len(svgplot._COLORS)]
-        for j in range(j0, j0 + block.shape[1]):
-            pts = svgplot._points(px[keep[j]], PY[keep[j], j])
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
-        if label:
-            parts.append(
-                f'<text x="{svgplot._W - svgplot._MR - 5}" y="{svgplot._MT + 14 + 13 * i}" '
-                f'text-anchor="end" font-size="11" fill="{color}">{label}</text>')
-        j0 += block.shape[1]
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-class TestChunkedLines:
-    """Lines are scaled, thinned and written in chunks, with the same bytes."""
-
-    def test_many_lines_match_dense_copy(self, tmp_path):
-        rng = np.random.default_rng(6)
-        for n_x in (301, 5001):  # all points, and M4-thinned
-            x = np.linspace(0.0, 5.0, n_x)
-            series = [("radius", np.full(n_x, 0.1)),
-                      ("samples", np.cumsum(rng.normal(size=(n_x, 37)), axis=0)),
-                      ("", rng.normal(size=(2, n_x)))]
-            path = tmp_path / f"many{n_x}.svg"
-            svgplot.line_plot(path, x, series, title="t", ylabel="d")
-            assert path.read_text() == dense_line_plot(x, series, title="t", ylabel="d")
+class TestSeriesShape:
+    """Each series is one line of len(x) points."""
 
     def test_length_mismatch_raises(self, tmp_path):
         x = np.arange(10.0)
-        for series in ([("a", np.ones(5))], [("a", np.ones(10)), ("b", np.ones((3, 5)))]):
+        for series in ([("a", np.ones(5))], [("a", np.ones(10)), ("b", np.ones(11))]):
             with pytest.raises(ValueError, match="does not match"):
                 svgplot.line_plot(tmp_path / "bad.svg", x, series)
+
+    def test_stacked_lines_refused(self, tmp_path):
+        # one series is one line: a 2-D stack, along either axis, is refused
+        x = np.arange(10.0)
+        for y in (np.ones((10, 3)), np.ones((3, 10)), np.ones((1, 10))):
+            with pytest.raises(ValueError, match="does not match"):
+                svgplot.line_plot(tmp_path / "bad.svg", x, [("a", y)])
 
 
 def old_frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):

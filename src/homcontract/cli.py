@@ -196,10 +196,8 @@ def cmd_reach(args) -> int:
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
         return 2
-    tube = reach.reach_tube(
-        F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
-        method=args.method, n_samples=args.samples, seed=args.seed,
-    )
+    tube = reach.reach_tube(F, space, space.identity(), args.r0, cert, args.horizon, args.dt,
+                            n_samples=args.samples, seed=args.seed)
     out = _write_result(args, "reach.json", tube.to_dict())
     reach.trajectory_to_csv(space, tube.center, out / "center_trajectory.csv")
     t = tube.center.times
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dt", type=positive, default=1e-3)
     pv.add_argument("--samples", type=count, default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--method", default="rkmk4", choices=["rkmk4", "lieeuler"])
     pv.set_defaults(func=cmd_reach)
     return p
 

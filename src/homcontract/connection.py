@@ -18,14 +18,15 @@ _TOL = 1e-10  # largest entry counted as zero by the flags and the tensor identi
 
 
 def _U(bm: np.ndarray) -> np.ndarray:
-    # <[A_j, A_i]_m, A_k> = bm[j, i, k];  <A_j, [A_k, A_i]_m> = bm[k, i, j]
-    return 0.5 * (np.einsum("jik->ijk", bm) + np.einsum("kij->ijk", bm))
+    # <[A_i, A_j]_m, A_k> = bm[i, j, k];  <A_j, [A_i, A_k]_m> = bm[i, k, j]
+    return 0.5 * (bm + np.einsum("ikj->ijk", bm))
 
 
 def compute_U(dec: ReductiveDecomposition) -> np.ndarray:
     """Metric correction term of the invariant Levi-Civita connection.
 
     U[i, j, k] is the i-th coordinate of U(A_j, A_k); symmetric in (j, k).
+    Nomizu's sign: <U(X, Y), Z> = (<[Z, X]_m, Y> + <X, [Z, Y]_m>) / 2.
     """
     return _U(dec.bracket_m)
 
@@ -68,14 +69,14 @@ def classify(dec: ReductiveDecomposition) -> SpaceClassification:
 
 
 def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:
-    """Raise if the torsion or self-orthogonality identities fail.
+    """Raise if the torsion or metric-compatibility identities fail.
 
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
-    and alpha(A_j, A_k) must be orthogonal to A_j for every j, k.
+    and alpha(A_j, .) must be skew for the metric: alpha[i, j, k] +
+    alpha[k, j, i] = 0, so <alpha(X, Y), Z> + <Y, alpha(X, Z)> = 0.
     """
     torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", dec.bracket_m)
     if np.max(np.abs(torsion)) > _TOL:
         raise ValueError("connection tensor violates the torsion identity")
-    self_pair = np.einsum("jjk->jk", alpha)  # self_pair[j, k] = alpha[j, j, k]
-    if np.abs(self_pair).max(initial=0.0) > _TOL:
-        raise ValueError("connection tensor violates self-orthogonality")
+    if np.abs(alpha + np.einsum("kji->ijk", alpha)).max(initial=0.0) > _TOL:
+        raise ValueError("connection tensor violates metric compatibility")

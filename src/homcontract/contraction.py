@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .connection import _TOL, compute_U
 from .fields import _FD_STEP, HorizontalField, linearize, rotate_field
 from .spaces import Space, rotate_basis
 
@@ -258,11 +259,14 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     divided by its largest entry before it is normalized, so its magnitude
     can neither overflow nor underflow the norm.  P is the frame
     linearization in the space's own basis, one stacked call over the loop;
-    a quadratic form reads the same in every orthonormal frame.  f is the
-    derivative of a periodic coefficient, so its trapezoid integral over
-    one period vanishes and its maximum cannot be uniformly negative.  If a
-    claimed rate c < 0 nevertheless dominates max f, the report is
-    flagged INCONSISTENT.
+    a quadratic form reads the same in every orthonormal frame.  With the
+    Levi-Civita term, f = d/dt<coeff, u> - <U(u, u), coeff>.  Where
+    U(u, u) = 0 the orbit is a geodesic and f is the derivative of a
+    periodic coefficient, so its trapezoid integral over one period
+    vanishes and its maximum cannot be uniformly negative.  If a claimed
+    rate c < 0 nevertheless dominates max f, the report is flagged
+    INCONSISTENT.  Given a rate c, an orbit with U(u, u) beyond the
+    connection tolerance raises ValueError: no rate can be judged there.
     """
     if n_quad < 1:
         raise ValueError(f"a loop needs n_quad >= 1 quadrature intervals, got {n_quad}")
@@ -275,6 +279,12 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
         raise ValueError(f"generator must be nonzero and finite, got {u.tolist()}")
     u = u / scale
     u = u / np.linalg.norm(u)
+    if c is not None:
+        Uuu = np.einsum("ijk,j,k->i", compute_U(space.dec), u, u)
+        if np.abs(Uuu).max() > _TOL:
+            raise ValueError(f"the orbit of generator {u.tolist()} is not a geodesic: "
+                             f"U(u, u) = {Uuu.tolist()} exceeds {_TOL:g}, so f need not "
+                             f"average to zero and no rate c can be judged on this loop")
     A1 = space.algebra_from_coords(u)
     period = find_period(space, A1)
     if period is None:

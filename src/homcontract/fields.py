@@ -154,8 +154,10 @@ class CosetReport:
 def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None) -> CosetReport:
     """Compare the linearization across coset representatives g and g h.
 
-    For a genuine horizontal lift the matrices agree; the gap reported is
-    the max-entry deviation over the sampled isotropy elements.
+    For a genuine horizontal lift P(g h) = C_h P(g) C_h^T, where column j of
+    C_h holds the m-coordinates of h^-1 A_j h (one stacked solve over every
+    sample and basis element); the gap reported is the max-entry deviation
+    from that law over the sampled isotropy elements.
     """
     if h_samples is None:
         h_samples = space.h_samples()
@@ -163,7 +165,9 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
     d = space.embed_dim
     hs = np.reshape(np.asarray(h_samples, dtype=float), (-1, d, d))
     P = linearize(F, space, np.concatenate([g[None], g @ hs]))
-    gap = float(np.abs(P[1:] - P[0]).max(initial=0.0))
+    moved = np.linalg.inv(hs)[:, None] @ space.dec.m_basis @ hs[:, None]
+    C = np.swapaxes(space.dec.coords_m(moved), -1, -2)
+    gap = float(np.abs(P[1:] - C @ P[0] @ np.swapaxes(C, -1, -2)).max(initial=0.0))
     return CosetReport(max_gap=gap, pairs_checked=len(hs))
 
 

@@ -1,6 +1,6 @@
 """Lie-group integration, invariant distances, and contraction tubes.
 
-Integrators advance states by exponentials of algebra increments, so
+The integrator advances states by exponentials of algebra increments, so
 trajectories stay on the group by construction.  A tube holds its
 certificate, its center trajectory with the radius schedule K e^{ct} r0,
 and the distances of a Monte Carlo ball to the center, from which it
@@ -38,7 +38,6 @@ class Trajectory:
 
     times: np.ndarray
     states: Optional[np.ndarray]
-    integrator_id: str
     step_size: float
 
     @property
@@ -47,15 +46,14 @@ class Trajectory:
 
 
 def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
-              method: str = "rkmk4",
               consume: Optional[Callable[[int, np.ndarray], None]] = None) -> Trajectory:
-    """Integrate dg = g . xi(g, t) from t = 0 with Lie-Euler or a 4th-order scheme.
+    """Integrate dg = g . xi(g, t) from t = 0 with the 4th-order RKMK4 scheme.
 
     ``g0`` may be a single (d, d) element or a stacked batch (..., d, d);
     the batch is advanced in lockstep over round(horizon / dt) steps.  The
-    4th-order scheme is a Munthe-Kaas style method: classical four-stage
-    weights in the algebra with second-order commutator corrections before
-    each exponential re-projection.
+    scheme is a Munthe-Kaas style method: classical four-stage weights in
+    the algebra with second-order commutator corrections before each
+    exponential re-projection.
 
     The steps run in blocks of ``_STEP_CHUNK``.  A field declared
     ``state_independent`` has an increment Omega_k that depends on the step
@@ -81,6 +79,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         c1 = sigma @ a - a @ sigma
         return a + 0.5 * c1 + (1.0 / 12.0) * (sigma @ c1 - c1 @ sigma)
 
+    # the algebra increment of one step, or of a block of steps, at time(s) t;
     # ``stage(s, tau)`` is the field's algebra element at time(s) tau, at the
     # step's start state moved by exp(s), or not moved when s is None; both
     # work on a single step (scalar tau) and on a block of steps (tau (n,)).
@@ -94,10 +93,6 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         k4 = corrected(s4, stage(s4, t + dt))
         return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # the algebra increment of one step, or of a block of steps, at time(s) t
-    increment = {"lieeuler": lambda stage, t: dt * stage(None, t), "rkmk4": rkmk4}.get(method)
-    if increment is None:
-        raise ValueError(f"unknown integrator {method!r}")
     g = np.asarray(g0, dtype=float)
     space.check_group(g)
     times = dt * np.arange(n_steps + 1)
@@ -131,18 +126,18 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
             if (c != c[0]).any():
                 raise ValueError(f"field {F.name} is declared state-independent, but its "
                                  f"coefficients at t={block[0]:g} differ between states")
-            E = space.algebra_exp(increment(row_stage, block))
+            E = space.algebra_exp(rkmk4(row_stage, block))
         for j, t in enumerate(block):
             if one_row:  # one (rows * d, d) x (d, d) product
                 np.matmul(buf[j].reshape(-1, d), E[j], out=buf[j + 1].reshape(-1, d))
             else:
-                buf[j + 1] = buf[j] @ space.algebra_exp(increment(stack_stage(buf[j]), t))
+                buf[j + 1] = buf[j] @ space.algebra_exp(rkmk4(stack_stage(buf[j]), t))
         if len(block) == _STEP_CHUNK:
             consume(lo, buf[:-1])
             buf[0] = buf[-1]
     lo = n_steps - n_steps % _STEP_CHUNK
     consume(lo, buf[:n_steps - lo + 1])
-    return Trajectory(times=times, states=states, integrator_id=method, step_size=dt)
+    return Trajectory(times=times, states=states, step_size=dt)
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -225,7 +220,7 @@ class ReachTube:
         return {
             "tube": {"space": self.space_id, "field": self.field_id, "K": self.K, "c": self.c,
                      "r0": self.r0, "horizon": traj.horizon, "dt": traj.step_size,
-                     "integrator": traj.integrator_id, "radius_schedule": "K*exp(c*t)*r0"},
+                     "integrator": "rkmk4", "radius_schedule": "K*exp(c*t)*r0"},
             "certificate": self.certificate.to_dict(),
             "containment": {"n_samples": self.n_samples, "seed": self.seed,
                             "max_margin": self.max_margin, "max_drift": self.max_drift,
@@ -235,7 +230,7 @@ class ReachTube:
 
 def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
                certificate: ContractionCertificate, horizon: float, dt: float,
-               method: str = "rkmk4", n_samples: int = 100, seed: int = 0) -> ReachTube:
+               n_samples: int = 100, seed: int = 0) -> ReachTube:
     """Contraction tube around the center from ``g0``, with its Monte Carlo ball.
 
     Requires a PASS certificate (at any rate c) for this field on this
@@ -268,8 +263,7 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
         center[lo:hi] = chunk[:, 0]
         dists[lo:hi] = space.ops.distance(space, center[lo:hi, None], chunk[:, 1:])
 
-    traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt,
-                     method=method, consume=reduce)
+    traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt, consume=reduce)
     return ReachTube(center=replace(traj, states=center), certificate=certificate, K=1.0,
                      r0=float(r0), distances=dists, seed=seed)
 

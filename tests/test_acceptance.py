@@ -126,7 +126,7 @@ def test_criterion_5_connection_correctness(sphere, so3, so3_left, euclid2, circ
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k], eps[j, i, k] = 1.0, -1.0
     so3_gap = np.max(np.abs(so3.alpha - 0.5 * np.einsum("jki->ijk", eps)))
-    _, alpha_oracle = oracle_tensors([1.0, 1.0, 4.0])
+    _, alpha_oracle = oracle_tensors(np.diag([1.0, 1.0, 4.0]), so3_left.dec.m_basis)
     left_gap = np.max(np.abs(so3_left.alpha - alpha_oracle))
     invariants_ok = True
     for sp in (sphere, so3, so3_left, euclid2, circle):

@@ -66,6 +66,15 @@ class TestCertify:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_left_invariant_constant_field_fails(self, tmp_path, capsys):
+        # the closed form |g2 - g3| / (2 sqrt(g1 g2 g3)) = 0.75 at (1, 1, 4)
+        code = run(tmp_path, "certify", "--space", "so3-left:1,1,4", "--field", "constant:1,0,0",
+                   "--region", "box:-1:1:64", "--c", "0")
+        assert code == 2
+        assert "FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "certificate.json").read_text())
+        assert payload["mu_max"] == pytest.approx(0.75, abs=1e-6)
+
     def test_box_region_on_so3(self, tmp_path, capsys):
         code = run(tmp_path, "certify", "--space", "so3",
                    "--field", "constant:0.3,-1,0.7",
@@ -209,6 +218,13 @@ class TestLoopCheck:
         payload = json.loads((tmp_path / "loop_report.json").read_text())
         assert payload["period"] == pytest.approx(8.0 * np.pi, abs=1e-12)
 
+    def test_rate_off_a_geodesic_orbit_is_refused(self, tmp_path, capsys):
+        code = run(tmp_path, "loop-check", "--space", "so3-left:1,1,4", "--field",
+                   "constant:1,0,0", "--generator", "1,1,1", "--c", "-0.4")
+        assert code == 1
+        assert "is not a geodesic" in capsys.readouterr().err
+        assert not (tmp_path / "loop_report.json").exists()
+
 
 class TestReach:
     def test_so3_demo_short(self, tmp_path, capsys):
@@ -255,6 +271,15 @@ class TestReach:
                    "--horizon", "0.2", "--dt", "0.01", "--samples", "5")
         assert code == 2
         assert "FAIL" in capsys.readouterr().err
+
+    def test_one_scheme_and_no_method_option(self, tmp_path, capsys):
+        argv = ["reach", "--space", "so3", "--field", "so3-demo-schedule", "--region",
+                "box:-2:2:16", "--horizon", "0.05", "--dt", "0.01", "--samples", "3"]
+        assert run(tmp_path, *argv, "--method", "rkmk4") == 1
+        assert "unrecognized arguments: --method rkmk4" in capsys.readouterr().err
+        assert run(tmp_path, *argv) == 0
+        payload = json.loads((tmp_path / "reach.json").read_text())
+        assert payload["tube"]["integrator"] == "rkmk4" and "method" not in payload["config"]
 
 
 class TestStateIndependentPathExact:

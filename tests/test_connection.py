@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homcontract import connection
+from homcontract import connection, contraction, fields, spaces
 from homcontract.spaces import SO3_BASIS
 
 AX, AY, AZ = SO3_BASIS
@@ -15,29 +17,28 @@ def _levi_civita():
     return eps
 
 
-def oracle_tensors(diag):
-    """Hand-rolled connection tensors for a diagonal metric on so(3).
+def oracle_tensors(gram, m_basis):
+    """Connection tensors of a left-invariant metric on SO(3), from the Koszul formula.
 
-    Works in the orthonormalized basis B_i = A_i / sqrt(d_i), whose bracket
-    coordinates follow directly from the epsilon symbol; the correction
-    term is then solved from its defining inner-product identities with the
-    (identity) Gram matrix.  Independent of the library's bracket and
-    projection code paths.
+    ``gram`` is the metric in the raw basis E_a = SO3_BASIS, whose brackets
+    [E_a, E_b] = eps_abc E_c follow from the epsilon symbol.  For
+    left-invariant fields the Koszul formula reads
+    2 <nabla_a E_b, E_d> = <[E_a, E_b], E_d> - <[E_b, E_d], E_a> + <[E_d, E_a], E_b>,
+    solved for nabla_a E_b with the inverse Gram matrix.  The result is
+    written in the orthonormal ``m_basis`` B_i = sum_a W[a, i] E_a (W read
+    off by the trace form, for which the E_a are orthonormal), so that
+    alpha[i, j, k] = <nabla_{B_j} B_k, B_i>; U is its symmetric part in
+    (j, k).  Independent of the library's bracket table, projection and U.
     """
-    d = np.asarray(diag, dtype=float)
+    G = np.asarray(gram, dtype=float)
     eps = _levi_civita()
-    bm = np.zeros((3, 3, 3))  # bm[j, k, i]: i-coordinate of [B_j, B_k]
-    for j in range(3):
-        for k in range(3):
-            for i in range(3):
-                bm[j, k, i] = eps[j, k, i] * np.sqrt(d[i] / (d[j] * d[k]))
-    U = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                U[i, j, k] = 0.5 * (bm[j, i, k] + bm[k, i, j])
-    alpha = 0.5 * np.einsum("jki->ijk", bm) + U
-    return U, alpha
+    C = np.einsum("abc,cd->abd", eps, G)  # C[a, b, d] = <[E_a, E_b], E_d>
+    koszul = 0.5 * (C - np.einsum("bda->abd", C) + np.einsum("dab->abd", C))
+    gamma = koszul @ np.linalg.inv(G)  # nabla_{E_a} E_b = gamma[a, b, c] E_c
+    W = 0.5 * np.einsum("axy,ixy->ai", SO3_BASIS, m_basis)
+    assert np.allclose(W.T @ G @ W, np.eye(3), atol=1e-12)  # the basis is orthonormal
+    alpha = np.einsum("aj,bk,abc,cd,di->ijk", W, W, gamma, G, W)
+    return 0.5 * (alpha + np.einsum("ikj->ijk", alpha)), alpha
 
 
 class TestComputeU:
@@ -48,7 +49,7 @@ class TestComputeU:
         assert np.allclose(connection.compute_U(so3.dec), 0.0, atol=1e-14)
 
     def test_left_invariant_matches_oracle(self, so3_left):
-        U_oracle, _ = oracle_tensors([1.0, 1.0, 4.0])
+        U_oracle, _ = oracle_tensors(np.diag([1.0, 1.0, 4.0]), so3_left.dec.m_basis)
         U = connection.compute_U(so3_left.dec)
         assert np.max(np.abs(U - U_oracle)) < 1e-12
         assert np.max(np.abs(U)) > 0.1  # genuinely non-naturally-reductive
@@ -72,7 +73,7 @@ class TestComputeAlpha:
         assert np.max(np.abs(so3.alpha - 0.5 * np.einsum("jki->ijk", eps))) < 1e-12
 
     def test_left_invariant_matches_oracle(self, so3_left):
-        _, alpha_oracle = oracle_tensors([1.0, 1.0, 4.0])
+        _, alpha_oracle = oracle_tensors(np.diag([1.0, 1.0, 4.0]), so3_left.dec.m_basis)
         assert np.max(np.abs(so3_left.alpha - alpha_oracle)) < 1e-10
 
     @pytest.mark.parametrize("name", ["sphere", "so3", "so3_left", "euclid2", "circle"])
@@ -98,6 +99,35 @@ class TestComputeAlpha:
         bad[0, 1, 0] += 1e-3  # keep torsion intact, break self-orthogonality
         with pytest.raises(ValueError):
             connection.check_alpha_invariants(so3.dec, bad)
+
+    def test_general_gram_matches_oracle(self):
+        gram = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 3.0]]
+        space = spaces.make_so3_left_invariant(gram)
+        U_oracle, alpha_oracle = oracle_tensors(gram, space.dec.m_basis)
+        assert np.max(np.abs(space.alpha - alpha_oracle)) < 1e-12
+        assert np.max(np.abs(connection.compute_U(space.dec) - U_oracle)) < 1e-12
+        connection.check_alpha_invariants(space.dec, space.alpha)
+
+    def test_flipped_correction_term_refused(self, so3_left):
+        # alpha with U negated keeps the torsion identity, but not metric compatibility
+        flipped = so3_left.alpha - 2.0 * connection.compute_U(so3_left.dec)
+        with pytest.raises(ValueError, match="metric compatibility"):
+            connection.check_alpha_invariants(so3_left.dec, flipped)
+
+
+class TestLeftInvariantClosedForm:
+    @settings(max_examples=50, deadline=None)
+    @given(st.tuples(*[st.floats(0.1, 10.0)] * 3))
+    def test_constant_field_measure(self, diag):
+        # a constant field along B_1 on so3-left:g1,g2,g3 stretches at
+        # |g2 - g3| / (2 sqrt(g1 g2 g3)), everywhere
+        g1, g2, g3 = diag
+        space = spaces.make_so3_left_invariant(list(diag))
+        samples = contraction.generator_box_samples(space, [-1.0] * 3, [1.0] * 3, 4)
+        cert = contraction.certify_region(fields.constant_field(space, [1.0, 0.0, 0.0]), space,
+                                          samples, c=0.0)
+        closed = abs(g2 - g3) / (2.0 * np.sqrt(g1 * g2 * g3))
+        assert cert.mu_max == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
 
 class TestClassify:

@@ -271,6 +271,19 @@ class TestLoopObstruction:
         with pytest.raises(ValueError, match="periodic"):
             contraction.loop_obstruction_check(F, euclid2, [1.0, 0.0])
 
+    def test_rate_refused_off_a_geodesic_orbit(self, so3_left):
+        # along (1,1,1) on so3-left:1,1,4, U(u, u) = (0.5, -0.5, 0): f = -0.5
+        # everywhere, and a rate c = -0.4 would read INCONSISTENT
+        F = fields.constant_field(so3_left, [1.0, 0.0, 0.0])
+        rep = contraction.loop_obstruction_check(F, so3_left, [1.0, 1.0, 1.0])
+        assert rep.max_value == pytest.approx(-0.5, abs=1e-9)
+        assert rep.integral == pytest.approx(-0.5 * rep.period, rel=1e-9)
+        with pytest.raises(ValueError, match=r"not a geodesic: U\(u, u\) = \[0\.5"):
+            contraction.loop_obstruction_check(F, so3_left, [1.0, 1.0, 1.0], c=-0.4)
+        # along an eigenvector of the Gram matrix the orbit is a geodesic
+        rep = contraction.loop_obstruction_check(F, so3_left, [0.0, 0.0, 1.0], c=-0.4)
+        assert not rep.inconsistent and abs(rep.integral) < 1e-9
+
 
 class TestDerivedAnswers:
     """A result holds what it was computed from; every other reading follows it."""

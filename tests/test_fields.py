@@ -152,6 +152,24 @@ class TestCosetConsistency:
             rep = fields.coset_consistency_check(F, sphere, g)
             assert rep.passed, rep.max_gap
 
+    def test_equivariant_field_with_a_rotating_linearization_passes(self, sphere):
+        # -grad(p_x^2 + p_z^3) is a field on the sphere, so its lift is
+        # equivariant, but P(g h) = C_h P(g) C_h^T differs from P(g)
+        o = sphere.base_point
+        tangents = sphere.dec.m_basis @ o
+
+        def coeff(R, t):
+            p = R @ o
+            grad = np.stack([2.0 * p[..., 0], 0.0 * p[..., 1], 3.0 * p[..., 2] ** 2], axis=-1)
+            v = np.einsum("...a,...a->...", grad, p)[..., None] * p - grad
+            return np.einsum("...ab,ib,...a->...i", R, tangents, v)
+
+        F = fields.HorizontalField("minus-grad-px2-pz3", sphere.name, coeff)
+        B = sphere.dec.m_basis
+        rep = fields.coset_consistency_check(F, sphere, sphere.algebra_exp(0.4 * B[0] - 0.7 * B[1]))
+        assert rep.passed, rep.max_gap
+        assert rep.pairs_checked == len(sphere.h_samples())
+
     def test_constant_so3_passes(self, so3):
         F = fields.constant_field(so3, [0.2, -0.4, 1.0])
         rep = fields.coset_consistency_check(F, so3, expm(0.8 * AY))

@@ -38,15 +38,6 @@ class TestIntegrate:
         traj = reach.integrate(F, sphere, g0, horizon=1.0, dt=0.05)
         assert np.max(np.abs(traj.states - g0)) < 1e-14
 
-    def test_lie_euler_first_order(self, so3):
-        F = fields.so3_demo_schedule(so3)
-        ref = reach.integrate(F, so3, np.eye(3), 1.0, 1e-4).states[-1]
-        errs = [np.max(np.abs(reach.integrate(F, so3, np.eye(3), 1.0, dt,
-                                              method="lieeuler").states[-1] - ref))
-                for dt in (0.02, 0.01)]
-        order = np.log2(errs[0] / errs[1])
-        assert 0.8 < order < 1.3
-
     def test_rkmk4_order(self, so3):
         F = fields.so3_demo_schedule(so3)
         ref = reach.integrate(F, so3, np.eye(3), 1.0, 1e-4).states[-1]
@@ -113,17 +104,6 @@ class TestIntegrate:
         g0s = np.stack([np.eye(3), expm(0.3 * AX)])
         with pytest.raises(ValueError, match="coefficient shape"):
             reach.integrate(unstacked, so3, g0s, 0.1, 0.01)
-
-
-class TestUnknownMethod:
-    def test_refused_before_any_work(self, so3):
-        def forbidden(g, t):
-            raise AssertionError("a coefficient call before the method check")
-
-        F = fields.HorizontalField(name="forbidden", space_name=so3.name, coeff=forbidden,
-                                   state_independent=True)
-        with pytest.raises(ValueError, match="unknown integrator 'euler'"):
-            reach.integrate(F, so3, np.eye(3), 1.0, 0.1, method="euler")
 
 
 class TestDistance:
@@ -380,14 +360,14 @@ class TestLockstepTube:
 class TestStreamedIntegrate:
     """With a consumer, integrate hands over each chunk of steps and stores none."""
 
-    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
     @pytest.mark.parametrize("horizon", [1.0, 0.3])  # T+1 = 101 and 31 states
     def test_chunks_equal_stored_states(self, so3, method, horizon):
         F = fields.so3_demo_schedule(so3)
         g0s = reach.sample_metric_ball(so3, np.eye(3), 0.2, 5, seed=1)
-        stored = reach.integrate(F, so3, g0s, horizon, 0.01, method=method)
+        stored = reach.integrate(F, so3, g0s, horizon, 0.01)
         seen = []
-        streamed = reach.integrate(F, so3, g0s, horizon, 0.01, method=method,
+        streamed = reach.integrate(F, so3, g0s, horizon, 0.01,
                                    consume=lambda lo, chunk: seen.append((lo, chunk.copy())))
         assert streamed.states is None
         assert np.array_equal(streamed.times, stored.times)
@@ -440,21 +420,20 @@ class TestStateIndependentStages:
             return fields.so3_demo_schedule(space)
         return fields.constant_field(space, [0.3, -0.2])
 
-    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
     @pytest.mark.parametrize("space_name", ["so3", "sphere"])
     def test_stack_equals_each_row_alone(self, request, space_name, method):
         space = request.getfixturevalue(space_name)
         F = self._field(space)
         assert F.state_independent
         g0s = reach.sample_metric_ball(space, expm(0.4 * AX), 0.3, 6, seed=5)
-        stack = reach.integrate(F, space, g0s, 0.5, 0.01, method=method).states
+        stack = reach.integrate(F, space, g0s, 0.5, 0.01).states
         for i, g0 in enumerate(g0s):
-            alone = reach.integrate(F, space, g0, 0.5, 0.01, method=method).states
+            alone = reach.integrate(F, space, g0, 0.5, 0.01).states
             assert np.array_equal(stack[:, i], alone)
         # the full-stack stages of an undeclared copy give the same bits
         full = replace(F, state_independent=False)
-        assert np.array_equal(reach.integrate(full, space, g0s, 0.5, 0.01, method=method).states,
-                              stack)
+        assert np.array_equal(reach.integrate(full, space, g0s, 0.5, 0.01).states, stack)
 
     def test_wrong_declaration_raises_before_a_step(self, so3):
         calls = []
@@ -488,7 +467,7 @@ class TestStateIndependentStages:
         assert not fields.rotate_field(fields.sphere_height_gradient(sphere),
                                        Q[:2, :2]).state_independent
 
-    @pytest.mark.parametrize("method,stages", [("rkmk4", 4), ("lieeuler", 1)])
+    @pytest.mark.parametrize("method,stages", [("rkmk4", 4)])
     def test_demo_stages_get_one_state(self, so3, method, stages):
         F = fields.so3_demo_schedule(so3)
         shapes, strides = [], []
@@ -501,7 +480,7 @@ class TestStateIndependentStages:
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 16)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
         tube = reach.reach_tube(replace(F, coeff=recorded), so3, np.eye(3), 0.1, cert,
-                                0.05, 0.01, method=method, n_samples=100, seed=7)
+                                0.05, 0.01, n_samples=100, seed=7)
         assert tube.distances.shape == (6, 100)
         # the block's check of the declaration sees start row 0 and the stack once;
         # every stage one call on the block's 5 times, with one state broadcast
@@ -512,7 +491,7 @@ class TestStateIndependentStages:
 class TestOneCallPerStage:
     """A state-independent field gets one coefficient call per stage per block."""
 
-    @pytest.mark.parametrize("method,calls", [("rkmk4", 25), ("lieeuler", 10)])
+    @pytest.mark.parametrize("method,calls", [("rkmk4", 25)])
     def test_calls_per_block(self, so3, method, calls):
         F = fields.so3_demo_schedule(so3)
         seen = []
@@ -522,7 +501,7 @@ class TestOneCallPerStage:
             return F.coeff(g, t)
 
         # 300 steps: 5 blocks, each (1 declaration check + the stages)
-        reach.integrate(replace(F, coeff=counted), so3, np.eye(3), 3.0, 0.01, method=method,
+        reach.integrate(replace(F, coeff=counted), so3, np.eye(3), 3.0, 0.01,
                         consume=lambda lo, chunk: None)
         assert len(seen) == calls
         stages = calls // 5 - 1
@@ -554,11 +533,11 @@ class TestStackedIncrements:
     """A state-independent field's increments are built one 64-step block at a time."""
 
     @staticmethod
-    def _run(F, space, g0s, n_steps, method, streamed):
+    def _run(F, space, g0s, n_steps, streamed):
         if not streamed:
-            return reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01, method=method).states
+            return reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01).states
         seen = []
-        traj = reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01, method=method,
+        traj = reach.integrate(F, space, g0s, 0.01 * n_steps, 0.01,
                                consume=lambda lo, chunk: seen.append((lo, chunk.copy())))
         assert traj.states is None
         assert [lo for lo, _ in seen] == list(range(0, n_steps + 1, reach._STEP_CHUNK))
@@ -566,19 +545,18 @@ class TestStackedIncrements:
 
     @pytest.mark.parametrize("streamed", [False, True])
     @pytest.mark.parametrize("n_steps", [63, 64, 65, 129])  # around the block edges
-    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
     @pytest.mark.parametrize("space_name", ["so3", "sphere"])
     def test_blocks_equal_per_row_stages(self, request, space_name, method, n_steps, streamed):
         space = request.getfixturevalue(space_name)
         F = TestStateIndependentStages._field(space)
         g0s = reach.sample_metric_ball(space, expm(0.4 * AX), 0.3, 5, seed=11)
-        stacked = self._run(F, space, g0s, n_steps, method, streamed)
-        full = self._run(replace(F, state_independent=False), space, g0s, n_steps, method,
-                         streamed)
+        stacked = self._run(F, space, g0s, n_steps, streamed)
+        full = self._run(replace(F, state_independent=False), space, g0s, n_steps, streamed)
         assert stacked.shape == (n_steps + 1, 5, 3, 3)
         assert np.array_equal(stacked, full)
 
-    @pytest.mark.parametrize("method", ["rkmk4", "lieeuler"])
+    @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
     def test_one_exponential_per_block(self, so3, monkeypatch, method):
         F = fields.so3_demo_schedule(so3)
         g0s = reach.sample_metric_ball(so3, np.eye(3), 0.2, 10, seed=3)
@@ -590,6 +568,6 @@ class TestStackedIncrements:
             return so3_exp(A)
 
         monkeypatch.setattr(smallmat, "so3_exp", counted)
-        reach.integrate(F, so3, g0s, 3.0, 0.01, method=method,
+        reach.integrate(F, so3, g0s, 3.0, 0.01,
                         consume=lambda lo, chunk: None)  # 300 steps: 5 blocks
         assert sizes == [64, 64, 64, 64, 44]

@@ -63,3 +63,11 @@ def test_readme_options_exist():
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
     missing = named - cli_options()
     assert named and not missing, sorted(missing)
+
+
+def test_every_cli_option_documented():
+    # the converse of test_readme_options_exist: no option is missing from the text
+    text = README.read_text()
+    undocumented = {opt for opt in cli_options() - {"-h", "--help"}
+                    if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)}
+    assert not undocumented, sorted(undocumented)

@@ -73,10 +73,13 @@ def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> No
 
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
     and alpha(A_j, .) must be skew for the metric: alpha[i, j, k] +
-    alpha[k, j, i] = 0, so <alpha(X, Y), Z> + <Y, alpha(X, Z)> = 0.
+    alpha[k, j, i] = 0, so <alpha(X, Y), Z> + <Y, alpha(X, Z)> = 0.  Both
+    residuals are rounding errors of the bracket table's entries, which grow
+    with the metric's scale, so each is compared with _TOL times the largest.
     """
-    torsion = alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", dec.bracket_m)
-    if np.max(np.abs(torsion)) > _TOL:
+    bm = dec.bracket_m
+    tol = _TOL * np.abs(bm).max(initial=0.0)
+    if np.abs(alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", bm)).max() > tol:
         raise ValueError("connection tensor violates the torsion identity")
-    if np.abs(alpha + np.einsum("kji->ijk", alpha)).max(initial=0.0) > _TOL:
+    if np.abs(alpha + np.einsum("kji->ijk", alpha)).max(initial=0.0) > tol:
         raise ValueError("connection tensor violates metric compatibility")

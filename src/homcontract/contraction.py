@@ -216,8 +216,9 @@ def find_period(space: Space, A) -> Optional[float]:
 @dataclass(frozen=True)
 class LoopReport:
     """Quadrature record of f = <P u, u> around a loop: the unit generator,
-    the base, the ``times`` over one period, f's ``values`` there and the
-    claimed rate ``c``; period, integral, maximum and flag are read from them."""
+    the base, the ``times`` over one period, f's ``values`` there, U(u, u)
+    and the claimed rate ``c``; period, integral, maximum, flag and whether
+    the orbit is a geodesic (U(u, u) = 0 within ``_TOL``) are read from them."""
 
     space_id: str
     field_id: str
@@ -225,11 +226,13 @@ class LoopReport:
     base: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    u_uu: np.ndarray = field(repr=False)
     c: Optional[float] = None
 
     period = property(lambda self: float(self.times[-1]))
     integral = property(lambda self: float(np.trapezoid(self.values, self.times)))
     max_value = property(lambda self: float(np.max(self.values)))
+    geodesic = property(lambda self: bool(np.abs(self.u_uu).max() <= _TOL))
     inconsistent = property(lambda self: self.c is not None and self.max_value <= self.c < 0.0)
     inconsistent_rate = property(lambda self: self.c if self.inconsistent else None)
 
@@ -242,6 +245,8 @@ class LoopReport:
             "period": self.period,
             "integral": self.integral,
             "max_f": self.max_value,
+            "u_uu": np.asarray(self.u_uu).tolist(),
+            "geodesic": self.geodesic,
             "n_quad": int(len(self.times) - 1),
             "inconsistent_rate": self.inconsistent_rate,
             "verdict": "INCONSISTENT" if self.inconsistent else "OK",
@@ -265,8 +270,9 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     periodic coefficient, so its trapezoid integral over one period
     vanishes and its maximum cannot be uniformly negative.  If a claimed
     rate c < 0 nevertheless dominates max f, the report is flagged
-    INCONSISTENT.  Given a rate c, an orbit with U(u, u) beyond the
-    connection tolerance raises ValueError: no rate can be judged there.
+    INCONSISTENT.  The report holds U(u, u), with or without c; given a
+    rate c, an orbit with U(u, u) beyond the connection tolerance raises
+    ValueError: no rate can be judged there.
     """
     if n_quad < 1:
         raise ValueError(f"a loop needs n_quad >= 1 quadrature intervals, got {n_quad}")
@@ -279,12 +285,11 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
         raise ValueError(f"generator must be nonzero and finite, got {u.tolist()}")
     u = u / scale
     u = u / np.linalg.norm(u)
-    if c is not None:
-        Uuu = np.einsum("ijk,j,k->i", compute_U(space.dec), u, u)
-        if np.abs(Uuu).max() > _TOL:
-            raise ValueError(f"the orbit of generator {u.tolist()} is not a geodesic: "
-                             f"U(u, u) = {Uuu.tolist()} exceeds {_TOL:g}, so f need not "
-                             f"average to zero and no rate c can be judged on this loop")
+    Uuu = np.einsum("ijk,j,k->i", compute_U(space.dec), u, u) + 0.0  # no -0.0 in the report
+    if c is not None and np.abs(Uuu).max() > _TOL:
+        raise ValueError(f"the orbit of generator {u.tolist()} is not a geodesic: "
+                         f"U(u, u) = {Uuu.tolist()} exceeds {_TOL:g}, so f need not "
+                         f"average to zero and no rate c can be judged on this loop")
     A1 = space.algebra_from_coords(u)
     period = find_period(space, A1)
     if period is None:
@@ -293,4 +298,4 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     ts = np.linspace(0.0, period, n_quad + 1)
     G = base @ space.algebra_exp(ts[:, None, None] * A1)
     fs = linearize(F, space, G) @ u @ u
-    return LoopReport(space.name, F.name, A1, base, ts, fs, c)
+    return LoopReport(space.name, F.name, A1, base, ts, fs, Uuu, c)

@@ -155,7 +155,7 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
     """Compare the linearization across coset representatives g and g h.
 
     For a genuine horizontal lift P(g h) = C_h P(g) C_h^T, where column j of
-    C_h holds the m-coordinates of h^-1 A_j h (one stacked solve over every
+    C_h holds the m-coordinates of h^-1 A_j h (one stacked ``coords_m`` over every
     sample and basis element); the gap reported is the max-entry deviation
     from that law over the sampled isotropy elements.
     """

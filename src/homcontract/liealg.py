@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-_SPAN_TOL = 1e-8  # largest residual entry of an element in the span of the bases
+_SPAN_TOL = 1e-8  # largest residual entry, relative to the element's largest, inside the span
 _AD_TOL = 1e-8  # largest Ad_h leak out of m, or metric distortion, counted as invariant
 
 
@@ -56,28 +56,29 @@ class ReductiveDecomposition:
         return self.m_basis.shape[-1]
 
     @cached_property
+    def dual(self) -> np.ndarray:
+        """(d*d, n_h + n_m) dual D of the flattened (h, m) bases B: solve(B B^T, B)^T,
+        refined once so that B D = I holds to rounding, not to cond(B B^T) rounding."""
+        B = np.concatenate([self.h_basis, self.m_basis]).reshape(-1, self.embed_dim ** 2)
+        D = np.linalg.solve(B @ B.T, B).T
+        return D + D @ (np.eye(len(B)) - B @ D)
+
+    @cached_property
     def bracket_m(self) -> np.ndarray:
-        """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k], one stacked solve."""
+        """bm[j, k, :] = m-coordinates of the m-component of [A_j, A_k]."""
         B = self.m_basis
-        # + 0.0 turns the -0.0 that the solve may return for [A_j, A_j] = 0 into 0.0
-        return self.coords_m(B[:, None] @ B[None] - B[None] @ B[:, None]) + 0.0
+        return self.coords_m(B[:, None] @ B[None] - B[None] @ B[:, None]) + 0.0  # no -0.0
 
     def split_coords(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates (..., n_h) and (..., n_m) of X (..., d, d) in the (h, m) basis.
-
-        One solve with a right-hand side per element; raises if any element
-        is not in the span within ``_SPAN_TOL``.
-        """
-        X = np.asarray(X, dtype=float)
-        full = np.concatenate([self.h_basis, self.m_basis], axis=0)
-        B = full.reshape(full.shape[0], -1)
-        rhs = X.reshape(-1, B.shape[1])
-        # an exact power-of-two scale per element: lstsq rescales an all-tiny right-hand side
-        scale = np.ldexp(0.5, np.frexp(np.abs(rhs).max(axis=1, initial=0.0))[1])[:, None]
-        c = np.linalg.lstsq(B.T, (rhs / scale).T, rcond=None)[0].T * scale
-        if np.abs(c @ B - rhs).max(initial=0.0) > _SPAN_TOL:
+        """Coordinates (..., n_h) and (..., n_m) of X (..., d, d) in the (h, m) basis,
+        one (1, d*d) @ dual product per element, independent of the rest of the stack;
+        raises if an element leaves the span by more than ``_SPAN_TOL`` times its size."""
+        rhs = np.asarray(X, dtype=float).reshape(-1, self.embed_dim ** 2)
+        c = (rhs[:, None] @ self.dual)[:, 0]
+        B = np.concatenate([self.h_basis, self.m_basis]).reshape(c.shape[1], -1)
+        if np.any(np.abs(c @ B - rhs) > _SPAN_TOL * np.abs(rhs).max(axis=1, keepdims=True)):
             raise ValueError("element does not lie in the algebra spanned by the bases")
-        c = c.reshape(X.shape[:-2] + (len(B),))
+        c = c.reshape(np.shape(X)[:-2] + (len(B),))
         return c[..., :len(self.h_basis)], c[..., len(self.h_basis):]
 
     def coords_m(self, X) -> np.ndarray:
@@ -109,10 +110,9 @@ def orthonormalize_basis(raw, gram=None, trace_scale: float = 0.5) -> np.ndarray
         G = np.asarray(gram, dtype=float)
         if G.shape != (k, k):
             raise ValueError("Gram matrix size does not match the basis")
-    if np.linalg.matrix_rank(G, tol=1e-10) < k:
+    if np.linalg.matrix_rank(G) < k:
         raise ValueError("raw basis is rank deficient under the given inner product")
-    L = np.linalg.cholesky(G)
-    W = np.linalg.inv(L).T  # columns: coordinates of the orthonormal vectors
+    W = np.linalg.inv(np.linalg.cholesky(G)).T  # columns: coordinates of the orthonormal vectors
     return np.einsum("ji,jab->iab", W, raw)
 
 

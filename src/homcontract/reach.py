@@ -17,7 +17,6 @@ import numpy as np
 
 from .contraction import ContractionCertificate
 from .fields import HorizontalField, eval_coeff
-from .smallmat import so3_angle  # noqa: F401  (the SO(3) distance kernel, public here too)
 from .spaces import Space
 
 # Time steps per block of ``integrate``; each block is one chunk handed to

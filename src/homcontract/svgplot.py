@@ -72,8 +72,7 @@ def _m4_keep(px, py) -> np.ndarray:
 
 def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
     """Write a polyline plot; ``series`` is a list of (label, y-array), each
-    y-array one line of len(x) points.  Past 4 points per pixel column a
-    line is thinned by :func:`_m4_keep`.
+    y-array one line of len(x) points, thinned by :func:`_m4_keep`.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
@@ -86,13 +85,12 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     xlo, xhi = float(x.min()), float(x.max())
     px = _scale(x, xlo, xhi, _ML, _W - _MR)
-    thin = len(px) > 4 * _PLOT_W
     with open(path, "w") as fh:
         fh.write("\n".join(_frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi)))
         for i, ((label, _), y) in enumerate(zip(series, ys)):
             color = _COLORS[i % len(_COLORS)]
             py = _scale(y, ylo, yhi, _H - _MB, _MT)
-            keep = _m4_keep(px, py) if thin else slice(None)
+            keep = _m4_keep(px, py)
             fh.write(f'\n<polyline points="{_points(px[keep], py[keep])}" '
                      f'fill="none" stroke="{color}" stroke-width="1"/>')
             if label:

@@ -692,3 +692,48 @@ class TestConfigEmbedding:
         cfg = payload["config"]
         assert cfg["space"] == "sphere2" and cfg["seed"] == 7
         assert cfg["region"] == "cap:30:4:4"
+
+
+class TestExactConnection:
+    """Bi-invariant so3's bracket table is exact, so U and a constant field's
+    measure are exactly zero."""
+
+    def test_constant_field_on_so3_measures_zero(self, tmp_path, capsys):
+        assert run(tmp_path, "certify", "--space", "so3", "--field", "constant:1,0.5,0",
+                   "--region", "box:-1:1:64", "--c", "0") == 0
+        assert "PASS: mu_max=0 over 64 samples" in capsys.readouterr().out
+
+    def test_so3_classify_prints_zero_U(self, tmp_path, capsys):
+        assert run(tmp_path, "classify", "--space", "so3") == 0
+        assert "max_U=0.000e+00" in capsys.readouterr().out
+
+
+class TestGramScale:
+    """A Gram matrix that the Gram check accepts builds, whatever its scale;
+    the rank and span tests are relative to their input."""
+
+    @pytest.mark.parametrize("spec,uniform", [("1e-11,1e-11,1e-11", True),
+                                              ("1,1,1e-10", False),
+                                              ("1e-8,1e-8,1e-8", True),
+                                              ("1e8,1e8,1e8", True)])
+    def test_accepted_gram_builds(self, tmp_path, capsys, spec, uniform):
+        assert run(tmp_path, "classify", "--space", f"so3-left:{spec}") == 0
+        flags = json.loads((tmp_path / "classify.json").read_text())["classification"]
+        if uniform:
+            # a scaled bi-invariant metric
+            assert flags["naturally_reductive"] is True and flags["max_u_norm"] == 0.0
+
+    def test_subnormal_eigenvalue_refused_by_the_gram_check(self, tmp_path, capsys):
+        # the ratio 1e-9 passes, but an m-basis entry of 1/sqrt(1e-309) squares to inf
+        assert run(tmp_path, "classify", "--space", "so3-left:1e-300,1e-300,1e-309") == 1
+        assert capsys.readouterr().err.startswith("error: Gram matrix must be positive definite")
+        assert not list(tmp_path.iterdir())
+
+
+class TestLoopReportGeodesic:
+    def test_off_geodesic_orbit_flagged_in_the_report(self, tmp_path, capsys):
+        assert run(tmp_path, "loop-check", "--space", "so3-left:1,1,4", "--field",
+                   "constant:1,0,0", "--generator", "1,1,1") == 0
+        payload = json.loads((tmp_path / "loop_report.json").read_text())
+        assert payload["verdict"] == "OK" and payload["geodesic"] is False
+        assert payload["u_uu"] == pytest.approx([0.5, -0.5, 0.0], abs=1e-12)

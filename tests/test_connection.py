@@ -162,3 +162,32 @@ class TestClassify:
         for sp in (sphere, euclid2, circle):
             assert sp.classification.is_symmetric
             assert np.allclose(sp.alpha, 0.0, atol=1e-14)
+
+
+class TestExactTable:
+    """The dual of a basis whose flat Gram matrix B B^T is diagonal with
+    power-of-two entries is exact, so the bracket table and U are too."""
+
+    @pytest.mark.parametrize("make", [spaces.make_so3_biinvariant, spaces.make_sphere2,
+                                      spaces.make_circle, lambda: spaces.make_euclidean(3)])
+    def test_bracket_table_is_integer_valued(self, make):
+        bm = make().dec.bracket_m
+        assert np.array_equal(bm, np.round(bm))
+
+    @pytest.mark.parametrize("make", [spaces.make_so3_biinvariant, spaces.make_sphere2])
+    def test_U_is_exactly_zero(self, make):
+        assert not np.any(connection.compute_U(make().dec))
+
+    def test_left_invariant_alpha_entries_exact(self, so3_left):
+        assert set(np.unique(so3_left.alpha)) == {-1.0, -0.5, 0.0, 0.5, 1.0}
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_identities_checked_relative_to_the_table(self, scale):
+        # the table of so3-left:s,s,4s is that of so3-left:1,1,4 times 1/sqrt(s); a
+        # corruption of one part in 1e6 of its largest entry is refused at every scale
+        space = spaces.make_so3_left_invariant([scale, scale, 4.0 * scale])
+        connection.check_alpha_invariants(space.dec, space.alpha)
+        bad = space.alpha.copy()
+        bad[0, 1, 2] += 1e-6 * np.abs(space.alpha).max()
+        with pytest.raises(ValueError, match="torsion"):
+            connection.check_alpha_invariants(space.dec, bad)

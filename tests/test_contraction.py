@@ -336,6 +336,34 @@ class TestDerivedAnswers:
                 == contraction.loop_obstruction_check(G, so3, [1.0, 0.0, 0.0]).to_dict())
 
 
+class TestLoopGeodesic:
+    """The report holds U(u, u), with or without a rate, and says from it
+    whether the orbit is a geodesic; the verdict does not depend on it."""
+
+    def test_off_geodesic_orbit_reported_without_a_rate(self, so3_left):
+        F = fields.constant_field(so3_left, [1.0, 0.0, 0.0])
+        rep = contraction.loop_obstruction_check(F, so3_left, [1.0, 1.0, 1.0], n_quad=16)
+        assert rep.u_uu == pytest.approx([0.5, -0.5, 0.0], abs=1e-12)
+        assert rep.geodesic is False
+        out = rep.to_dict()
+        assert out["geodesic"] is False and out["u_uu"] == rep.u_uu.tolist()
+        assert out["verdict"] == "OK"
+
+    def test_geodesic_orbits_have_exactly_zero_U(self, so3, so3_left):
+        for space, gen in ((so3, [1.0, 2.0, 3.0]), (so3_left, [0.0, 0.0, 1.0])):
+            F = fields.constant_field(space, [1.0, 0.0, 0.0])
+            rep = contraction.loop_obstruction_check(F, space, gen, n_quad=16)
+            assert rep.geodesic is True
+            assert rep.to_dict()["u_uu"] == [0.0, 0.0, 0.0]
+
+    def test_flag_follows_the_stored_term(self, circle):
+        rep = contraction.loop_obstruction_check(fields.circle_sine(circle), circle, [1.0])
+        assert rep.geodesic and rep.to_dict()["u_uu"] == [0.0]
+        bent = dataclasses.replace(rep, u_uu=np.array([2.0 * contraction._TOL]))
+        assert bent.geodesic is False and bent.to_dict()["geodesic"] is False
+        assert bent.to_dict()["verdict"] == rep.to_dict()["verdict"]
+
+
 class TestStackedPath:
     def test_cap_collect_is_minus_cos_theta_major(self, sphere):
         # mu of the height gradient at polar angle theta is -cos(theta)

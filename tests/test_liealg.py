@@ -218,3 +218,48 @@ def test_tiny_element_solved_alone_in_a_stack(name):
     assert np.array_equal(stacked[1], alone)
     assert stacked[1] == pytest.approx(np.concatenate(dec.split_coords(X[1] * 1e300)) * 1e-300,
                                        rel=1e-6)
+
+
+@st.composite
+def spd_grams(draw):
+    """A random 3x3 SPD Gram matrix whose eigenvalue ratio the Gram check accepts:
+    generic eigenvectors from a drawn seed, the smallest/largest ratio 10^-r with
+    r drawn up to 9.9, and a random overall scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    r = draw(st.floats(0.0, 9.9))
+    logs = np.array([0.0, -r, -r * rng.random()]) + draw(st.floats(-30.0, 30.0))
+    G = (Q * 10.0 ** logs) @ Q.T
+    return 0.5 * (G + G.T)
+
+
+# a coordinate below 1e-200 in size is drawn as 0: its element's entries could be subnormal
+_coords = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) > 1e-200 else 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram=spd_grams(), c=st.integers(1, 5).flatmap(
+    lambda n: arrays(np.float64, (n, 3), elements=_coords)))
+def test_coordinates_on_a_random_gram(gram, c):
+    """On any accepted Gram matrix the m-coordinates of the element built from c
+    return c to 1e-10 relative, and a stack gets, bit for bit, what one call
+    per element gets."""
+    dec = spaces.make_so3_left_invariant(gram).dec
+    X = dec.from_coords(c)
+    assert np.abs(dec.coords_m(X) - c).max() <= 1e-10 * np.abs(c).max()
+    ch, cm = dec.split_coords(X)
+    for i, x in enumerate(X):
+        one_h, one_m = dec.split_coords(x)
+        assert np.array_equal(ch[i], one_h) and np.array_equal(cm[i], one_m)
+
+
+@pytest.mark.parametrize("size", [1e-12, 1.0, 1e12])
+def test_span_test_relative_to_the_element(size):
+    """An element of any size in the algebra splits, and one off it by a part
+    in a thousand of its size is refused, on a Gram matrix with an inexact dual."""
+    dec = spaces.make_so3_left_invariant([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2],
+                                          [0.1, 0.2, 3.0]]).dec
+    X = size * smallmat.hat3(np.array([0.3, -1.7, 2.9]))
+    assert np.allclose(dec.from_coords(dec.coords_m(X)), X, rtol=0.0, atol=1e-14 * size)
+    with pytest.raises(ValueError, match="does not lie in the algebra"):
+        dec.split_coords(X + 1e-3 * size * np.eye(3))

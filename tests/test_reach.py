@@ -275,7 +275,7 @@ class TestCsv:
 class TestSmallDistances:
     def test_so3_angle_of_tiny_rotation(self, so3):
         R = expm(1e-8 * (AX + 2.0 * AY) / np.sqrt(5.0))
-        assert reach.so3_angle(np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
+        assert smallmat.so3_angle(np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
         assert reach.distance(so3, np.eye(3), R) == pytest.approx(1e-8, rel=1e-9)
 
     def test_sphere_distance_of_tiny_angle(self, sphere):

@@ -71,3 +71,27 @@ def test_every_cli_option_documented():
     undocumented = {opt for opt in cli_options() - {"-h", "--help"}
                     if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)}
     assert not undocumented, sorted(undocumented)
+
+
+def _run_readme(tmp_path, monkeypatch, command):
+    """Run the README's ``command`` invocations; yield each one's result JSON."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HOMCONTRACT_OUT", raising=False)
+    for argv in readme_commands():
+        args = cli.build_parser().parse_args(argv)
+        if args.command == command:
+            assert cli.main(argv) == 0, argv
+            yield json.loads((Path(args.out or "out") / RESULT_FILES[command]).read_text())
+
+
+def test_readme_loop_checks_report_exact_geodesics(tmp_path, monkeypatch, capsys):
+    reports = list(_run_readme(tmp_path, monkeypatch, "loop-check"))
+    assert reports
+    for rep in reports:
+        assert rep["geodesic"] is True and not any(rep["u_uu"])
+
+
+def test_readme_reach_certificate_is_exact(tmp_path, monkeypatch, capsys):
+    # the demo field's measure is exactly 0 on bi-invariant so3
+    (rep,) = _run_readme(tmp_path, monkeypatch, "reach")
+    assert rep["certificate"]["mu_max"] == 0.0

@@ -171,3 +171,17 @@ class TestBatchedElements:
             args = ("t", "x", "y", *r)
             got = "\n".join(svgplot._frame(*args)).split("\n")
             assert got == old_frame(*args), r
+
+
+class TestAlwaysThinned:
+    def test_three_points_per_column_thinned(self, tmp_path):
+        # 1,500 points over 560 columns: some columns hold three points of a
+        # rising line, whose middle one is neither first, last, lowest nor highest
+        x = np.linspace(0.0, 1.0, 1500)
+        svgplot.line_plot(tmp_path / "rise.svg", x, [("", x)])
+        (got,) = re.findall(r'points="([^"]*)"', (tmp_path / "rise.svg").read_text())
+        px = svgplot._scale(x, 0.0, 1.0, svgplot._ML, svgplot._W - svgplot._MR)
+        py = svgplot._scale(x, 0.0, 1.0, svgplot._H - svgplot._MB, svgplot._MT)
+        keep = svgplot._m4_keep(px, py)
+        assert len(keep) < len(x)
+        assert got == svgplot._points(px[keep], py[keep])

@@ -28,11 +28,22 @@ SPACES = {
     "so3": lambda arg: spaces.make_so3_biinvariant(),
     "circle": lambda arg: spaces.make_circle(),
     "euclidean:N": lambda arg: spaces.make_euclidean(int(arg)),
-    "so3-left:g1,g2,g3": lambda arg: spaces.make_so3_left_invariant(
-        [float(x) for x in arg.split(",")]),
+    "so3-left:g1,g2,g3": lambda arg: spaces.make_so3_left_invariant(_gram_diagonal(arg)),
 }
 # keyed by a spec's text up to and including its first colon
 _SPACE_BY_HEAD = {"".join(usage.partition(":")[:2]): make for usage, make in SPACES.items()}
+
+
+def _gram_diagonal(arg: str) -> list[float]:
+    """The three numbers g1,g2,g3 of ``so3-left:ARG``, counted before the Gram check."""
+    try:
+        gram = [float(x) for x in arg.split(",")]
+    except ValueError:
+        gram = None
+    if gram is None or len(gram) != 3:
+        raise ValueError(f"space 'so3-left:{arg}' needs 3 entries g1,g2,g3, "
+                         "the numbers on its Gram matrix's diagonal")
+    return gram
 
 
 def _resolve_space(spec: str) -> spaces.Space:

@@ -14,7 +14,17 @@ import numpy as np
 
 from .liealg import ReductiveDecomposition
 
-_TOL = 1e-10  # largest entry counted as zero by the flags and the tensor identities
+_TOL = 1e-10  # largest entry, in units of the bracket table's largest, counted as zero
+
+
+def zero_tol(dec: ReductiveDecomposition) -> float:
+    """The largest entry counted as zero: _TOL times the bracket table's largest.
+
+    U, the m-leak and the tensor identities' residuals all scale with the
+    table, which grows as 1/sqrt(scale) of the metric, so comparing them
+    with this bound reads the same on every scaled copy of a metric.
+    """
+    return _TOL * float(np.abs(dec.bracket_m).max(initial=0.0))
 
 
 def _U(bm: np.ndarray) -> np.ndarray:
@@ -39,13 +49,15 @@ def compute_alpha(dec: ReductiveDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceClassification:
-    """Largest U entry and m-bracket leak; each flag holds where its number is <= _TOL."""
+    """Largest U entry and m-bracket leak; each flag holds where its number is
+    <= ``tol``, the space's ``zero_tol`` (not written by ``to_dict``)."""
 
     max_u_norm: float
     max_mm_leak: float
+    tol: float = _TOL
 
-    is_symmetric = property(lambda self: self.max_mm_leak <= _TOL)
-    is_naturally_reductive = property(lambda self: self.max_u_norm <= _TOL)
+    is_symmetric = property(lambda self: self.max_mm_leak <= self.tol)
+    is_naturally_reductive = property(lambda self: self.max_u_norm <= self.tol)
 
     def to_dict(self) -> dict:
         return {
@@ -61,11 +73,16 @@ def classify(dec: ReductiveDecomposition) -> SpaceClassification:
 
     Symmetric: every bracket of m-basis pairs falls back into h.  Naturally
     reductive: the U term vanishes.  The flags are read from the reported
-    magnitudes, so borderline cases can be judged by the caller.
+    magnitudes, so borderline cases can be judged by the caller.  The leak
+    norms are taken in units of a power of two near the table's largest
+    entry, the same bits as unscaled wherever those do not overflow.
     """
     bm = dec.bracket_m
-    return SpaceClassification(max_u_norm=float(np.abs(_U(bm)).max(initial=0.0)),
-                               max_mm_leak=float(np.linalg.norm(bm, axis=-1).max(initial=0.0)))
+    unit = np.ldexp(1.0, np.frexp(np.abs(bm).max(initial=0.0))[1])
+    return SpaceClassification(
+        max_u_norm=float(np.abs(_U(bm)).max(initial=0.0)),
+        max_mm_leak=float(np.linalg.norm(bm / unit, axis=-1).max(initial=0.0) * unit),
+        tol=zero_tol(dec))
 
 
 def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> None:
@@ -74,11 +91,11 @@ def check_alpha_invariants(dec: ReductiveDecomposition, alpha: np.ndarray) -> No
     alpha[i, j, k] - alpha[i, k, j] must reproduce the projected bracket,
     and alpha(A_j, .) must be skew for the metric: alpha[i, j, k] +
     alpha[k, j, i] = 0, so <alpha(X, Y), Z> + <Y, alpha(X, Z)> = 0.  Both
-    residuals are rounding errors of the bracket table's entries, which grow
-    with the metric's scale, so each is compared with _TOL times the largest.
+    residuals are rounding errors of the bracket table's entries, so each is
+    compared with ``zero_tol``.
     """
     bm = dec.bracket_m
-    tol = _TOL * np.abs(bm).max(initial=0.0)
+    tol = zero_tol(dec)
     if np.abs(alpha - np.einsum("ikj->ijk", alpha) - np.einsum("jki->ijk", bm)).max() > tol:
         raise ValueError("connection tensor violates the torsion identity")
     if np.abs(alpha + np.einsum("kji->ijk", alpha)).max(initial=0.0) > tol:

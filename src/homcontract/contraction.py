@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .connection import _TOL, compute_U
+from .connection import _TOL, compute_U, zero_tol
 from .fields import _FD_STEP, HorizontalField, linearize, rotate_field
 from .spaces import Space, rotate_basis
 
@@ -216,9 +216,10 @@ def find_period(space: Space, A) -> Optional[float]:
 @dataclass(frozen=True)
 class LoopReport:
     """Quadrature record of f = <P u, u> around a loop: the unit generator,
-    the base, the ``times`` over one period, f's ``values`` there, U(u, u)
-    and the claimed rate ``c``; period, integral, maximum, flag and whether
-    the orbit is a geodesic (U(u, u) = 0 within ``_TOL``) are read from them."""
+    the base, the ``times`` over one period, f's ``values`` there, U(u, u),
+    the claimed rate ``c`` and the space's ``connection.zero_tol``; period,
+    integral, maximum, flag and whether the orbit is a geodesic (U(u, u) = 0
+    within ``tol``) are read from them."""
 
     space_id: str
     field_id: str
@@ -228,11 +229,12 @@ class LoopReport:
     values: np.ndarray = field(repr=False)
     u_uu: np.ndarray = field(repr=False)
     c: Optional[float] = None
+    tol: float = _TOL
 
     period = property(lambda self: float(self.times[-1]))
     integral = property(lambda self: float(np.trapezoid(self.values, self.times)))
     max_value = property(lambda self: float(np.max(self.values)))
-    geodesic = property(lambda self: bool(np.abs(self.u_uu).max() <= _TOL))
+    geodesic = property(lambda self: bool(np.abs(self.u_uu).max() <= self.tol))
     inconsistent = property(lambda self: self.c is not None and self.max_value <= self.c < 0.0)
     inconsistent_rate = property(lambda self: self.c if self.inconsistent else None)
 
@@ -271,7 +273,7 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     vanishes and its maximum cannot be uniformly negative.  If a claimed
     rate c < 0 nevertheless dominates max f, the report is flagged
     INCONSISTENT.  The report holds U(u, u), with or without c; given a
-    rate c, an orbit with U(u, u) beyond the connection tolerance raises
+    rate c, an orbit with U(u, u) beyond ``connection.zero_tol`` raises
     ValueError: no rate can be judged there.
     """
     if n_quad < 1:
@@ -286,9 +288,10 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     u = u / scale
     u = u / np.linalg.norm(u)
     Uuu = np.einsum("ijk,j,k->i", compute_U(space.dec), u, u) + 0.0  # no -0.0 in the report
-    if c is not None and np.abs(Uuu).max() > _TOL:
+    tol = zero_tol(space.dec)
+    if c is not None and np.abs(Uuu).max() > tol:
         raise ValueError(f"the orbit of generator {u.tolist()} is not a geodesic: "
-                         f"U(u, u) = {Uuu.tolist()} exceeds {_TOL:g}, so f need not "
+                         f"U(u, u) = {Uuu.tolist()} exceeds {tol:g}, so f need not "
                          f"average to zero and no rate c can be judged on this loop")
     A1 = space.algebra_from_coords(u)
     period = find_period(space, A1)
@@ -298,4 +301,4 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
     ts = np.linspace(0.0, period, n_quad + 1)
     G = base @ space.algebra_exp(ts[:, None, None] * A1)
     fs = linearize(F, space, G) @ u @ u
-    return LoopReport(space.name, F.name, A1, base, ts, fs, Uuu, c)
+    return LoopReport(space.name, F.name, A1, base, ts, fs, Uuu, c, tol)

@@ -311,6 +311,9 @@ class _LocalFit:
         self.mean = points.mean(axis=0)
         self.centred = points - self.mean
         self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
+        # the columns in which some row differs from row 0 (the others are fixed,
+        # as the last row of every homogeneous matrix on euclidean:N)
+        self.varies = (points != points[:1]).any(axis=0)
         self.tree = None
         # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
         # explicitly because its default differs between numpy 1.x and 2.x
@@ -321,7 +324,9 @@ class _LocalFit:
         the queries q (n, D), nearest first: by brute force, or from one
         ``scipy.spatial.cKDTree`` over the table, built on first use."""
         if brute:
-            d2 = self.sq_norms - 2.0 * (q - self.mean) @ self.centred.T
+            d2 = (q - self.mean) @ self.centred.T
+            d2 *= -2.0  # exact, so the ranking is that of |p|^2 - 2 q.p
+            d2 += self.sq_norms
             idx = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
             dist = np.linalg.norm(self.points[idx] - q[:, None, :], axis=-1)
             order = np.argsort(dist, axis=1, kind="stable")
@@ -338,7 +343,10 @@ class _LocalFit:
 
         One neighbour search and one ``pinv(A) @ values`` per chunk give both:
         row 0 of the solution is the intercept, the rows below it the slope.
-        An exact hit keeps its tabulated row as the intercept; with k = 1 the
+        A column that every table row and every query of the chunk hold the
+        same value in is exactly zero in A, so it is left out of the fit and
+        its slope row is 0, as the minimum-norm fit with it would give.  An
+        exact hit keeps its tabulated row as the intercept; with k = 1 the
         slope is 0.
         """
         n_rows, D = self.points.shape
@@ -353,11 +361,12 @@ class _LocalFit:
             if self.k == 1:
                 c[lo:lo + chunk] = nearest
                 continue
-            A = np.concatenate([np.ones(idx.shape + (1,)), self.points[idx] - qc[:, None, :]],
-                               axis=-1)
+            cols = np.flatnonzero(self.varies | (qc != self.points[0]).any(axis=0))
+            A = np.concatenate([np.ones(idx.shape + (1,)),
+                                self.points[idx][..., cols] - qc[:, None, cols]], axis=-1)
             sol = np.linalg.pinv(A, rcond=self.cutoff) @ self.values[idx]
             c[lo:lo + chunk] = np.where(dist[:, :1] >= 1e-12, sol[:, 0], nearest)
-            slope[lo:lo + chunk] = sol[:, 1:]
+            slope[lo:lo + chunk, cols] = sol[:, 1:]
         return c, slope
 
 

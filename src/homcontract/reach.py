@@ -117,6 +117,8 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
     # a block's start state, then the state after each of its steps
     buf = np.empty((_STEP_CHUNK + 1,) + g.shape)
     buf[0] = g
+    if one_row:  # each state's rows as one (rows * d, d) view, made once
+        rows = list(buf.reshape(len(buf), -1, d))
     for lo in range(0, n_steps, _STEP_CHUNK):
         block = times[lo:min(lo + _STEP_CHUNK, n_steps)]
         if one_row:
@@ -128,7 +130,7 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
             E = space.algebra_exp(rkmk4(row_stage, block))
         for j, t in enumerate(block):
             if one_row:  # one (rows * d, d) x (d, d) product
-                np.matmul(buf[j].reshape(-1, d), E[j], out=buf[j + 1].reshape(-1, d))
+                np.dot(rows[j], E[j], out=rows[j + 1])
             else:
                 buf[j + 1] = buf[j] @ space.algebra_exp(rkmk4(stack_stage(buf[j]), t))
         if len(block) == _STEP_CHUNK:

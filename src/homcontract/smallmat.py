@@ -54,8 +54,23 @@ def so3_angle(Ra, Rb) -> np.ndarray:
     relative rotation, accurate at small angles and near pi alike.  Only
     the three skew differences and the diagonal of the relative rotation
     are read.
+
+    A single rotation per leading index against a stack of at least two,
+    Ra (..., 1, 3, 3) and Rb (..., n, 3, 3) as a reach tube reads them,
+    takes one (n, 9) x (9, 9) GEMM per leading index in place of n 3x3
+    products: row-major, Ra^T Rb is Rb's flat rows times kron(Ra, I3).  The
+    products with kron's zeros are exact zeros and BLAS sums each entry in
+    the 3x3 product's order, so the angles are the same bits.  numpy takes
+    gemv for n = 1, which may round differently, so that shape and every
+    other keep the stacked product.
     """
-    rel = np.swapaxes(np.asarray(Ra, dtype=float), -1, -2) @ np.asarray(Rb, dtype=float)
+    Ra, Rb = np.asarray(Ra, dtype=float), np.asarray(Rb, dtype=float)
+    if Ra.ndim > 2 and Rb.ndim > 2 and Ra.shape[-3] == 1 < Rb.shape[-3]:
+        K = np.einsum("...ki,lj->...klij", Ra[..., 0, :, :], _I3).reshape(Ra.shape[:-3] + (9, 9))
+        rel = Rb.reshape(Rb.shape[:-2] + (9,)) @ K
+        rel = rel.reshape(rel.shape[:-1] + (3, 3))
+    else:
+        rel = np.swapaxes(Ra, -1, -2) @ Rb
     a = rel[..., 2, 1] - rel[..., 1, 2]
     b = rel[..., 0, 2] - rel[..., 2, 0]
     c = rel[..., 1, 0] - rel[..., 0, 1]

@@ -730,6 +730,34 @@ class TestGramScale:
         assert not list(tmp_path.iterdir())
 
 
+class TestGramEntryCount:
+    @pytest.mark.parametrize("arg", ["3e-301,1e-301,0,4e-301,0,1.5e-292", "1,2", "", "1,2,3,4",
+                                     "1,x,3"])
+    def test_counted_before_the_gram_check(self, tmp_path, capsys, arg):
+        assert run(tmp_path, "classify", "--space", f"so3-left:{arg}") == 1
+        assert capsys.readouterr().err == (
+            f"error: space 'so3-left:{arg}' needs 3 entries g1,g2,g3, "
+            "the numbers on its Gram matrix's diagonal\n")
+        assert not list(tmp_path.iterdir())
+
+
+class TestScaledSpaceFlags:
+    def test_scaled_metric_classifies_as_unscaled(self, tmp_path):
+        def flags(spec):
+            assert run(tmp_path / spec, "classify", "--space", f"so3-left:{spec}") == 0
+            cls = json.loads((tmp_path / spec / "classify.json").read_text())["classification"]
+            return cls["symmetric"], cls["naturally_reductive"]
+
+        assert flags("1e20,1e20,4e20") == flags("1,1,4") == (False, False)
+        assert flags("1e308,1e308,1e300") == flags("1,1,1e-8") == (False, False)
+
+    def test_scaled_off_geodesic_rate_refused(self, tmp_path, capsys):
+        code = run(tmp_path, "loop-check", "--space", "so3-left:1e20,1e20,4e20", "--field",
+                   "constant:1,0,0", "--generator", "1,1,1", "--c=-1e-11")
+        assert code == 1
+        assert "is not a geodesic" in capsys.readouterr().err
+
+
 class TestLoopReportGeodesic:
     def test_off_geodesic_orbit_flagged_in_the_report(self, tmp_path, capsys):
         assert run(tmp_path, "loop-check", "--space", "so3-left:1,1,4", "--field",

@@ -191,3 +191,47 @@ class TestExactTable:
         bad[0, 1, 2] += 1e-6 * np.abs(space.alpha).max()
         with pytest.raises(ValueError, match="torsion"):
             connection.check_alpha_invariants(space.dec, bad)
+
+
+class TestScaleFreeFlags:
+    """A metric scaled by s has U and the m-leak scaled by 1/sqrt(s), and the
+    same flags: they compare with _TOL times the bracket table's largest entry."""
+
+    @pytest.mark.parametrize("diag,scale", [((1.0, 1.0, 4.0), 1e20), ((1.0, 1.0, 1e-8), 1e308),
+                                            ((1.0, 1.0, 4.0), 1e-20), ((2.0, 2.0, 2.0), 1e20)])
+    def test_scaled_metric_has_the_unscaled_flags(self, diag, scale):
+        unscaled = spaces.make_so3_left_invariant(diag).classification
+        cls = spaces.make_so3_left_invariant([scale * x for x in diag]).classification
+        assert cls.is_symmetric is unscaled.is_symmetric is False
+        assert cls.is_naturally_reductive is unscaled.is_naturally_reductive
+
+    def test_zero_tol_follows_the_table(self, so3, euclid2):
+        assert connection.zero_tol(so3.dec) == connection._TOL  # brackets of so3 are +-1
+        assert connection.zero_tol(euclid2.dec) == 0.0
+        assert so3.classification.tol == connection.zero_tol(so3.dec)
+
+    def test_scaled_off_geodesic_orbit_refused(self):
+        space = spaces.make_so3_left_invariant([1e20, 1e20, 4e20])
+        F = fields.constant_field(space, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not a geodesic"):
+            contraction.loop_obstruction_check(F, space, [1.0, 1.0, 1.0], n_quad=16, c=-1e-11)
+        rep = contraction.loop_obstruction_check(F, space, [1.0, 1.0, 1.0], n_quad=16)
+        assert rep.geodesic is False
+        assert contraction.loop_obstruction_check(F, space, [0.0, 0.0, 1.0], n_quad=16).geodesic
+
+    def test_leak_norm_of_a_tiny_metric_does_not_overflow(self):
+        # a rotated Gram near the smallest accepted scale: table entries near 1e154
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        gram = q @ np.diag([2.8e-301, 4.4e-301, 1.5e-292]) @ q.T
+        space = spaces.make_so3_left_invariant(0.5 * (gram + gram.T))
+        with np.errstate(all="raise"):
+            cls = connection.classify(space.dec)
+        bm = space.dec.bracket_m
+        assert np.abs(bm).max() > 1e150
+        assert np.isfinite(cls.max_mm_leak) and cls.max_mm_leak >= np.abs(bm).max()
+
+    def test_leak_norm_same_bits_as_unscaled(self, so3, so3_left, sphere):
+        for space in (so3, so3_left, sphere):
+            bm = space.dec.bracket_m
+            want = float(np.linalg.norm(bm, axis=-1).max(initial=0.0))
+            assert space.classification.max_mm_leak == want

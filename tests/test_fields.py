@@ -369,6 +369,48 @@ class TestTabulatedNeighbours:
             assert np.max(np.abs(got[i] - want)) < 1e-12
 
 
+class TestFitColumns:
+    """A fit leaves out the columns that no table row and no query of its
+    chunk changes; what it returns is the fit on every column."""
+
+    @staticmethod
+    def _reference(fit, q):
+        # full-width least squares on the k nearest rows, ordered as the fit orders them
+        _, idx = fit.neighbours(q[None], brute=True)
+        A = np.concatenate([np.ones((fit.k, 1)), fit.points[idx[0]] - q], axis=1)
+        return np.linalg.lstsq(A, fit.values[idx[0]], rcond=None)[0]
+
+    def test_matches_full_width_lstsq(self, euclid2):
+        rng = np.random.default_rng(12)
+        xy = rng.uniform(-1.2, 1.2, size=(300, 2))
+        vals = np.stack([np.sin(2.0 * xy[:, 0]) * xy[:, 1], np.cos(xy[:, 1]) - xy[:, 0] ** 2],
+                        axis=1)
+        fit = fields._LocalFit(_translations(xy).reshape(300, 9), vals)
+        Q = _translations(rng.uniform(-1.0, 1.0, size=(40, 2)))
+        Q[5, 2, 0] = 1e-9  # off the fixed last row, within the group check's 1e-8
+        euclid2.check_group(Q)
+        q = Q.reshape(40, 9)
+        c, slope = fit(q)
+        assert np.array_equal(fit.varies, [False] * 2 + [True] + [False] * 2 + [True]
+                              + [False] * 3)
+        for i in range(40):
+            want = self._reference(fit, q[i])
+            assert np.max(np.abs(c[i] - want[0])) < 1e-12
+            assert np.max(np.abs(slope[i] - want[1:])) < 1e-12
+        # the query's own column is kept for its chunk; no other fixed column is
+        assert slope[5, 6].any()
+        assert not slope[:, ~fit.varies & (np.arange(9) != 6)].any()
+
+    def test_chunk_without_the_off_query_drops_its_column(self, monkeypatch):
+        monkeypatch.setattr(fields, "_FIT_CHUNK", 4)
+        xy = np.random.default_rng(13).uniform(-1.0, 1.0, size=(50, 2))
+        fit = fields._LocalFit(_translations(xy).reshape(50, 9), xy @ [[1.0, 2.0], [0.5, -1.0]])
+        q = _translations(xy[:8] + 0.01).reshape(8, 9)
+        q[1, 6] = 1e-9
+        _, slope = fit(q)
+        assert slope[:4, 6].any() and not slope[4:, 6].any()
+
+
 def _write_table(path, G, vals):
     """A coefficient table of the stacked elements G (n, d, d) and values (n, m)."""
     n, d, _ = G.shape

@@ -571,3 +571,8 @@ class TestStackedIncrements:
         reach.integrate(F, so3, g0s, 3.0, 0.01,
                         consume=lambda lo, chunk: None)  # 300 steps: 5 blocks
         assert sizes == [64, 64, 64, 64, 44]
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 3)])
+    def test_empty_stack_integrates(self, so3, shape):
+        traj = reach.integrate(fields.so3_demo_schedule(so3), so3, np.zeros(shape), 1.0, 0.01)
+        assert traj.states.shape == (101,) + shape

@@ -123,3 +123,45 @@ class TestSo3AngleKernel:
         assert np.array_equal(got, _old_so3_angle(centers, samples))
         assert np.array_equal(smallmat.so3_angle(samples, centers),
                               _old_so3_angle(samples, centers))
+
+
+class TestSo3AngleTubeShapes:
+    """The shapes a reach tube's block has: 64 centers (64, 1, 3, 3) against
+    100 samples each (64, 100, 3, 3), which take one GEMM per time step."""
+
+    @staticmethod
+    def _block(T, n, seed=5):
+        rng = np.random.default_rng(seed)
+        centers = smallmat.so3_exp(smallmat.hat3(rng.uniform(-2.0, 2.0, (T, 1, 3))))
+        rel = smallmat.so3_exp(smallmat.hat3(rng.uniform(-0.3, 0.3, (T, n, 3))))
+        return centers, centers @ rel
+
+    def test_tube_block_bit_identical(self):
+        centers, samples = self._block(64, 100)
+        got = smallmat.so3_angle(centers, samples)
+        assert got.shape == (64, 100)
+        assert np.array_equal(got, _old_so3_angle(centers, samples))
+        assert np.array_equal(smallmat.so3_angle(samples, centers),
+                              _old_so3_angle(samples, centers))
+
+    def test_block_view_of_a_stack_bit_identical(self):
+        # the tube passes a strided view: row 0 of each state is the center
+        centers, samples = self._block(64, 100)
+        stack = np.concatenate([centers, samples], axis=1)
+        got = smallmat.so3_angle(stack[:, :1], stack[:, 1:])
+        assert np.array_equal(got, _old_so3_angle(centers, samples))
+
+    def test_single_sample_block_bit_identical(self):
+        centers, samples = self._block(64, 1)
+        assert np.array_equal(smallmat.so3_angle(centers, samples),
+                              _old_so3_angle(centers, samples))
+        assert np.array_equal(smallmat.so3_angle(samples, centers),
+                              _old_so3_angle(samples, centers))
+
+    def test_broadcast_leading_axes(self):
+        # one center for every time step, and a stack without leading axes
+        centers, samples = self._block(8, 3)
+        for Ra, Rb in ((centers[:1], samples), (centers[0], samples[0])):
+            got = smallmat.so3_angle(Ra, Rb)
+            assert got.shape == np.broadcast_shapes(Ra.shape, Rb.shape)[:-2]
+            assert np.array_equal(got, _old_so3_angle(Ra, Rb))

@@ -9,7 +9,6 @@ from .connection import SpaceClassification, classify, compute_alpha
 from .contraction import (
     ContractionCertificate,
     LoopReport,
-    basis_independence_check,
     certify_region,
     find_period,
     generator_box_samples,
@@ -29,7 +28,6 @@ from .fields import (
 from .liealg import (
     ReductiveDecomposition,
     adjoint,
-    bracket,
     check_ad_invariance,
     orthonormalize_basis,
 )
@@ -41,7 +39,6 @@ from .spaces import (
     make_so3_biinvariant,
     make_so3_left_invariant,
     make_sphere2,
-    rotate_basis,
 )
 
 __version__ = "0.1.0"

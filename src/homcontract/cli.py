@@ -27,7 +27,7 @@ SPACES = {
     "sphere2": lambda arg: spaces.make_sphere2(),
     "so3": lambda arg: spaces.make_so3_biinvariant(),
     "circle": lambda arg: spaces.make_circle(),
-    "euclidean:N": lambda arg: spaces.make_euclidean(int(arg)),
+    "euclidean:N": lambda arg: spaces.make_euclidean(_euclidean_dim(arg)),
     "so3-left:g1,g2,g3": lambda arg: spaces.make_so3_left_invariant(_gram_diagonal(arg)),
 }
 # keyed by a spec's text up to and including its first colon
@@ -44,6 +44,13 @@ def _gram_diagonal(arg: str) -> list[float]:
         raise ValueError(f"space 'so3-left:{arg}' needs 3 entries g1,g2,g3, "
                          "the numbers on its Gram matrix's diagonal")
     return gram
+
+
+def _euclidean_dim(arg: str) -> int:
+    """The dimension N of ``euclidean:ARG``: a whole number of at least 1."""
+    if not arg.isdecimal() or int(arg) < 1:
+        raise ValueError(f"space 'euclidean:{arg}' needs a whole number N >= 1, its dimension")
+    return int(arg)
 
 
 def _resolve_space(spec: str) -> spaces.Space:
@@ -104,9 +111,9 @@ def _certify(space, args, step: float):
     """Certify ``args.field`` on ``space`` over ``args.region`` at rate ``args.c``.
 
     The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, NP >= 3, 0 < DEG <= 180) or
-    ``box:LO:HI:N`` (LO < HI) with finite numbers and counts of at least 1, is
-    checked before the field is resolved.  Returns the field, the certificate
-    and the cap's (NT, NP) grid, or None for a box.
+    ``box:LO:HI:N`` (LO < HI, a finite width apart) with finite numbers and counts of
+    at least 1, is checked and sampled, with finite samples, before the field is
+    resolved.  Returns the field, the certificate and the cap's (NT, NP) grid (None for a box).
     """
     region = args.region
     kind, *parts = region.split(":")
@@ -126,12 +133,15 @@ def _certify(space, args, step: float):
         raise ValueError(f"region {region!r}: a cap needs NP >= 3 (NP <= 2 is one great circle)")
     if not grid and a >= b:
         raise ValueError(f"region {region!r}: a box needs LO < HI")
+    if not grid and b - a == np.inf:
+        raise ValueError(f"region {region!r}: a box needs a finite width HI - LO")
+    m = space.dim_m
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        samples = (contraction.sphere_cap_grid(space, np.deg2rad(a), b, n) if grid else
+                   contraction.generator_box_samples(space, [a] * m, [b] * m, n))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"region {region!r}: its samples overflow {space.name}'s exponential")
     F = _resolve_field(space, args.field)
-    if grid:
-        samples = contraction.sphere_cap_grid(space, np.deg2rad(a), b, n)
-    else:
-        samples = contraction.generator_box_samples(space, [a] * space.dim_m,
-                                                    [b] * space.dim_m, n)
     return F, contraction.certify_region(F, space, samples, args.c, region=region,
                                          step=step), grid
 
@@ -166,11 +176,8 @@ def cmd_certify(args) -> int:
 
 def _m_coords(space, option: str, text: str) -> list[float]:
     """The comma-separated m-coordinates given to ``option``: dim_m finite numbers."""
-    coords = [float(x) for x in text.split(",")]
-    if len(coords) != space.dim_m or not np.all(np.isfinite(coords)):
-        raise ValueError(f"{option} needs {space.dim_m} finite coordinates, "
-                         f"got {len(coords)}: {text!r}")
-    return coords
+    return fields._read_numbers(text, space.dim_m, f"{option} needs {space.dim_m} finite "
+                                "coordinates, got", finite=True)
 
 
 def cmd_loop_check(args) -> int:

@@ -14,17 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .connection import _TOL, compute_U, zero_tol
-from .fields import _FD_STEP, HorizontalField, linearize, rotate_field
-from .spaces import Space, rotate_basis
+from .connection import compute_U, zero_tol
+from .fields import _FD_STEP, HorizontalField, linearize
+from .spaces import Space
 
 # A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
 # difference noise when the true measure sits exactly on the rate (region
 # boundaries), and is recorded on the certificate.
 _SLACK = 1e-9
 _PERIOD_TOL = 1e-8  # find_period's exp(T A) must be the identity within this largest entry
-_BASIS_SEED = 0  # basis_independence_check draws its random bases from this seed
-_BASIS_TOL = 1e-7  # ... and passes when the measures spread by at most this
 
 
 def matrix_measure(P):
@@ -135,15 +133,17 @@ def _halton(count: int, dim: int) -> np.ndarray:
 def generator_box_samples(space: Space, lows, highs, count: int) -> np.ndarray:
     """Low-discrepancy (Halton, so deterministic) samples exp-mapped from a
     box in m-coordinates at the identity; returns a (count, d, d) stack.
-    A bound pair with lows[i] >= highs[i] raises ValueError."""
+    A bound pair with lows[i] >= highs[i] or an infinite width raises ValueError."""
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
     m = space.dim_m
     if lows.shape != (m,) or highs.shape != (m,):
         raise ValueError("box bounds must match the m-dimension")
-    if not np.all(lows < highs):  # False for NaN bounds too
-        raise ValueError(f"a box needs lows < highs, got {lows} and {highs}")
-    coords = lows + _halton(count, m) * (highs - lows)
+    with np.errstate(over="ignore", invalid="ignore"):  # a width that overflows is refused
+        width = highs - lows
+    if not np.all((lows < highs) & (width < np.inf)):  # False for NaN bounds too
+        raise ValueError(f"a box needs lows < highs a finite width apart, got {lows} and {highs}")
+    coords = lows + _halton(count, m) * width
     return space.algebra_exp(space.algebra_from_coords(coords))
 
 
@@ -168,33 +168,6 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
     B = space.dec.m_basis
     A = thetas * (np.cos(phis) * B[0] + np.sin(phis) * B[1])
     return space.algebra_exp(A.reshape((-1,) + B.shape[1:]))
-
-
-@dataclass(frozen=True)
-class BasisIndependenceReport:
-    """The measures at one state in its own and in random bases; their spread passes <= tol."""
-
-    measures: np.ndarray
-
-    tol = _BASIS_TOL
-    max_deviation = property(lambda self: float(self.measures.max() - self.measures.min()))
-    passed = property(lambda self: self.max_deviation <= self.tol)
-
-
-def basis_independence_check(F: HorizontalField, space: Space, g,
-                             trials: int = 10) -> BasisIndependenceReport:
-    """Recompute the measure in random orthonormal bases of m.
-
-    The measure is basis independent; the reported deviation is dominated
-    by finite differencing.
-    """
-    rng = np.random.default_rng(_BASIS_SEED)
-    m = space.dim_m
-    mus = [matrix_measure(linearize(F, space, g))]
-    for _ in range(trials):
-        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        mus.append(matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g)))
-    return BasisIndependenceReport(np.asarray(mus))
 
 
 def find_period(space: Space, A) -> Optional[float]:
@@ -228,8 +201,8 @@ class LoopReport:
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     u_uu: np.ndarray = field(repr=False)
-    c: Optional[float] = None
-    tol: float = _TOL
+    c: Optional[float]
+    tol: float
 
     period = property(lambda self: float(self.times[-1]))
     integral = property(lambda self: float(np.trapezoid(self.values, self.times)))

@@ -171,30 +171,6 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
     return CosetReport(max_gap=gap, pairs_checked=len(hs))
 
 
-def rotate_field(F: HorizontalField, Q) -> HorizontalField:
-    """Coefficients of the same field in a Q-rotated orthonormal m-basis.
-
-    A ``gradient`` rotates with them: grad'_j = sum_i grad_i Q_ij.
-    """
-    Q = np.asarray(Q, dtype=float)
-
-    def coeff(g, t):
-        return np.asarray(F.coeff(g, t), dtype=float) @ Q
-
-    def gradient(g, t):
-        c, grad = F.gradient(g, t)
-        return (np.asarray(c, dtype=float) @ Q,
-                np.einsum("...iab,ij->...jab", np.asarray(grad, dtype=float), Q))
-
-    return HorizontalField(
-        name=F.name + "@rot",
-        space_name=F.space_name,
-        coeff=coeff,
-        state_independent=F.state_independent,
-        gradient=None if F.gradient is None else gradient,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Built-in demo fields
 
@@ -433,12 +409,25 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     return HorizontalField(f"tabulated[{path}]", space.name, coeff, gradient=gradient)
 
 
+def _read_numbers(text: str, count: int, refusal: str, finite: bool = False) -> list[float]:
+    """The ``count`` comma-separated numbers of ``text``, finite ones if ``finite``.
+    Otherwise ValueError: ``refusal``, how many entries read as numbers, and the text."""
+    entries, numbers = text.split(","), []
+    for entry in entries:
+        try:
+            numbers.append(float(entry))
+        except ValueError:
+            pass
+    if not len(numbers) == len(entries) == count or finite and not np.all(np.isfinite(numbers)):
+        raise ValueError(f"{refusal} {len(numbers)}: {text!r}")
+    return numbers
+
+
 def _linear_matrix(space: Space, arg: str) -> np.ndarray:
     """The n x n matrix, n = d - 1, whose row-major entries ``arg`` lists."""
-    x, n = [float(v) for v in arg.split(",")], space.embed_dim - 1
-    if len(x) != n * n:
-        raise ValueError(f"field euclidean-linear on {space.name} needs n^2 = {n * n} "
-                         f"entries, found {len(x)}: {arg!r}")
+    n = space.embed_dim - 1
+    x = _read_numbers(arg, n * n, f"field euclidean-linear on {space.name} needs "
+                      f"n^2 = {n * n} entries, found")
     return np.reshape(x, (n, n))
 
 
@@ -448,8 +437,9 @@ def _linear_matrix(space: Space, arg: str) -> np.ndarray:
 BUILTIN_FIELDS = {
     "sphere-grad-height": ("sphere", lambda space, arg: sphere_height_gradient(space)),
     "sphere-noneq": ("sphere", lambda space, arg: sphere_nonequivariant(space)),
-    "constant:u1,...,um": (None, lambda space, arg: constant_field(
-        space, [float(x) for x in arg.split(",")])),
+    "constant:u1,...,um": (None, lambda space, arg: constant_field(space, _read_numbers(
+        arg, space.dim_m, f"field constant on {space.name} needs m = {space.dim_m} entries, "
+        "found"))),
     "so3-demo-schedule": ("so3", lambda space, arg: so3_demo_schedule(space)),
     "euclidean-linear:m11,m12,...": ("euclidean", lambda space, arg: euclidean_linear(
         space, _linear_matrix(space, arg))),

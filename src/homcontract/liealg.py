@@ -17,15 +17,6 @@ _SPAN_TOL = 1e-8  # largest residual entry, relative to the element's largest, i
 _AD_TOL = 1e-8  # largest Ad_h leak out of m, or metric distortion, counted as invariant
 
 
-def bracket(X, Y) -> np.ndarray:
-    """Matrix commutator XY - YX."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ValueError(f"bracket of mismatched shapes {X.shape} and {Y.shape}")
-    return X @ Y - Y @ X
-
-
 def adjoint(g, X) -> np.ndarray:
     """Adjoint action g X g^{-1}, broadcasting over stacks (..., d, d)."""
     g = np.asarray(g, dtype=float)

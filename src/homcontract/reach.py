@@ -302,7 +302,3 @@ def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
         for t, row in zip(traj.times.tolist(), flat.tolist()):
             fh.write(",".join(map(repr, [t] + row)) + "\n")
 
-
-def group_constraint_drift(space: Space, traj: Trajectory) -> float:
-    """Worst violation of the group constraint along the trajectory."""
-    return float(np.max(space.ops.residual(traj.states)))

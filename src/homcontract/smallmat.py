@@ -1,23 +1,13 @@
 """Dense small-matrix kernels shared by the rest of the library.
 
 Everything operates on plain numpy arrays of 3x3 matrices, stacked or
-not: the skew hat map, the closed-form exponential of skew matrices,
-and rotation angles.  All functions are pure.
+not: the closed-form exponential of skew matrices and rotation
+angles.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def hat3(w) -> np.ndarray:
-    """3-vector to skew matrix, hat3(w) @ v == cross(w, v)."""
-    w = np.asarray(w, dtype=float)
-    O = np.zeros(w.shape[:-1] + (3, 3))
-    O[..., 0, 1], O[..., 0, 2] = -w[..., 2], w[..., 1]
-    O[..., 1, 0], O[..., 1, 2] = w[..., 2], -w[..., 0]
-    O[..., 2, 0], O[..., 2, 1] = -w[..., 1], w[..., 0]
-    return O
 
 
 _I3 = np.eye(3)

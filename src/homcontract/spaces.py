@@ -318,20 +318,6 @@ def make_so3_left_invariant(gram) -> Space:
     return _build(f"so3-left[{label}]", "so3", SO3_BASIS, gram=gram)
 
 
-def rotate_basis(space: Space, Q) -> Space:
-    """Space with the m-basis rotated by an orthogonal coordinate change.
-
-    New basis vectors are B'_i = sum_j Q[j, i] B_j; the connection tensor
-    is derived again in the rotated basis.
-    """
-    Q = np.asarray(Q, dtype=float)
-    m = space.dim_m
-    if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
-        raise ValueError("basis change must be orthogonal")
-    dec = dataclasses.replace(space.dec, m_basis=np.einsum("ji,jab->iab", Q, space.dec.m_basis))
-    return dataclasses.replace(space, name=space.name + "@rot", dec=dec)
-
-
 def verify_space(space: Space) -> connection.SpaceClassification:
     """Check that a space's bases define it; raises ValueError on failure.
 

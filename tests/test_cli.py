@@ -417,6 +417,23 @@ class TestBadNumbers:
         assert capsys.readouterr().err == f"error: region {region!r}: a box needs LO < HI\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("space,field,region,reason", [
+        ("so3", "constant:1,0,0", "box:-1e308:1e308:4", "a box needs a finite width HI - LO"),
+        ("euclidean:2", "constant:1,0", "box:-1e308:1e308:4",
+         "a box needs a finite width HI - LO"),
+        ("so3", "constant:1,0,0", "box:-1e200:1e200:4", "its samples overflow so3's exponential"),
+    ])
+    @pytest.mark.parametrize("command", ["certify", "reach"])
+    def test_box_overflow_refused_where_the_region_enters(self, tmp_path, capsys, monkeypatch,
+                                                          command, space, field, region, reason):
+        # the suite raises a RuntimeWarning as an error, so none may be emitted either
+        monkeypatch.setattr(fields, "builtin_field", None)  # resolving the field would raise
+        code = run(tmp_path, command, "--space", space, "--field", field, "--region", region,
+                   "--c", "0")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: region {region!r}: {reason}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option", ["--r0"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_tube_scale_not_positive(self, tmp_path, capsys, option, value):
@@ -475,6 +492,10 @@ class TestBadNumbers:
           "--base-coords", "nan,0"), "--base-coords needs 2 finite coordinates, got 2: 'nan,0'"),
         (("--space", "circle", "--field", "circle-sin", "--generator", "inf"),
          "--generator needs 1 finite coordinates, got 1: 'inf'"),
+        (("--space", "so3", "--field", "constant:1,0,0", "--generator", "a"),
+         "--generator needs 3 finite coordinates, got 0: 'a'"),
+        (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
+          "--base-coords", "x"), "--base-coords needs 2 finite coordinates, got 0: 'x'"),
     ])
     def test_loop_coordinates_rejected(self, tmp_path, capsys, argv, needle):
         assert run(tmp_path, "loop-check", *argv) == 1
@@ -489,7 +510,17 @@ class TestBadNumbers:
         (("certify", "--space", "euclidean:2", "--field", "euclidean-linear:1,0,0",
           "--region", "box:-1:1:4", "--c", "0"),
          "field euclidean-linear on euclidean:2 needs n^2 = 4 entries, found 3: '1,0,0'"),
-    ], ids=["gram-nan", "gram-inf", "euclidean-linear-count"])
+        (("certify", "--space", "euclidean:2", "--field", "euclidean-linear:a,0,0,1",
+          "--region", "box:-1:1:4", "--c", "0"),
+         "field euclidean-linear on euclidean:2 needs n^2 = 4 entries, found 3: 'a,0,0,1'"),
+        (("certify", "--space", "so3", "--field", "constant:a,0,0", "--region", "box:-1:1:4",
+          "--c", "0"), "field constant on so3 needs m = 3 entries, found 2: 'a,0,0'"),
+        (("certify", "--space", "so3", "--field", "constant", "--region", "box:-1:1:4",
+          "--c", "0"), "field constant on so3 needs m = 3 entries, found 0: ''"),
+        (("certify", "--space", "so3", "--field", "constant:1,0", "--region", "box:-1:1:4",
+          "--c", "0"), "field constant on so3 needs m = 3 entries, found 2: '1,0'"),
+    ], ids=["gram-nan", "gram-inf", "euclidean-linear-count", "euclidean-linear-entry",
+            "constant-entry", "constant-empty", "constant-count"])
     def test_spec_refused_where_it_is_parsed(self, tmp_path, capsys, argv, needle):
         assert run(tmp_path, *argv) == 1
         assert capsys.readouterr().err == f"error: {needle}\n"
@@ -738,6 +769,15 @@ class TestGramEntryCount:
         assert capsys.readouterr().err == (
             f"error: space 'so3-left:{arg}' needs 3 entries g1,g2,g3, "
             "the numbers on its Gram matrix's diagonal\n")
+        assert not list(tmp_path.iterdir())
+
+
+class TestEuclideanDimension:
+    @pytest.mark.parametrize("arg", ["x", "", "2.5", "0", "-1"])
+    def test_refused_where_it_is_parsed(self, tmp_path, capsys, arg):
+        assert run(tmp_path, "classify", "--space", f"euclidean:{arg}") == 1
+        assert capsys.readouterr().err == (
+            f"error: space 'euclidean:{arg}' needs a whole number N >= 1, its dimension\n")
         assert not list(tmp_path.iterdir())
 
 

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from homcontract import contraction, fields
+from homcontract import connection, contraction, fields
 from homcontract.spaces import (SO3_BASIS, make_circle, make_euclidean, make_so3_biinvariant,
                                 make_so3_left_invariant, make_sphere2)
+
+import oracles
 
 AX, AY, AZ = SO3_BASIS
 
@@ -165,14 +167,33 @@ class TestBasisIndependence:
     @pytest.mark.parametrize("field_name", ["sphere-grad-height", "sphere-noneq"])
     def test_sphere_fields(self, sphere, field_name):
         F = fields.builtin_field(sphere, field_name)
-        rep = contraction.basis_independence_check(F, sphere, expm(0.4 * AX))
+        rep = oracles.basis_independence_check(F, sphere, expm(0.4 * AX))
         assert rep.passed, rep.max_deviation
 
     def test_so3_left_invariant(self, so3_left):
         F = fields.constant_field(so3_left, [1.0, 0.5, -0.2])
-        rep = contraction.basis_independence_check(F, so3_left, expm(0.3 * AY))
+        rep = oracles.basis_independence_check(F, so3_left, expm(0.3 * AY))
         assert rep.passed, rep.max_deviation
         assert len(rep.measures) == 11
+
+    # every shipped space by CLI spec, and each built-in field written for its kind
+    SPACES = {"sphere2": make_sphere2(), "so3": make_so3_biinvariant(),
+              "so3-left:1,1,4": make_so3_left_invariant([1, 1, 4]), "circle": make_circle(),
+              "euclidean:2": make_euclidean(2)}
+    PAIRS = [(spec, usage.partition(":")[0]) for spec, sp in SPACES.items()
+             for usage, (kind, _) in fields.BUILTIN_FIELDS.items() if kind in (None, sp.kind)]
+
+    @pytest.mark.parametrize("spec,base", PAIRS)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(max_examples=8, deadline=None)
+    def test_every_builtin_field_at_random_states(self, spec, base, coords):
+        space = self.SPACES[spec]
+        arg = {"constant": ":" + ",".join(["0.7", "-0.4", "1.1"][:space.dim_m]),
+               "euclidean-linear": ":-1,0.3,0.2,-2"}.get(base, "")
+        F = fields.builtin_field(space, base + arg)
+        g = space.algebra_exp(space.algebra_from_coords(coords[:space.dim_m]))
+        rep = oracles.basis_independence_check(F, space, g, trials=5)
+        assert rep.passed, rep.max_deviation
 
 
 class TestFindPeriod:
@@ -359,7 +380,7 @@ class TestLoopGeodesic:
     def test_flag_follows_the_stored_term(self, circle):
         rep = contraction.loop_obstruction_check(fields.circle_sine(circle), circle, [1.0])
         assert rep.geodesic and rep.to_dict()["u_uu"] == [0.0]
-        bent = dataclasses.replace(rep, u_uu=np.array([2.0 * contraction._TOL]))
+        bent = dataclasses.replace(rep, u_uu=np.array([2.0 * connection._TOL]))
         assert bent.geodesic is False and bent.to_dict()["geodesic"] is False
         assert bent.to_dict()["verdict"] == rep.to_dict()["verdict"]
 
@@ -398,14 +419,14 @@ class TestStackedPath:
         assert mus[1, 2] == pytest.approx(contraction.matrix_measure(P[1, 2]), abs=1e-15)
 
     def test_loop_values_match_single_linearizations(self, sphere):
-        from homcontract.spaces import rotate_basis
+        from oracles import rotate_basis
 
         F = fields.sphere_height_gradient(sphere)
         rep = contraction.loop_obstruction_check(F, sphere, [1.0, 0.0], n_quad=8)
         Q = _extend_to_orthonormal(np.array([1.0, 0.0]))
         A1 = sphere.algebra_from_coords([1.0, 0.0])
         for t, f in zip(rep.times, rep.values):
-            P = fields.linearize(fields.rotate_field(F, Q), rotate_basis(sphere, Q),
+            P = fields.linearize(oracles.rotate_field(F, Q), rotate_basis(sphere, Q),
                                  sphere.algebra_exp(t * A1))
             assert f == pytest.approx(P[0, 0], abs=1e-12)
 
@@ -419,14 +440,14 @@ class TestStackedPath:
     def test_loop_values_match_the_rotated_frame(self, make, field, gen):
         # f = <P u, u> in the space's own frame is the first diagonal entry of
         # the linearization in a rotated frame whose first vector is u
-        from homcontract.spaces import rotate_basis
+        from oracles import rotate_basis
 
         space = make()
         F = field(space)
         rep = contraction.loop_obstruction_check(F, space, gen, n_quad=16)
         u = np.asarray(gen) / np.linalg.norm(gen)
         Q = _extend_to_orthonormal(u)
-        P = fields.linearize(fields.rotate_field(F, Q), rotate_basis(space, Q),
+        P = fields.linearize(oracles.rotate_field(F, Q), rotate_basis(space, Q),
                              space.algebra_exp(rep.times[:, None, None] * rep.generator))
         assert np.abs(P[:, 0, 0]).max() > 1e-3  # a loop on which f is not all zero
         assert np.max(np.abs(rep.values - P[:, 0, 0])) < 1e-9

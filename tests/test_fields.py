@@ -8,6 +8,8 @@ from scipy.linalg import expm
 from homcontract import fields
 from homcontract.spaces import SO3_BASIS
 
+import oracles
+
 AX, AY, AZ = SO3_BASIS
 
 
@@ -47,7 +49,7 @@ class TestArrayOfTimes:
     @pytest.mark.parametrize("make", [
         fields.so3_demo_schedule,
         lambda so3: fields.constant_field(so3, [0.3, -1.0, 0.7]),
-        lambda so3: fields.rotate_field(fields.so3_demo_schedule(so3), expm(0.7 * AX)),
+        lambda so3: oracles.rotate_field(fields.so3_demo_schedule(so3), expm(0.7 * AX)),
     ], ids=["so3-demo-schedule", "constant", "rotated-demo"])
     def test_equals_stacked_scalar_calls(self, so3, make):
         F = make(so3)
@@ -491,7 +493,7 @@ class TestTableLinearization:
 
     def test_rotated_table_rotates_its_linearization(self, euclid2, so3, tmp_path):
         from homcontract import contraction
-        from homcontract.spaces import rotate_basis
+        from oracles import rotate_basis
 
         so3_rows = contraction.generator_box_samples(so3, [-1.0] * 3, [1.0] * 3, 300)
         so3_vals = np.stack([so3_rows[:, 0, 1], so3_rows[:, 1, 2] ** 2,
@@ -503,7 +505,7 @@ class TestTableLinearization:
             m = space.dim_m
             Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((m, m)))
             S = contraction.generator_box_samples(space, [-0.8] * m, [0.8] * m, 64)
-            rotated = fields.rotate_field(F, Q)
+            rotated = oracles.rotate_field(F, Q)
             assert rotated.gradient is not None
             P = fields.linearize(F, space, S)
             P_rot = fields.linearize(rotated, rotate_basis(space, Q), S)

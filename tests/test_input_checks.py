@@ -44,6 +44,9 @@ RAISES = {
     "generator_box_samples-point": (
         lambda: contraction.generator_box_samples(SO3, [-1.0, 0.5, -1.0], [1.0, 0.5, 1.0], 4),
         "a box needs lows < highs"),
+    "generator_box_samples-width": (
+        lambda: contraction.generator_box_samples(EUCLID2, [-1e308] * 2, [1e308] * 2, 4),
+        "a box needs lows < highs a finite width apart"),
     "find_period-zero": (lambda: contraction.find_period(SO3, np.zeros((3, 3))),
                          "zero generator has no period"),
     "constant_field-size": (lambda: fields.constant_field(SO3, [1.0, 0.0]),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from homcontract import smallmat
 from homcontract.spaces import SO3_BASIS
 
+import oracles
+
 AX, AY, AZ = SO3_BASIS
 
 
@@ -37,7 +39,7 @@ class TestExpm:
     @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_inverse_pairing(self, w):
-        A = smallmat.hat3(np.asarray(w))
+        A = oracles.hat3(np.asarray(w))
         assert np.allclose(smallmat.so3_exp(A) @ smallmat.so3_exp(-A), np.eye(3), atol=1e-10)
 
 
@@ -48,7 +50,7 @@ class TestSo3ExpStack:
     def _stack(self):
         axes = np.random.default_rng(11).normal(size=(len(self.ANGLES), 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        return smallmat.hat3(np.asarray(self.ANGLES)[:, None] * axes)
+        return oracles.hat3(np.asarray(self.ANGLES)[:, None] * axes)
 
     def test_stack_equals_single_elements(self):
         A = self._stack()
@@ -69,12 +71,12 @@ class TestSo3ExpStack:
     @settings(max_examples=100, deadline=None)
     def test_rotation_property(self, w, scale):
         w = scale * np.asarray(w)
-        R = smallmat.so3_exp(smallmat.hat3(w))
+        R = smallmat.so3_exp(oracles.hat3(w))
         assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(R) - 1.0) <= 1e-14
         assert np.max(np.abs(R @ w - w)) <= 1e-14  # the axis is fixed
         # the series' own terms reach about 7 at |w| = 2 sqrt(3), so it rounds near 1e-15
-        assert np.max(np.abs(R - series_expm(smallmat.hat3(w), terms=40))) <= 1e-12
+        assert np.max(np.abs(R - series_expm(oracles.hat3(w), terms=40))) <= 1e-12
 
 
 class TestSmallAngleLog:
@@ -83,7 +85,7 @@ class TestSmallAngleLog:
         # so tiny angles keep full relative precision, stacked or not
         angles = np.array([1e-8, 1e-6, 1e-4])
         axis = np.array([1.0, 2.0, 2.0]) / 3.0
-        R = smallmat.so3_exp(angles[:, None, None] * smallmat.hat3(axis))
+        R = smallmat.so3_exp(angles[:, None, None] * oracles.hat3(axis))
         out = smallmat.so3_angle(np.eye(3), R)
         assert out.shape == (3,)
         assert np.allclose(out, angles, rtol=1e-9, atol=0.0)
@@ -114,7 +116,7 @@ class TestSo3AngleKernel:
             axes = np.array(data.draw(st.lists(_AXIS, min_size=count, max_size=count)))
             angles = np.array(data.draw(st.lists(angle, min_size=count, max_size=count)))
             w = angles[:, None] * axes / np.linalg.norm(axes, axis=1, keepdims=True)
-            return smallmat.so3_exp(smallmat.hat3(w))
+            return smallmat.so3_exp(oracles.hat3(w))
 
         centers = rotations(T, st.floats(0.0, np.pi)).reshape(T, 1, 3, 3)
         samples = centers @ rotations(T * n, _REL_ANGLE).reshape(T, n, 3, 3)
@@ -132,8 +134,8 @@ class TestSo3AngleTubeShapes:
     @staticmethod
     def _block(T, n, seed=5):
         rng = np.random.default_rng(seed)
-        centers = smallmat.so3_exp(smallmat.hat3(rng.uniform(-2.0, 2.0, (T, 1, 3))))
-        rel = smallmat.so3_exp(smallmat.hat3(rng.uniform(-0.3, 0.3, (T, n, 3))))
+        centers = smallmat.so3_exp(oracles.hat3(rng.uniform(-2.0, 2.0, (T, 1, 3))))
+        rel = smallmat.so3_exp(oracles.hat3(rng.uniform(-0.3, 0.3, (T, n, 3))))
         return centers, centers @ rel
 
     def test_tube_block_bit_identical(self):

@@ -237,14 +237,26 @@ def so3_demo_schedule(space: Space) -> HorizontalField:
 
 
 def euclidean_linear(space: Space, M) -> HorizontalField:
-    """Linear field x -> M x on flat space, read off the translation part."""
+    """Linear field x -> M x on flat space, x the translation part of g.
+
+    The coefficients are the frame coordinates of M x: the frame vector g A_j
+    is A_j's translation column b_j, so c = B^-1 M x with B = [b_1 ... b_n],
+    and the field is the same on every m-basis (B = I on ``euclidean:n``).
+    """
     M = np.asarray(M, dtype=float)
     n = space.embed_dim - 1
     if M.shape != (n, n):
         raise ValueError("matrix size does not match the space dimension")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"euclidean-linear entries must be finite, got {M.tolist()}")
+    B = space.dec.m_basis[:, :n, n].T
+    if B.shape != (n, n):
+        raise ValueError(f"euclidean-linear needs an m-basis of {n} translations, "
+                         f"{space.name} has {B.shape[1]}")
+    T = np.linalg.solve(B, M).T
 
     def coeff(g, t):
-        return g[..., :n, n] @ M.T
+        return g[..., :n, n] @ T
 
     return HorizontalField("euclidean-linear", space.name, coeff)
 
@@ -264,9 +276,12 @@ _FIT_CHUNK = 256
 # at or below this; at about 16 ns per pair (2-CPU x86 host) that is under
 # 0.3 s, less than importing scipy.spatial for a k-d tree.
 _BRUTE_MAX_PAIRS = 2 ** 24
-# Distance entries per brute-force chunk (8-byte distance and index each),
-# so the search holds about 16 MB whatever the table size.
-_BRUTE_CHUNK_ENTRIES = 2 ** 20
+# Distance entries per brute-force search block.  A block's (queries, N)
+# distances and argpartition's indices of that shape take 8 bytes an entry,
+# so 2**14 entries keep each at most 128 KiB, glibc's default mmap threshold:
+# they come from the heap and are reused by the next block, rather than
+# mapped, returned to the OS and faulted in again for every block.
+_BRUTE_CHUNK_ENTRIES = 2 ** 14
 
 
 class _LocalFit:
@@ -297,13 +312,18 @@ class _LocalFit:
 
     def neighbours(self, q: np.ndarray, brute: bool) -> tuple[np.ndarray, np.ndarray]:
         """Distances and row indices (n, k) of the k nearest rows to each of
-        the queries q (n, D), nearest first: by brute force, or from one
+        the queries q (n, D), nearest first: by brute force, in blocks of
+        ``_BRUTE_CHUNK_ENTRIES // N`` queries (at least one), or from one
         ``scipy.spatial.cKDTree`` over the table, built on first use."""
         if brute:
-            d2 = (q - self.mean) @ self.centred.T
-            d2 *= -2.0  # exact, so the ranking is that of |p|^2 - 2 q.p
-            d2 += self.sq_norms
-            idx = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
+            block = max(1, _BRUTE_CHUNK_ENTRIES // len(self.points))
+            centred_q = q - self.mean
+            idx = np.empty((len(q), self.k), dtype=np.intp)
+            for lo in range(0, len(q), block):
+                d2 = centred_q[lo:lo + block] @ self.centred.T
+                d2 *= -2.0  # exact, so the ranking is that of |p|^2 - 2 q.p
+                d2 += self.sq_norms
+                idx[lo:lo + block] = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
             dist = np.linalg.norm(self.points[idx] - q[:, None, :], axis=-1)
             order = np.argsort(dist, axis=1, kind="stable")
             return (np.take_along_axis(dist, order, axis=1),
@@ -329,20 +349,20 @@ class _LocalFit:
         c = np.empty((len(q), self.values.shape[1]))
         slope = np.zeros((len(q), D, self.values.shape[1]))
         brute = len(q) * n_rows <= _BRUTE_MAX_PAIRS
-        chunk = max(1, min(_FIT_CHUNK, _BRUTE_CHUNK_ENTRIES // n_rows)) if brute else _FIT_CHUNK
-        for lo in range(0, len(q), chunk):
-            qc = q[lo:lo + chunk]
+        for lo in range(0, len(q), _FIT_CHUNK):
+            hi = lo + _FIT_CHUNK
+            qc = q[lo:hi]
             dist, idx = self.neighbours(qc, brute)
             nearest = self.values[idx[:, 0]]
             if self.k == 1:
-                c[lo:lo + chunk] = nearest
+                c[lo:hi] = nearest
                 continue
             cols = np.flatnonzero(self.varies | (qc != self.points[0]).any(axis=0))
             A = np.concatenate([np.ones(idx.shape + (1,)),
                                 self.points[idx][..., cols] - qc[:, None, cols]], axis=-1)
             sol = np.linalg.pinv(A, rcond=self.cutoff) @ self.values[idx]
-            c[lo:lo + chunk] = np.where(dist[:, :1] >= 1e-12, sol[:, 0], nearest)
-            slope[lo:lo + chunk, cols] = sol[:, 1:]
+            c[lo:hi] = np.where(dist[:, :1] >= 1e-12, sol[:, 0], nearest)
+            slope[lo:hi, cols] = sol[:, 1:]
         return c, slope
 
 

@@ -299,6 +299,8 @@ def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         d = flat.shape[-1]
         fh.write("t," + ",".join(f"s{i}" for i in range(d)) + "\n")
-        for t, row in zip(traj.times.tolist(), flat.tolist()):
-            fh.write(",".join(map(repr, [t] + row)) + "\n")
+        for lo in range(0, len(flat), _STEP_CHUNK):  # Python lists of one block at a time
+            hi = lo + _STEP_CHUNK
+            rows = zip(traj.times[lo:hi].tolist(), flat[lo:hi].tolist())
+            fh.write("".join(",".join(map(repr, [t] + row)) + "\n" for t, row in rows))
 

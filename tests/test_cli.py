@@ -588,6 +588,28 @@ class TestSpecRefusals:
             "error: constant field entries must be finite, got [1.0, 0.0, nan]\n")
         assert not list(tmp_path.iterdir())
 
+    def test_linear_entries_refused_where_parsed(self, tmp_path, capsys):
+        assert run(tmp_path, "certify", "--space", "euclidean:2", "--field",
+                   "euclidean-linear:nan,0,0,1", "--region", "box:-1:1:4", "--c", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: euclidean-linear entries must be finite, got [[nan, 0.0], [0.0, 1.0]]\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_linear_field_reads_the_descriptor_basis(self, tmp_path, capsys):
+        # an isometric frame (e2, -e1) reads euclidean:2's mu; (e1 / 4, e2) reads
+        # mu in its metric diag(16, 1), 7
+        euclid2 = spaces.make_euclidean(2)
+        argv = ("--field", "euclidean-linear:-1,4,0,-1", "--region", "box:-1:1:16", "--c", "2")
+        codes, mus = [], []
+        for b1, b2 in [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((0.25, 0), (0, 1))]:
+            m_basis = np.zeros((2, 3, 3))
+            m_basis[:, :2, 2] = [b1, b2]
+            space = _descriptor(tmp_path, euclid2, m_basis=m_basis.tolist())
+            codes.append(run(tmp_path, "certify", "--space", space, *argv))
+            mus.append(json.loads((tmp_path / "certificate.json").read_text())["mu_max"])
+        assert codes == [0, 0, 2]
+        assert mus == pytest.approx([1.0, 1.0, 7.0], abs=1e-9)
+
 
 class TestNameHints:
     def test_every_listed_space_resolves(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from homcontract import connection, contraction, fields
+from homcontract import connection, contraction, fields, spaces
 from homcontract.spaces import (SO3_BASIS, make_circle, make_euclidean, make_so3_biinvariant,
                                 make_so3_left_invariant, make_sphere2)
 
@@ -98,6 +99,39 @@ class TestCertifyRegion:
         cert = contraction.certify_region(F, euclid2, samples, c=mu2_oracle(M) + 1e-6)
         assert cert.passed
         assert cert.mu_max == pytest.approx(mu2_oracle(M), abs=1e-6)
+
+    @staticmethod
+    def _translation_basis(euclid2, b1, b2):
+        """euclid2 as a descriptor space whose m-basis translates by b1 and b2."""
+        m_basis = np.zeros((2, 3, 3))
+        m_basis[:, :2, 2] = [b1, b2]
+        data = json.loads(euclid2.to_json())
+        data["m_basis"] = m_basis.tolist()
+        return spaces.from_json(json.dumps(data))
+
+    # x -> A x has mu 1 in the standard metric; in diag(16, 1), the metric of
+    # the frame (e1 / 4, e2), it has mu 7: L A L^-1 = [[-1, 16], [0, -1]], L = diag(4, 1)
+    A = np.array([[-1.0, 4.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("b1, b2, mu", [((0.0, 1.0), (-1.0, 0.0), 1.0),
+                                            ((0.25, 0.0), (0.0, 1.0), 7.0)],
+                             ids=["rotated", "weighted"])
+    def test_euclidean_linear_on_any_basis(self, euclid2, b1, b2, mu):
+        space = self._translation_basis(euclid2, b1, b2)
+        F = fields.euclidean_linear(space, self.A)
+        samples = contraction.generator_box_samples(space, [-1.0, -1.0], [1.0, 1.0], 16)
+        assert contraction.certify_region(F, space, samples, c=8.0).mu_max == pytest.approx(
+            mu, abs=1e-6)
+        # the coefficients are the frame coordinates of A x: sum_j c_j b_j = A x
+        got = fields.eval_coeff(F, samples) @ np.array([b1, b2])
+        assert np.allclose(got, samples[:, :2, 2] @ self.A.T, rtol=0.0, atol=1e-14)
+
+    def test_euclidean_linear_standard_basis_reads_the_translation(self, euclid2, rng):
+        M = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5, 5, size=(2, 2))
+        G = np.broadcast_to(np.eye(3), (50, 3, 3)).copy()
+        G[:, :2, 2] = rng.uniform(-3.0, 3.0, size=(50, 2))
+        got = fields.eval_coeff(fields.euclidean_linear(euclid2, M), G)
+        assert np.array_equal(got, G[:, :2, 2] @ M.T)
 
     def test_collect_and_argmax(self, sphere):
         F = fields.sphere_height_gradient(sphere)

@@ -338,10 +338,11 @@ class TestTabulatedStack:
 
 
 class TestTabulatedNeighbours:
-    # default brute force; the k-d tree; brute force in chunks of 2 queries
+    # brute force in blocks of a whole fit chunk; the k-d tree; brute force
+    # in blocks of 2 queries; default brute force
     @pytest.mark.parametrize("max_pairs, chunk_entries", [
-        (fields._BRUTE_MAX_PAIRS, fields._BRUTE_CHUNK_ENTRIES), (0, fields._BRUTE_CHUNK_ENTRIES),
-        (fields._BRUTE_MAX_PAIRS, 1000)])
+        (fields._BRUTE_MAX_PAIRS, 2 ** 20), (0, 2 ** 20), (fields._BRUTE_MAX_PAIRS, 1000),
+        (fields._BRUTE_MAX_PAIRS, fields._BRUTE_CHUNK_ENTRIES)])
     def test_nonlinear_table_matches_sorted_reference(self, euclid2, tmp_path, monkeypatch,
                                                       max_pairs, chunk_entries):
         # on a curved field the intercept depends on which k rows are chosen
@@ -369,6 +370,35 @@ class TestTabulatedNeighbours:
             A = np.concatenate([np.ones((10, 1)), points[idx] - q], axis=1)
             want = vals[idx[0]] if i == 7 else np.linalg.lstsq(A, vals[idx], rcond=None)[0][0]
             assert np.max(np.abs(got[i] - want)) < 1e-12
+
+
+class TestSearchBlocks:
+    """The brute-force search's block size changes no neighbour and no fit."""
+
+    @staticmethod
+    def _jittered_table():
+        # a 41 x 41 grid over [-1.2, 1.2]^2, each point moved by up to a
+        # quarter spacing and the rows shuffled, with a curved field on it
+        rng = np.random.default_rng(26)
+        axis = np.linspace(-1.2, 1.2, 41)
+        xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        xy = rng.permutation(xy + rng.uniform(-0.25, 0.25, xy.shape) * (axis[1] - axis[0]))
+        vals = np.stack([np.sin(2.0 * xy[:, 0]) * xy[:, 1], np.cos(xy[:, 1]) - xy[:, 0] ** 2],
+                        axis=1)
+        return fields._LocalFit(_translations(xy).reshape(-1, 9), vals)
+
+    def test_bit_identical_across_block_sizes(self, monkeypatch):
+        fit = self._jittered_table()
+        n_rows = len(fit.points)
+        q = _translations(np.random.default_rng(27).uniform(-1.0, 1.0, (600, 2))).reshape(-1, 9)
+        results = []
+        # blocks of 1 query, of 7, and of a whole fit chunk
+        for entries in (n_rows, 7 * n_rows + 5, fields._FIT_CHUNK * n_rows):
+            monkeypatch.setattr(fields, "_BRUTE_CHUNK_ENTRIES", entries)
+            results.append(fit.neighbours(q[:fields._FIT_CHUNK], brute=True) + fit(q))
+        for got in results[1:]:
+            for a, b in zip(results[0], got):
+                assert np.array_equal(a, b)
 
 
 class TestFitColumns:

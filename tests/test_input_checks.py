@@ -53,6 +53,14 @@ RAISES = {
                             "input dimension does not match"),
     "euclidean_linear-size": (lambda: fields.euclidean_linear(EUCLID2, np.eye(3)),
                               "matrix size does not match"),
+    "euclidean_linear-non-finite": (
+        lambda: fields.euclidean_linear(EUCLID2, [[1.0, np.inf], [0.0, 1.0]]),
+        r"euclidean-linear entries must be finite, got \[\[1.0, inf\], \[0.0, 1.0\]\]"),
+    "euclidean_linear-basis": (
+        lambda: fields.euclidean_linear(dataclasses.replace(EUCLID2, dec=(
+            liealg.ReductiveDecomposition(EUCLID2.dec.h_basis, EUCLID2.dec.m_basis[:1]))),
+            np.eye(2)),
+        "euclidean-linear needs an m-basis of 2 translations, euclidean:2 has 1"),
     "adjoint-shapes": (lambda: liealg.adjoint(np.eye(3), np.zeros((2, 2))),
                        "adjoint of mismatched shapes"),
     "orthonormalize-non-stack": (lambda: liealg.orthonormalize_basis(spaces.SO3_BASIS[0]),

@@ -273,6 +273,19 @@ class TestCsv:
                         for k in range(len(traj.times))])
         assert np.max(np.abs(got - flat)) < 1e-12
 
+    def test_blocks_write_the_rows_one_by_one_would(self, so3, tmp_path):
+        # 130 rows: two whole blocks of _STEP_CHUNK and a partial one
+        rng = np.random.default_rng(130)
+        assert 130 % reach._STEP_CHUNK
+        states = rng.normal(size=(130, 3, 3)) * 10.0 ** rng.uniform(-9, 9, (130, 3, 3))
+        traj = reach.Trajectory(np.cumsum(rng.uniform(0.0, 0.1, 130)), states, 0.1)
+        path = tmp_path / "traj.csv"
+        reach.trajectory_to_csv(so3, traj, path)
+        rows = [",".join(map(repr, [t] + g.ravel().tolist())) + "\n"
+                for t, g in zip(traj.times.tolist(), traj.states)]
+        header = "t," + ",".join(f"s{i}" for i in range(9)) + "\n"
+        assert path.read_bytes() == (header + "".join(rows)).encode()
+
 
 class TestSmallDistances:
     def test_so3_angle_of_tiny_rotation(self, so3):

@@ -11,6 +11,7 @@ by the matrix-measure machinery.  Group elements may be stacked
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -431,14 +432,16 @@ def tabulated_field(space: Space, path) -> HorizontalField:
 
 def _read_numbers(text: str, count: int, refusal: str, finite: bool = False) -> list[float]:
     """The ``count`` comma-separated numbers of ``text``, finite ones if ``finite``.
-    Otherwise ValueError: ``refusal``, how many entries read as numbers, and the text."""
+    Otherwise ValueError: ``refusal``, how many entries read as such numbers, and the text."""
     entries, numbers = text.split(","), []
     for entry in entries:
         try:
-            numbers.append(float(entry))
+            x = float(entry)
         except ValueError:
-            pass
-    if not len(numbers) == len(entries) == count or finite and not np.all(np.isfinite(numbers)):
+            continue
+        if not finite or math.isfinite(x):
+            numbers.append(x)
+    if not len(numbers) == len(entries) == count:
         raise ValueError(f"{refusal} {len(numbers)}: {text!r}")
     return numbers
 

@@ -9,6 +9,7 @@ reads its own containment verdict.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -21,9 +22,12 @@ from .spaces import Space
 
 # Time steps per block of ``integrate``; each block is one chunk handed to
 # a consumer.  64 steps of the demo's 101 states fill a 0.47 MB buffer,
-# reused for every block, and a state-independent field's increments are
-# built one block at a time.
+# reused for every block.
 _STEP_CHUNK = 64
+# Time steps per span of a state-independent field's increments: 16 blocks,
+# so the 5,000-step demo builds them in 5 passes, not 79, and a span's
+# (1024, 3, 3) stage arrays stay under 0.1 MB each.
+_SPAN_STEPS = 16 * _STEP_CHUNK
 _CONTAINMENT_TOL = 1e-4  # largest sample distance beyond the radius that still passes
 
 
@@ -56,15 +60,15 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
 
     The steps run in blocks of ``_STEP_CHUNK``.  A field declared
     ``state_independent`` has an increment Omega_k that depends on the step
-    k alone, and every row takes it, g_i(t) = g_i(0) Phi(t).  So a block's
-    increments are built in one stacked pass: one coefficient call per
-    stage, on the block's stage times with a broadcast of row 0 of the
-    start stack, and one exponential over the block.  Each step is then one
-    product of the stack's rows with its increment, and every row comes
-    out bit for bit as with per-row stages.  The declaration is checked at
-    each block's first time on that row and the current stack: rows whose
-    coefficients differ raise ValueError.  Any other field runs its stages
-    on the whole stack, one step at a time.
+    k alone, and every row takes it, g_i(t) = g_i(0) Phi(t).  So the
+    increments of a span of ``_SPAN_STEPS`` steps are built in one stacked
+    pass: one coefficient call per stage, on the span's stage times with a
+    broadcast of row 0 of the start stack, and one exponential over the
+    span.  Each step is then one product of the stack's rows with its
+    increment, and every row comes out bit for bit as with per-row stages.
+    The declaration is checked at each block's first time on that row and
+    the current stack: rows whose coefficients differ raise ValueError.
+    Any other field runs its stages on the whole stack, one step at a time.
 
     Each block is also a chunk for ``consume``, called as
     ``consume(lo, states[lo:lo + _STEP_CHUNK])`` in time order with one
@@ -78,10 +82,10 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
         c1 = sigma @ a - a @ sigma
         return a + 0.5 * c1 + (1.0 / 12.0) * (sigma @ c1 - c1 @ sigma)
 
-    # the algebra increment of one step, or of a block of steps, at time(s) t;
+    # the algebra increment of one step, or of a span of steps, at time(s) t;
     # ``stage(s, tau)`` is the field's algebra element at time(s) tau, at the
     # step's start state moved by exp(s), or not moved when s is None; both
-    # work on a single step (scalar tau) and on a block of steps (tau (n,)).
+    # work on a single step (scalar tau) and on a span of steps (tau (n,)).
     def rkmk4(stage, t):
         k1 = stage(None, t)
         s2 = 0.5 * dt * k1
@@ -127,10 +131,12 @@ def integrate(F: HorizontalField, space: Space, g0, horizon: float, dt: float,
             if (c != c[0]).any():
                 raise ValueError(f"field {F.name} is declared state-independent, but its "
                                  f"coefficients at t={block[0]:g} differ between states")
-            E = space.algebra_exp(rkmk4(row_stage, block))
+            if lo % _SPAN_STEPS == 0:
+                E = space.algebra_exp(rkmk4(row_stage, times[lo:min(lo + _SPAN_STEPS, n_steps)]))
+            Eb = E[lo % _SPAN_STEPS:]  # the block's increments
         for j, t in enumerate(block):
             if one_row:  # one (rows * d, d) x (d, d) product
-                np.dot(rows[j], E[j], out=rows[j + 1])
+                np.dot(rows[j], Eb[j], out=rows[j + 1])
             else:
                 buf[j + 1] = buf[j] @ space.algebra_exp(rkmk4(stack_stage(buf[j]), t))
         if len(block) == _STEP_CHUNK:
@@ -283,13 +289,24 @@ def _tube_extremes(dists, radii, per_time_max) -> tuple[float, float]:
 
 
 def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np.ndarray:
-    """Uniform samples of the metric ball pushed through the exponential."""
-    rng = np.random.default_rng(seed)
+    """Uniform samples of the metric ball pushed through the exponential.
+
+    The coordinates are uniform in the m-ball of radius r0: directions from
+    normalised Gaussian vectors, radii r0 * U^(1/m).  Every draw comes from
+    stdlib ``random.Random(seed)``, in one ``randbytes`` call read as
+    little-endian 64-bit words whose top 53 bits give uniforms in [0, 1):
+    the first n are the radii's U, the rest pairs (U1, U2) that Box-Muller
+    turns into the n * m Gaussians, cosine halves first, sine halves after.
+    """
     m = space.dim_m
-    dirs = rng.standard_normal((n, m))
+    pairs = (n * m + 1) // 2
+    words = np.frombuffer(random.Random(seed).randbytes(8 * (n + 2 * pairs)), "<u8")
+    u = (words >> 11) * 2.0 ** -53
+    u1, u2 = u[n:n + pairs], u[n + pairs:]
+    rho, theta = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2  # 1 - U1 in (0, 1]
+    dirs = np.concatenate([rho * np.cos(theta), rho * np.sin(theta)])[:n * m].reshape(n, m)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = r0 * rng.random(n) ** (1.0 / m)
-    coords = dirs * radii[:, None]
+    coords = dirs * (r0 * u[:n] ** (1.0 / m))[:, None]
     return np.asarray(g0, dtype=float) @ space.algebra_exp(space.algebra_from_coords(coords))
 
 

@@ -284,7 +284,7 @@ class TestReach:
 
 class TestStateIndependentPathExact:
     """The demo reach writes the same bytes through the state-independent path
-    (one coefficient call per stage per block) as through the per-step stages."""
+    (one coefficient call per stage per span) as through the per-step stages."""
 
     def test_outputs_byte_identical(self, tmp_path, capsys, monkeypatch):
         argv = ("reach", "--space", "so3", "--field", "so3-demo-schedule",
@@ -489,9 +489,9 @@ class TestBadNumbers:
         (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
           "--base-coords", "1"), "--base-coords needs 2 finite coordinates, got 1: '1'"),
         (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
-          "--base-coords", "nan,0"), "--base-coords needs 2 finite coordinates, got 2: 'nan,0'"),
+          "--base-coords", "nan,0"), "--base-coords needs 2 finite coordinates, got 1: 'nan,0'"),
         (("--space", "circle", "--field", "circle-sin", "--generator", "inf"),
-         "--generator needs 1 finite coordinates, got 1: 'inf'"),
+         "--generator needs 1 finite coordinates, got 0: 'inf'"),
         (("--space", "so3", "--field", "constant:1,0,0", "--generator", "a"),
          "--generator needs 3 finite coordinates, got 0: 'a'"),
         (("--space", "sphere2", "--field", "sphere-grad-height", "--generator", "1,0",
@@ -705,8 +705,9 @@ class TestTabulatedFieldCli:
 
 
 class TestImports:
-    def test_table_certify_and_reach_load_no_scipy(self, tmp_path):
-        # the closed-form paths and the numpy table lookup need no scipy module
+    @staticmethod
+    def _table(tmp_path):
+        """A 7 x 7 table of u(x) = -x on euclidean:2."""
         xs = np.linspace(-1.5, 1.5, 7)
         rows = []
         for x in xs:
@@ -717,16 +718,18 @@ class TestImports:
         header = [f"g{i}{j}" for i in range(3) for j in range(3)] + ["x1", "x2"]
         table = tmp_path / "field.csv"
         np.savetxt(table, rows, delimiter=",", header=",".join(header), comments="")
+        return table
+
+    @staticmethod
+    def _loaded_after(tmp_path, argvs, prefix):
+        """The modules under ``prefix`` that a fresh interpreter holds after
+        running each argv through ``cli.main``, every one exiting 0."""
         script = (
             "import sys\n"
             "from homcontract import cli\n"
-            f"out = {str(tmp_path)!r}\n"
-            "assert cli.main(['--out', out, 'certify', '--space', 'euclidean:2', '--field',"
-            f" {str(table)!r}, '--region', 'box:-1:1:16', '--c', '-0.9']) == 0\n"
-            "assert cli.main(['--out', out, 'reach', '--space', 'so3', '--field',"
-            " 'so3-demo-schedule', '--region', 'box:-2:2:16', '--horizon', '0.05',"
-            " '--dt', '0.005', '--samples', '5']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"for argv in {argvs!r}:\n"
+            f"    assert cli.main(['--out', {str(tmp_path)!r}] + argv) == 0, argv\n"
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(homcontract.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -734,7 +737,32 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        return proc.stdout.strip().splitlines()[-1]
+
+    REACH = ["reach", "--space", "so3", "--field", "so3-demo-schedule", "--region",
+             "box:-2:2:16", "--horizon", "0.05", "--dt", "0.005", "--samples", "5"]
+
+    def test_table_certify_and_reach_load_no_scipy(self, tmp_path):
+        # the closed-form paths and the numpy table lookup need no scipy module
+        table = self._table(tmp_path)
+        argvs = [["certify", "--space", "euclidean:2", "--field", str(table),
+                  "--region", "box:-1:1:16", "--c", "-0.9"], self.REACH]
+        assert self._loaded_after(tmp_path, argvs, "scipy") == "[]"
+
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        # the reach ball comes from the standard library's generator
+        table = self._table(tmp_path)
+        argvs = [
+            ["classify", "--space", "sphere2"],
+            ["certify", "--space", "sphere2", "--field", "sphere-grad-height",
+             "--region", "cap:60:8:8", "--c", "-0.5"],
+            ["certify", "--space", "euclidean:2", "--field", str(table),
+             "--region", "box:-1:1:16", "--c", "-0.9"],
+            ["loop-check", "--space", "sphere2", "--field", "sphere-grad-height",
+             "--generator", "1,0", "--base-coords", "0,1.5707963267948966"],
+            self.REACH,
+        ]
+        assert self._loaded_after(tmp_path, argvs, "numpy.random") == "[]"
 
 
 class TestConfigEmbedding:

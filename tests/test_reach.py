@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -239,6 +240,18 @@ class TestMonteCarloContainment:
         assert max(dists) <= 0.2 + 1e-12
         assert max(dists) > 0.15  # ball is actually filled out
 
+    @pytest.mark.parametrize("spec", ["circle", "sphere2", "so3"])  # m = 1, 2, 3
+    def test_ball_within_r0_and_fixed_by_its_seed(self, spec):
+        space = DISTANCE_SPACES[spec]
+        g0 = _elements(space, np.linspace(0.2, 0.5, len(space.dec.h_basis) + space.dim_m))
+        ball = reach.sample_metric_ball(space, g0, 0.2, 300, seed=4)
+        assert ball.shape == (300,) + g0.shape
+        dists = reach.distance(space, g0, ball)
+        assert dists.max() <= 0.2 * (1.0 + 1e-12)
+        assert dists.max() > 0.19 and dists.min() < 0.2 * 0.5 ** (1.0 / space.dim_m)
+        assert np.array_equal(reach.sample_metric_ball(space, g0, 0.2, 300, seed=4), ball)
+        assert not np.array_equal(reach.sample_metric_ball(space, g0, 0.2, 300, seed=5), ball)
+
     def test_so3_nonexpansive_containment(self, so3):
         F, tube = TestReachTube()._nonexpansive_tube(so3, r0=0.1, horizon=1.0, dt=1e-3,
                                                      n_samples=30)
@@ -309,9 +322,10 @@ class TestSmallDistances:
         tube = reach.reach_tube(F, so3, np.eye(3), r0, cert, 1.0, 0.01, n_samples=20, seed=3)
         assert tube.passed
         assert tube.max_drift <= 1e-6 * r0
-        rng = np.random.default_rng(3)  # the ball radii drawn by sample_metric_ball
-        rng.standard_normal((20, 3))
-        radii = r0 * rng.random(20) ** (1.0 / 3.0)
+        # the ball radii drawn by sample_metric_ball: the first 20 of its
+        # 20 + 2 * 30 uniforms, the top 53 bits of little-endian 64-bit words
+        words = np.frombuffer(random.Random(3).randbytes(8 * 80), "<u8")
+        radii = r0 * ((words[:20] >> 11) * 2.0 ** -53) ** (1.0 / 3.0)
         assert np.max(np.abs(tube.distances[0] - radii)) <= 1e-9 * r0
 
 
@@ -474,6 +488,20 @@ class TestStateIndependentStages:
             reach.integrate(F, so3, np.eye(3), 1.0, 0.01, consume=lambda lo, c: seen.append(lo))
         assert seen == [0]
 
+    def test_wrong_declaration_raises_in_a_later_span(self, so3):
+        # the field reads g only from t = 10.5 on: the check at the second
+        # span's first block (t = 10.24) passes, that at its second block fails
+        def reads_g_late(g, t):
+            late = (np.asarray(t) >= 10.5)[..., None]
+            return np.where(late, g[..., 0, :], 0.0) + [0.0, 1.0, 0.0]
+
+        F = fields.HorizontalField("reads-g-late", so3.name, reads_g_late,
+                                   state_independent=True)
+        seen = []
+        with pytest.raises(ValueError, match="declared state-independent.*t=10.88 "):
+            reach.integrate(F, so3, np.eye(3), 12.0, 0.01, consume=lambda lo, c: seen.append(lo))
+        assert seen == list(range(0, 1088, reach._STEP_CHUNK))
+
     def test_rotate_field_keeps_the_flag(self, so3, sphere):
         Q = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert oracles.rotate_field(fields.so3_demo_schedule(so3), Q).state_independent
@@ -504,7 +532,8 @@ class TestStateIndependentStages:
 
 
 class TestOneCallPerStage:
-    """A state-independent field gets one coefficient call per stage per block."""
+    """A state-independent field gets one coefficient call per stage per span,
+    and one declaration check per block."""
 
     @pytest.mark.parametrize("method,calls", [("rkmk4", 25)])
     def test_calls_per_block(self, so3, method, calls):
@@ -515,18 +544,20 @@ class TestOneCallPerStage:
             seen.append(np.shape(t))
             return F.coeff(g, t)
 
-        # 300 steps: 5 blocks, each (1 declaration check + the stages)
-        reach.integrate(replace(F, coeff=counted), so3, np.eye(3), 3.0, 0.01,
+        # 1,030 steps: 17 blocks, each with its declaration check, in two
+        # spans of 1,024 and 6 steps, each with its stages
+        reach.integrate(replace(F, coeff=counted), so3, np.eye(3), 10.3, 0.01,
                         consume=lambda lo, chunk: None)
         assert len(seen) == calls
-        stages = calls // 5 - 1
-        # each block: the check at its first time, then its stage times at once
-        assert seen == sum(([()] + [(n,)] * stages for n in (64, 64, 64, 64, 44)), [])
+        stages = (calls - 17) // 2
+        # the check at each block's first time; at a span's first block, the
+        # span's stage times at once after it
+        assert seen == [()] + [(1024,)] * stages + [()] * 16 + [(6,)] * stages
 
     def test_non_finite_names_its_time(self, so3):
         dt = 0.01
-        # the second half-step stage time of step 70, in the second block
-        t_bad = dt * 70 + 0.5 * dt
+        # the second half-step stage time of step 1,100, in the second span
+        t_bad = dt * 1100 + 0.5 * dt
         F = fields.so3_demo_schedule(so3)
 
         def nan_once(g, t):
@@ -537,15 +568,15 @@ class TestOneCallPerStage:
         G = replace(F, name="nan-once", coeff=nan_once)
         g0s = reach.sample_metric_ball(so3, np.eye(3), 0.3, 4, seed=2)
         with pytest.raises(ValueError) as info:
-            reach.integrate(G, so3, g0s, 1.0, dt, consume=lambda lo, chunk: None)
+            reach.integrate(G, so3, g0s, 12.0, dt, consume=lambda lo, chunk: None)
         msg = str(info.value)
-        assert f"non-finite coefficients at t={t_bad} at stack index (6,) of (36,)" in msg
+        assert f"non-finite coefficients at t={t_bad} at stack index (76,) of (176,)" in msg
         # the one state the stage saw, row 0 of the start stack
         assert msg.endswith(f"g=\n{g0s[0]}")
 
 
 class TestStackedIncrements:
-    """A state-independent field's increments are built one 64-step block at a time."""
+    """A state-independent field's increments are built one 1,024-step span at a time."""
 
     @staticmethod
     def _run(F, space, g0s, n_steps, streamed):
@@ -559,7 +590,9 @@ class TestStackedIncrements:
         return np.concatenate([chunk for _, chunk in seen])
 
     @pytest.mark.parametrize("streamed", [False, True])
-    @pytest.mark.parametrize("n_steps", [63, 64, 65, 129])  # around the block edges
+    # around the block edges, and across a span's edge at counts that are not
+    # multiples of 8 or 64
+    @pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 1100, 5003])
     @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
     @pytest.mark.parametrize("space_name", ["so3", "sphere"])
     def test_blocks_equal_per_row_stages(self, request, space_name, method, n_steps, streamed):
@@ -572,7 +605,7 @@ class TestStackedIncrements:
         assert np.array_equal(stacked, full)
 
     @pytest.mark.parametrize("method", ["rkmk4"])  # the one scheme, still named in the ids
-    def test_one_exponential_per_block(self, so3, monkeypatch, method):
+    def test_one_exponential_per_span(self, so3, monkeypatch, method):
         F = fields.so3_demo_schedule(so3)
         g0s = reach.sample_metric_ball(so3, np.eye(3), 0.2, 10, seed=3)
         sizes = []
@@ -583,9 +616,9 @@ class TestStackedIncrements:
             return so3_exp(A)
 
         monkeypatch.setattr(smallmat, "so3_exp", counted)
-        reach.integrate(F, so3, g0s, 3.0, 0.01,
-                        consume=lambda lo, chunk: None)  # 300 steps: 5 blocks
-        assert sizes == [64, 64, 64, 64, 44]
+        reach.integrate(F, so3, g0s, 11.0, 0.01,
+                        consume=lambda lo, chunk: None)  # 1,100 steps: 2 spans
+        assert sizes == [1024, 76]
 
     @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 3)])
     def test_empty_stack_integrates(self, so3, shape):

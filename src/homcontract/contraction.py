@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .connection import compute_U, zero_tol
-from .fields import _FD_STEP, HorizontalField, linearize
-from .spaces import Space
+from .fields import _FD_STEP, HorizontalField, _linearized_blocks, linearize
+from .spaces import _STACK_BLOCK, Space
 
 # A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
 # difference noise when the true measure sits exactly on the rate (region
@@ -90,7 +90,9 @@ def certify_region(F: HorizontalField, space: Space, samples,
     """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
-    copied onto the certificate, checked and linearized as one stack.
+    copied onto the certificate and checked as one stack, then linearized
+    and measured a block of ``fields._LINEARIZE_BLOCK`` samples at a time,
+    so the memory beyond the N samples and their N measures is fixed.
     Deterministic: ties at the maximum resolve to the lowest sample index.
     """
     G = np.array(samples, dtype=float)
@@ -98,7 +100,9 @@ def certify_region(F: HorizontalField, space: Space, samples,
         raise ValueError("no samples supplied")
     space.check_group(G)
     G = G.reshape((-1,) + G.shape[-2:])
-    mus = matrix_measure(linearize(F, space, G, step=step))
+    mus = np.empty(len(G))
+    for lo, P in _linearized_blocks(F, space, G, step=step):
+        mus[lo:lo + len(P)] = matrix_measure(P)
     return ContractionCertificate(space.name, F.name, region, float(c), G, mus)
 
 
@@ -144,7 +148,17 @@ def generator_box_samples(space: Space, lows, highs, count: int) -> np.ndarray:
     if not np.all((lows < highs) & (width < np.inf)):  # False for NaN bounds too
         raise ValueError(f"a box needs lows < highs a finite width apart, got {lows} and {highs}")
     coords = lows + _halton(count, m) * width
-    return space.algebra_exp(space.algebra_from_coords(coords))
+    return _blocked_exp(space, space.algebra_from_coords(coords))
+
+
+def _blocked_exp(space: Space, A) -> np.ndarray:
+    """The exponentials of the algebra elements A (N, d, d), a block of
+    ``_STACK_BLOCK`` at a time, so the only (N, d, d) arrays of a large
+    region or loop are A and the result."""
+    out = np.empty(A.shape)
+    for lo in range(0, len(A), _STACK_BLOCK):
+        out[lo:lo + _STACK_BLOCK] = space.algebra_exp(A[lo:lo + _STACK_BLOCK])
+    return out
 
 
 def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
@@ -167,7 +181,7 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
     B = space.dec.m_basis
     A = thetas * (np.cos(phis) * B[0] + np.sin(phis) * B[1])
-    return space.algebra_exp(A.reshape((-1,) + B.shape[1:]))
+    return _blocked_exp(space, A.reshape((-1,) + B.shape[1:]))
 
 
 def find_period(space: Space, A) -> Optional[float]:
@@ -272,6 +286,6 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
         raise ValueError("generator does not produce a periodic subgroup")
 
     ts = np.linspace(0.0, period, n_quad + 1)
-    G = base @ space.algebra_exp(ts[:, None, None] * A1)
+    G = base @ _blocked_exp(space, ts[:, None, None] * A1)
     fs = linearize(F, space, G) @ u @ u
     return LoopReport(space.name, F.name, A1, base, ts, fs, Uuu, c, tol)

@@ -5,7 +5,8 @@ components in the left-invariant frame of the m-basis.  Frame-direction
 derivatives are taken by central differences along g exp(t A_j), with an
 optional Richardson step, and assemble into the m x m linearization used
 by the matrix-measure machinery.  Group elements may be stacked
-(..., d, d); a whole stack is linearized with one coefficient call.
+(..., d, d); a stack is linearized in fixed blocks of elements, with one
+coefficient call per block.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .spaces import _GROUP_TOL, Space
 
 _COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
 _FD_STEP = 1e-5  # default central-difference step of linearize, certify and reach
+# Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
+_FIT_CHUNK = 256
+# Elements per block of a stacked linearization: one fit chunk, so a
+# table's fits keep their boundaries however the stack is blocked.  On the
+# 3x3 spaces a block's largest temporary, the (256, 2m + 1, 3, 3) stack of
+# shifted elements (126 KiB on SO(3) without Richardson), stays under
+# 128 KiB, glibc's default mmap threshold: every block reuses the same heap
+# memory, and the memory beyond the (..., m, m) result is fixed.
+_LINEARIZE_BLOCK = _FIT_CHUNK
 
 
 @dataclass(frozen=True)
@@ -53,13 +63,16 @@ class HorizontalField:
     gradient: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _checked(F: HorizontalField, g: np.ndarray, t, what: str, out, tail) -> np.ndarray:
+def _checked(F: HorizontalField, g: np.ndarray, t, what: str, out, tail,
+             origin: tuple = (0, None)) -> np.ndarray:
     """``out``, F's ``what`` at the stack g, as floats of shape g.shape[:-2] + tail.
 
     Any other shape raises, unless ``tail`` is None (then one trailing axis
     is per-element).  A non-finite entry raises, naming the first offending
     stack index, its time and its state; the finite case costs one
     ``isfinite`` pass, and the index is searched for only on failure.
+    With ``origin`` = (lo, batch), g holds rows lo, lo + 1, ... of a stack
+    of shape batch flattened, and the index named is the one in that stack.
     """
     out = np.asarray(out, dtype=float)
     if tail is not None and out.shape != g.shape[:-2] + tail:
@@ -68,11 +81,17 @@ def _checked(F: HorizontalField, g: np.ndarray, t, what: str, out, tail) -> np.n
     if not np.isfinite(out).all():
         per_element = (-1,) if tail is None else tuple(range(-len(tail), 0))
         bad = ~np.all(np.isfinite(np.atleast_1d(out)), axis=per_element)
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f" at stack index {idx} of {bad.shape}" if idx else ""
-        t_bad = float(np.broadcast_to(t, bad.shape)[idx])
+        local = np.unravel_index(np.argmax(bad), bad.shape)
+        idx, shape = local, bad.shape
+        lo, batch = origin
+        if batch is not None:
+            idx = np.unravel_index(lo + local[0], batch) + local[1:]
+            shape = batch + bad.shape[1:]
+        idx = tuple(int(i) for i in idx)
+        where = f" at stack index {idx} of {shape}" if idx else ""
+        t_bad = float(np.broadcast_to(t, bad.shape)[local])
         raise ValueError(
-            f"field {F.name}: non-finite {what}s at t={t_bad}{where}, g=\n{g[idx]}")
+            f"field {F.name}: non-finite {what}s at t={t_bad}{where}, g=\n{g[local]}")
     return out
 
 
@@ -89,29 +108,58 @@ def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
                     None if dim_m is None else (dim_m,))
 
 
-def _frame_derivatives(F: HorizontalField, space: Space, g, t: float, step: float,
-                       richardson: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Frame derivatives (..., m, m) and coefficients (..., m) at g (..., d, d).
+def _differenced(F: HorizontalField, space: Space, g: np.ndarray, t: float, hs: np.ndarray,
+                 E: np.ndarray, origin: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Frame derivatives (n, m, m) and coefficients (n, m) at g (n, d, d).
 
     Column j of the first result is the central difference of the
-    coefficients along g exp(s A_j); Richardson halves the step once and
-    extrapolates.  All 2m (or 4m) shifted elements and g itself go to the
-    field in one stacked call.
+    coefficients along g exp(s A_j), for each step s in ``hs``, E holding
+    exp(+-s A_j) as (n_h, 2, m, d, d); with two steps (Richardson) the
+    second is half the first, and the differences are extrapolated.  All
+    2m (or 4m) shifted elements and g itself go to the field in one
+    stacked call, checked as in ``_checked`` with ``origin``.
     """
-    g = np.asarray(g, dtype=float)
     m, d = space.dim_m, space.embed_dim
+    moved = g[:, None, None, None] @ E  # (n, n_h, 2, m, d, d)
+    stack = np.concatenate([moved.reshape(len(g), -1, d, d), g[:, None]], axis=1)
+    c = _checked(F, stack, t, "coefficient", F.coeff(stack, t), (m,), origin)
+    shifted = c[:, :-1].reshape(len(g), len(hs), 2, m, m)  # [n, h, sign, j, i]
+    D = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * hs[:, None, None])
+    D = (4.0 * D[:, 1] - D[:, 0]) / 3.0 if len(hs) == 2 else D[:, 0]
+    return np.swapaxes(D, -1, -2), c[:, -1]
+
+
+def _from_gradient(F: HorizontalField, space: Space, g: np.ndarray, t: float,
+                   origin: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Frame derivatives <grad_i, g A_j> (n, m, m) and coefficients (n, m) at g
+    (n, d, d), from one call of F's ``gradient``, checked as in ``_checked``."""
+    m, d = space.dim_m, space.embed_dim
+    c, grad = F.gradient(g, t)
+    c = _checked(F, g, t, "coefficient", c, (m,), origin)
+    grad = _checked(F, g, t, "gradient", grad, (m, d, d), origin)
+    return np.einsum("...iab,...jab->...ij", grad, g[..., None, :, :] @ space.dec.m_basis), c
+
+
+def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
+                       step: float = _FD_STEP, richardson: bool = False):
+    """(lo, P) for each block of ``_LINEARIZE_BLOCK`` elements of the stack g
+    flattened: P the (n, m, m) linearization of elements lo, ..., lo + n - 1,
+    from one stacked coefficient (or gradient) call.  A non-finite
+    coefficient or gradient is named by its index in the whole stack."""
+    g = np.asarray(g, dtype=float)
     batch = g.shape[:-2]
-    hs = np.array([step, step / 2.0] if richardson else [step])
-    signed = np.stack([hs, -hs], axis=-1)  # (n_h, 2)
-    E = space.algebra_exp(signed[..., None, None, None] * space.dec.m_basis)
-    moved = g[..., None, None, None, :, :] @ E  # (..., n_h, 2, m, d, d)
-    stack = np.concatenate(
-        [moved.reshape(batch + (-1, d, d)), g[..., None, :, :]], axis=-3)
-    c = eval_coeff(F, stack, t, dim_m=m)
-    shifted = c[..., :-1, :].reshape(batch + (len(hs), 2, m, m))  # [..., h, sign, j, i]
-    D = (shifted[..., 0, :, :] - shifted[..., 1, :, :]) / (2.0 * hs[:, None, None])
-    D = (4.0 * D[..., 1, :, :] - D[..., 0, :, :]) / 3.0 if richardson else D[..., 0, :, :]
-    return np.swapaxes(D, -1, -2), c[..., -1, :]
+    flat = g.reshape((-1,) + g.shape[-2:])
+    if F.gradient is None:
+        hs = np.array([step, step / 2.0] if richardson else [step])
+        E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
+                              * space.dec.m_basis)
+    for lo in range(0, len(flat), _LINEARIZE_BLOCK):
+        block = flat[lo:lo + _LINEARIZE_BLOCK]
+        if F.gradient is None:
+            D, c = _differenced(F, space, block, t, hs, E, (lo, batch))
+        else:
+            D, c = _from_gradient(F, space, block, t, (lo, batch))
+        yield lo, D + np.einsum("ijk,...k->...ij", space.alpha, c)
 
 
 def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
@@ -119,26 +167,24 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
     """The m x m frame linearization at g.
 
     ``g`` may be a stack (..., d, d); the result is then (..., m, m), one
-    matrix per element, from a single stacked coefficient evaluation.
-    Column j is the frame derivative of the coefficients along g exp(s A_j),
-    A_j the m-basis of ``space``, plus the connection correction
-    sum_k coeff_k alpha[:, j, k].  A field with a ``gradient`` gives the
-    frame derivative as <grad_i, g A_j> from one call, whose shapes and
-    finiteness are checked as ``eval_coeff`` checks coefficients; ``step``
-    and ``richardson`` then do not apply.  Any other field takes central
-    differences of step ``step``, and with ``richardson`` halves the step
-    once and extrapolates.
+    matrix per element.  The stack is linearized in blocks of
+    ``_LINEARIZE_BLOCK`` elements, one stacked coefficient evaluation each,
+    written into the one result, so the memory beyond the result does not
+    grow with the stack.  Column j is the frame derivative of the
+    coefficients along g exp(s A_j), A_j the m-basis of ``space``, plus the
+    connection correction sum_k coeff_k alpha[:, j, k].  A field with a
+    ``gradient`` gives the frame derivative as <grad_i, g A_j> from one call
+    per block, whose shapes and finiteness are checked as ``eval_coeff``
+    checks coefficients; ``step`` and ``richardson`` then do not apply.
+    Any other field takes central differences of step ``step``, and with
+    ``richardson`` halves the step once and extrapolates.
     """
-    if F.gradient is None:
-        P, c = _frame_derivatives(F, space, g, t, step, richardson)
-    else:
-        g = np.asarray(g, dtype=float)
-        m, d = space.dim_m, space.embed_dim
-        c, grad = F.gradient(g, t)
-        c = _checked(F, g, t, "coefficient", c, (m,))
-        grad = _checked(F, g, t, "gradient", grad, (m, d, d))
-        P = np.einsum("...iab,...jab->...ij", grad, g[..., None, :, :] @ space.dec.m_basis)
-    return P + np.einsum("ijk,...k->...ij", space.alpha, c)
+    g = np.asarray(g, dtype=float)
+    m = space.dim_m
+    P = np.empty((math.prod(g.shape[:-2]), m, m))
+    for lo, block in _linearized_blocks(F, space, g, t, step, richardson):
+        P[lo:lo + len(block)] = block
+    return P.reshape(g.shape[:-2] + (m, m))
 
 
 @dataclass(frozen=True)
@@ -271,11 +317,11 @@ def circle_sine(space: Space) -> HorizontalField:
     return HorizontalField("circle-sin", space.name, coeff)
 
 
-# Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
-_FIT_CHUNK = 256
-# A fit call searches the table by brute force while queries x rows stays
-# at or below this; at about 16 ns per pair (2-CPU x86 host) that is under
-# 0.3 s, less than importing scipy.spatial for a k-d tree.
+# A fit searches its table by brute force while the queries it has searched,
+# this call's included, times the rows stay at or below this; at about 16 ns
+# per pair (2-CPU x86 host) that is under 0.3 s, less than importing
+# scipy.spatial for a k-d tree, which is paid once.  The count runs over
+# calls, so a stack linearized in blocks chooses as one call of it would.
 _BRUTE_MAX_PAIRS = 2 ** 24
 # Distance entries per brute-force search block.  A block's (queries, N)
 # distances and argpartition's indices of that shape take 8 bytes an entry,
@@ -307,6 +353,7 @@ class _LocalFit:
         # as the last row of every homogeneous matrix on euclidean:N)
         self.varies = (points != points[:1]).any(axis=0)
         self.tree = None
+        self.searched = 0  # queries searched so far, over every call
         # the lstsq(rcond=None) cutoff max(rows, cols) * eps, passed to pinv
         # explicitly because its default differs between numpy 1.x and 2.x
         self.cutoff = max(self.k, points.shape[1] + 1) * np.finfo(float).eps
@@ -349,7 +396,8 @@ class _LocalFit:
         n_rows, D = self.points.shape
         c = np.empty((len(q), self.values.shape[1]))
         slope = np.zeros((len(q), D, self.values.shape[1]))
-        brute = len(q) * n_rows <= _BRUTE_MAX_PAIRS
+        self.searched += len(q)
+        brute = self.tree is None and self.searched * n_rows <= _BRUTE_MAX_PAIRS
         for lo in range(0, len(q), _FIT_CHUNK):
             hi = lo + _FIT_CHUNK
             qc = q[lo:hi]
@@ -380,12 +428,13 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     fit's intercept, or the tabulated value on an exact hit; ``gradient``
     is the same intercept with the fit's slope, so ``linearize`` takes one
     neighbour search and one fit per element and no finite differences.
-    Queries may be stacked (..., d, d) and are fitted in batches.  A call
-    whose queries times table rows is at most ``_BRUTE_MAX_PAIRS`` (the
-    1,024 queries of a 1,024-sample certify on tables up to 16,384 rows)
-    finds the neighbours by a brute-force search, with no scipy import; a
-    larger call builds one ``scipy.spatial.cKDTree`` over the table, kept
-    for later calls.
+    Queries may be stacked (..., d, d) and are fitted in batches.  While
+    the queries searched so far, this call's included, times table rows
+    stay at most ``_BRUTE_MAX_PAIRS`` (the 1,024 queries of a 1,024-sample
+    certify on tables up to 16,384 rows), the neighbours are found by a
+    brute-force search, with no scipy import; past that, one
+    ``scipy.spatial.cKDTree`` is built over the table and serves this and
+    every later call.
     """
     d = space.embed_dim
     m = space.dim_m

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 _SPAN_TOL = 1e-8  # largest residual entry, relative to the element's largest, inside the span
+_SCALE_BELOW = 2.0 ** -900  # largest entry under which rounding residuals go subnormal
 _AD_TOL = 1e-8  # largest Ad_h leak out of m, or metric distortion, counted as invariant
 
 
@@ -63,12 +64,22 @@ class ReductiveDecomposition:
     def split_coords(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates (..., n_h) and (..., n_m) of X (..., d, d) in the (h, m) basis,
         one (1, d*d) @ dual product per element, independent of the rest of the stack;
-        raises if an element leaves the span by more than ``_SPAN_TOL`` times its size."""
+        raises if an element leaves the span by more than ``_SPAN_TOL`` times its size.
+        An element whose largest entry is below ``_SCALE_BELOW`` is solved scaled by a
+        power of two to a largest entry in [1, 2), exact in floating point, so the span
+        test stays relative down to subnormal entries."""
         rhs = np.asarray(X, dtype=float).reshape(-1, self.embed_dim ** 2)
+        peak = np.abs(rhs).max(axis=1, keepdims=True)
+        shift = None
+        if np.any(peak < _SCALE_BELOW):
+            shift = np.where(peak < _SCALE_BELOW, 1 - np.frexp(peak)[1], 0)
+            rhs, peak = np.ldexp(rhs, shift), np.ldexp(peak, shift)
         c = (rhs[:, None] @ self.dual)[:, 0]
         B = np.concatenate([self.h_basis, self.m_basis]).reshape(c.shape[1], -1)
-        if np.any(np.abs(c @ B - rhs) > _SPAN_TOL * np.abs(rhs).max(axis=1, keepdims=True)):
+        if np.any(np.abs(c @ B - rhs) > _SPAN_TOL * peak):
             raise ValueError("element does not lie in the algebra spanned by the bases")
+        if shift is not None:
+            c = np.ldexp(c, -shift)
         c = c.reshape(np.shape(X)[:-2] + (len(B),))
         return c[..., :len(self.h_basis)], c[..., len(self.h_basis):]
 

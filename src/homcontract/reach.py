@@ -3,8 +3,8 @@
 The integrator advances states by exponentials of algebra increments, so
 trajectories stay on the group by construction.  A tube holds its
 certificate, its center trajectory with the radius schedule K e^{ct} r0,
-and the distances of a Monte Carlo ball to the center, from which it
-reads its own containment verdict.
+and the extremes of a Monte Carlo ball's distances to the center, from
+which it reads its own containment verdict.
 """
 
 from __future__ import annotations
@@ -188,35 +188,35 @@ def distance(space: Space, p, q) -> np.ndarray:
 @dataclass(frozen=True)
 class ReachTube:
     """The whole reach answer: the certificate, the center trajectory, the
-    radius schedule K e^{ct} r0 with c the certificate's rate, and the Monte
-    Carlo ball's distances to the center, shape (T+1, n_samples), with the
-    seed the ball was drawn with.  The containment verdict is read from the
-    distances and the radius."""
+    radius schedule K e^{ct} r0 with c the certificate's rate, the extremes
+    of the Monte Carlo ball's distances to the center, and the seed the
+    ball was drawn with.  The extremes are the ``envelope``, the smallest
+    and the largest sample distance at each time, (T+1,) each, and the
+    ``sample_range``, each sample's distance at t = 0 and its smallest and
+    largest over time, (n_samples,) each.  The containment verdict is read
+    from them and the radius."""
 
     center: Trajectory
     certificate: ContractionCertificate
     K: float
     r0: float
-    distances: np.ndarray = field(repr=False)
+    envelope: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    sample_range: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     seed: int = 0
 
     c = property(lambda self: self.certificate.rate_c)
     space_id = property(lambda self: self.certificate.space_id)
     field_id = property(lambda self: self.certificate.field_id)
-    n_samples = property(lambda self: self.distances.shape[1])
+    n_samples = property(lambda self: len(self.sample_range[0]))
     max_margin = property(lambda self: self._extremes[0])  # max over (t, n) of d - radius(t)
     max_drift = property(lambda self: self._extremes[1])  # max over (t, n) of |d(t) - d(0)|
     passed = property(lambda self: self.max_margin <= _CONTAINMENT_TOL)
 
     @cached_property
-    def envelope(self) -> tuple[np.ndarray, np.ndarray]:
-        """The smallest and the largest sample distance at each time, (T+1,) each."""
-        return self.distances.min(axis=1), self.distances.max(axis=1)
-
-    @cached_property
     def _extremes(self) -> tuple[float, float]:
         # one reduction however often the verdict is read
-        return _tube_extremes(self.distances, self.radius(self.center.times), self.envelope[1])
+        return _tube_extremes(self.radius(self.center.times), self.envelope[1],
+                              *self.sample_range)
 
     def radius(self, t) -> np.ndarray:
         return self.K * np.exp(self.c * np.asarray(t, dtype=float)) * self.r0
@@ -246,7 +246,8 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     before any integration otherwise.  The ball of ``n_samples`` (drawn
     with ``seed``) is integrated with the center in one stack [g0; ball],
     never stored: each chunk of steps is reduced to the center (T+1, d, d)
-    and the ball's distances to it (T+1, n_samples).
+    and the extremes of the ball's distances to it, so the memory kept is
+    O(T + n_samples) and the distances of one chunk are the only ones held.
     K = 1: the distance is that of the metric in which the certificate's
     frame is orthonormal, where mu <= c gives d(t) <= e^{ct} d(0).
     """
@@ -263,28 +264,40 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     n_times = _step_count(horizon, dt) + 1
     g0 = np.asarray(g0, dtype=float)
     ball = sample_metric_ball(space, g0, r0, n_samples, seed)
-    center, dists = np.empty((n_times,) + g0.shape), np.empty((n_times, n_samples))
+    center = np.empty((n_times,) + g0.shape)
+    lowest, highest = np.empty(n_times), np.empty(n_times)
+    first, least, most = np.empty((3, n_samples))
 
     def reduce(lo, chunk):
         hi = lo + len(chunk)
         center[lo:hi] = chunk[:, 0]
-        dists[lo:hi] = space.ops.distance(space, center[lo:hi, None], chunk[:, 1:])
+        dists = space.ops.distance(space, center[lo:hi, None], chunk[:, 1:])
+        dists.min(axis=1, out=lowest[lo:hi])
+        dists.max(axis=1, out=highest[lo:hi])
+        if lo == 0:
+            first[:], least[:], most[:] = dists[0], dists.min(axis=0), dists.max(axis=0)
+        else:
+            np.minimum(least, dists.min(axis=0), out=least)
+            np.maximum(most, dists.max(axis=0), out=most)
 
     traj = integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt, consume=reduce)
     return ReachTube(center=replace(traj, states=center), certificate=certificate, K=1.0,
-                     r0=float(r0), distances=dists, seed=seed)
+                     r0=float(r0), envelope=(lowest, highest), sample_range=(first, least, most),
+                     seed=seed)
 
 
-def _tube_extremes(dists, radii, per_time_max) -> tuple[float, float]:
-    """max over (t, n) of dists[t, n] - radii[t], and of |dists[t, n] - dists[0, n]|.
+def _tube_extremes(radii, per_time_max, d0, per_sample_min,
+                   per_sample_max) -> tuple[float, float]:
+    """max over (t, n) of dists[t, n] - radii[t], and of |dists[t, n] - dists[0, n]|,
+    from the reductions of dists: ``per_time_max`` is dists.max(axis=1), ``d0``
+    is dists[0], and ``per_sample_min`` and ``per_sample_max`` are
+    dists.min(axis=0) and dists.max(axis=0).
 
     Rounded subtraction is monotone in each operand, so reducing over
-    samples or times first gives the dense maxima bit for bit in O(T + n)
-    extra memory.  ``per_time_max`` is dists.max(axis=1), reduced once by the caller.
+    samples or times first gives the dense maxima bit for bit.
     """
     max_margin = (per_time_max - radii).max()
-    d0 = dists[0]
-    max_drift = max((dists.max(axis=0) - d0).max(), (d0 - dists.min(axis=0)).max())
+    max_drift = max((per_sample_max - d0).max(), (d0 - per_sample_min).max())
     return float(max_margin), float(max_drift)
 
 

@@ -42,6 +42,10 @@ _H_ANGLES = np.concatenate(
     ]
 )
 _GROUP_TOL = 1e-8  # largest group-constraint (or base-point) residual counted as exact
+# Elements per block of a stacked group check or region exponential, so
+# their (block, d, d) temporaries, not (N, d, d) ones, come on top of the
+# stack they read and the one they write.
+_STACK_BLOCK = 256
 
 
 def _rotation_residual(g) -> np.ndarray:
@@ -165,11 +169,16 @@ class Space:
         group's defining constraint; the message names the first offender.
         An element with a non-finite entry violates it on every kind."""
         g = np.asarray(g, dtype=float)
-        if g.shape[-2:] != (self.embed_dim, self.embed_dim):
+        d = self.embed_dim
+        if g.shape[-2:] != (d, d):
             raise ValueError(f"group element has wrong shape {g.shape}")
-        finite = np.isfinite(g).all(axis=(-2, -1))
-        err = np.full(finite.shape, np.nan)
-        err[finite] = self.ops.residual(g[finite])
+        flat = g.reshape(-1, d, d)
+        err = np.full(len(flat), np.nan)
+        for lo in range(0, len(flat), _STACK_BLOCK):
+            block = flat[lo:lo + _STACK_BLOCK]
+            finite = np.isfinite(block).all(axis=(-2, -1))
+            err[lo:lo + _STACK_BLOCK][finite] = self.ops.residual(block[finite])
+        err = err.reshape(g.shape[:-2])
         bad = ~(err <= _GROUP_TOL)
         if np.any(bad):
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))

@@ -12,6 +12,10 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 _PLOT_W = _W - _ML - _MR  # pixel columns of the plot area
+# Heatmap cells formatted per block: a block's format string, its text and
+# its tuple of 4,096 numbers each stay under 128 KiB, glibc's default mmap
+# threshold, so every block reuses the same heap memory.
+_HEAT_CELLS = 1024
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -102,8 +106,10 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
 def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
     """Write a grid heatmap of the 2-D array Z (blue = low, red = high).
 
-    Every cell's x, y, red and blue are stacked into one (cells, 4) array
-    and formatted in one pass, as :func:`_points` formats a polyline.
+    The cells are written a block of rows at a time, ``_HEAT_CELLS`` cells
+    or one row if that is more: the block's x, y, red and blue are stacked
+    into one (cells, 4) array and formatted in one pass, as :func:`_points`
+    formats a polyline.
     """
     Z = np.asarray(Z, dtype=float)
     lo, hi = float(Z.min()), float(Z.max())
@@ -111,16 +117,19 @@ def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
     ny, nx = Z.shape
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
-    f = (Z - lo) / span
-    cells = np.stack(np.broadcast_arrays(_ML + np.arange(nx) * cw,
-                                         (_H - _MB - (np.arange(ny) + 1) * ch)[:, None],
-                                         255 * f, 255 * (1 - f)), axis=-1)
+    xs = _ML + np.arange(nx) * cw
+    ys = (_H - _MB - (np.arange(ny) + 1) * ch)[:, None]
+    rows = max(1, _HEAT_CELLS // nx)
     # %d truncates a float as int() does
     rect = (f'\n<rect x="%.2f" y="%.2f" width="{cw:.2f}" height="{ch:.2f}" '
             'fill="rgb(%d,60,%d)"/>')
     with open(path, "w") as fh:
         fh.write("\n".join(_frame(title, xlabel, ylabel, 0, nx, 0, ny)))
-        fh.write(rect * Z.size % tuple(cells.ravel().tolist()))
+        for r in range(0, ny, rows):
+            f = (Z[r:r + rows] - lo) / span
+            cells = np.stack(np.broadcast_arrays(xs, ys[r:r + rows], 255 * f, 255 * (1 - f)),
+                             axis=-1)
+            fh.write(rect * f.size % tuple(cells.ravel().tolist()))
         fh.write(f'\n<text x="{_W - _MR}" y="{_MT - 8}" text-anchor="end" font-size="10">'
                  f"range [{lo:.4g}, {hi:.4g}]</text>")
         fh.write("\n</svg>")

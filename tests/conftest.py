@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,19 @@ def euclid2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``traced_peak(fn)``: the peak bytes tracemalloc sees during a call of
+    fn, made after one untraced warm-up call so that one-time caches
+    (imports, cached properties) stay out of it."""
+    def peak(fn) -> int:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

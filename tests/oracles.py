@@ -16,7 +16,7 @@ import numpy as np
 
 from homcontract.contraction import matrix_measure
 from homcontract.fields import HorizontalField, linearize
-from homcontract.reach import Trajectory
+from homcontract.reach import Trajectory, integrate, sample_metric_ball
 from homcontract.spaces import Space
 
 _BASIS_SEED = 0  # basis_independence_check draws its random bases from this seed
@@ -110,3 +110,17 @@ def basis_independence_check(F: HorizontalField, space: Space, g,
 def group_constraint_drift(space: Space, traj: Trajectory) -> float:
     """Worst violation of the group constraint along the trajectory."""
     return float(np.max(space.ops.residual(traj.states)))
+
+
+def dense_tube_distances(F: HorizontalField, space: Space, g0, r0: float, n_samples: int,
+                         seed: int, horizon: float, dt: float) -> np.ndarray:
+    """The (T+1, n_samples) distances of a tube's ball to its center, kept
+    whole: the ball drawn and integrated with the center in one stack, as
+    ``reach_tube`` does, each chunk's distances stored by this consumer."""
+    g0 = np.asarray(g0, dtype=float)
+    ball = sample_metric_ball(space, g0, r0, n_samples, seed)
+    chunks = []
+    integrate(F, space, np.concatenate([g0[None], ball]), horizon, dt,
+              consume=lambda lo, chunk: chunks.append(
+                  space.ops.distance(space, chunk[:, :1].copy(), chunk[:, 1:])))
+    return np.concatenate(chunks)

@@ -11,6 +11,8 @@ import pytest
 import homcontract
 from homcontract import cli, contraction, fields, reach, spaces, svgplot
 
+import oracles
+
 
 def run(tmp_path, *argv):
     return cli.main(["--out", str(tmp_path), *argv])
@@ -258,7 +260,8 @@ class TestReach:
             F, so3, contraction.generator_box_samples(so3, [-2] * 3, [2] * 3, 16), c=0.0)
         tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 0.5, 0.005, n_samples=10, seed=3)
         t = tube.center.times
-        ys = [tube.radius(t), tube.distances.max(axis=1), tube.distances.min(axis=1)]
+        dists = oracles.dense_tube_distances(F, so3, np.eye(3), 0.1, 10, 3, 0.5, 0.005)
+        ys = [tube.radius(t), dists.max(axis=1), dists.min(axis=1)]
         lo, hi = min(y.min() for y in ys), max(y.max() for y in ys)
         for pts, y in zip(lines, ys):
             py = svgplot._scale(y, lo, hi, svgplot._H - svgplot._MB, svgplot._MT)

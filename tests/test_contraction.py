@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,19 +246,13 @@ class TestFindPeriod:
         A = euclid2.algebra_from_coords([1.0, 0.0])
         assert contraction.find_period(euclid2, A) is None
 
-    def test_scan_memory_bounded_in_dimension(self):
+    def test_scan_memory_bounded_in_dimension(self, traced_peak):
         # flat space has no closed-form period, so find_period answers None
         # at once: no exponential of the 21x21 generator is ever taken
         flat = make_euclidean(20)
         A = flat.algebra_from_coords(np.linspace(1.0, 2.0, 20))
-        tracemalloc.start()
-        try:
-            period = contraction.find_period(flat, A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert period is None
-        assert peak < 4e6
+        assert contraction.find_period(flat, A) is None
+        assert traced_peak(lambda: contraction.find_period(flat, A)) < 4e6
 
 
 class TestClosedFormPeriod:
@@ -485,6 +478,49 @@ class TestStackedPath:
                              space.algebra_exp(rep.times[:, None, None] * rep.generator))
         assert np.abs(P[:, 0, 0]).max() > 1e-3  # a loop on which f is not all zero
         assert np.max(np.abs(rep.values - P[:, 0, 0])) < 1e-9
+
+
+class TestFixedBlocks:
+    """Stacked work runs in fixed blocks of elements, so the memory beyond
+    what the result holds does not grow with the stack."""
+
+    @staticmethod
+    def _linear_table(euclid2, path):
+        # u(x) = -x on a 21 x 21 grid over [-1.2, 1.2]^2: a gradient field
+        xs = np.linspace(-1.2, 1.2, 21)
+        G = np.broadcast_to(np.eye(3), (441, 3, 3)).copy()
+        G[:, :2, 2] = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        header = [f"g{i}{j}" for i in range(3) for j in range(3)] + ["x1", "x2"]
+        np.savetxt(path, np.concatenate([G.reshape(441, 9), -G[:, :2, 2]], axis=1),
+                   delimiter=",", header=",".join(header), comments="")
+        return fields.tabulated_field(euclid2, path)
+
+    @pytest.mark.parametrize("space_name", ["sphere", "so3", "euclid2"])
+    def test_certify_grows_by_what_it_keeps(self, request, tmp_path, traced_peak, space_name):
+        space = request.getfixturevalue(space_name)
+        F = {"sphere": lambda: fields.sphere_height_gradient(space),
+             "so3": lambda: fields.so3_demo_schedule(space),
+             "euclid2": lambda: self._linear_table(space, tmp_path / "table.csv")}[space_name]()
+        n = 1024
+        samples = contraction.generator_box_samples(space, [-1.0] * space.dim_m,
+                                                    [1.0] * space.dim_m, 4 * n)
+        peaks = [traced_peak(lambda: contraction.certify_region(F, space, samples[:k], c=1.0))
+                 for k in (n, 4 * n)]
+        # 3n more samples copied onto the certificate (d x d each) and their
+        # measures; a whole-stack linearization would add (2m + 1) d^2 and
+        # more per sample
+        d = space.embed_dim
+        kept = 3 * n * (d * d + 1) * 8
+        assert peaks[1] - peaks[0] <= 1.5 * kept
+
+    def test_loop_check_grows_by_what_it_holds(self, sphere, traced_peak):
+        F = fields.sphere_height_gradient(sphere)
+        peaks = [traced_peak(lambda: contraction.loop_obstruction_check(
+            F, sphere, [1.0, 0.0], n_quad=n)) for n in (2 ** 14, 2 ** 16)]
+        # per quadrature node: its state (d x d), its linearization (m x m),
+        # and the time and the value the report keeps
+        held = (2 ** 16 - 2 ** 14) * (9 + 4 + 2) * 8
+        assert peaks[1] - peaks[0] <= 1.5 * held
 
 
 class TestHalton:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from homcontract import fields
+from homcontract import contraction, fields
 from homcontract.spaces import SO3_BASIS
 
 import oracles
@@ -296,6 +296,37 @@ class TestStackedErrors:
         with pytest.raises(ValueError, match=r"finite.*index \(17, 0\)"):
             contraction.certify_region(F, euclid2, self._stack(50), c=0.0)
 
+    def test_certify_names_the_index_in_a_later_block(self, euclid2):
+        F = self._nan_at_x(euclid2, 51.7)  # element 517, in the third block
+        with pytest.raises(ValueError, match=r"finite.*index \(517, 0\) of \(600, 5\)"):
+            contraction.certify_region(F, euclid2, self._stack(600), c=0.0)
+
+    def test_linearize_names_the_index_in_a_2d_stack(self, euclid2):
+        F = self._nan_at_x(euclid2, 51.7)  # flattened element 517, in the third block
+        with pytest.raises(ValueError, match=r"finite.*index \(1, 217, 0\) of \(2, 300, 5\)"):
+            fields.linearize(F, euclid2, self._stack(600).reshape(2, 300, 3, 3))
+
+
+class TestLinearizeBlocks:
+    """A stack is linearized in blocks; the block size changes no bit."""
+
+    def test_block_size_changes_no_bit(self, sphere, euclid2, tmp_path, monkeypatch):
+        table = TestTableLinearization()._curved(euclid2, tmp_path)
+        rng = np.random.default_rng(28)
+        S = sphere.algebra_exp(sphere.algebra_from_coords(rng.uniform(-1.0, 1.0, (600, 2))))
+        T = _translations(rng.uniform(-1.0, 1.0, (600, 2)))
+        F = fields.sphere_height_gradient(sphere)
+        cases = [lambda: fields.linearize(F, sphere, S),
+                 lambda: fields.linearize(F, sphere, S.reshape(20, 30, 3, 3), richardson=True),
+                 lambda: fields.linearize(table, euclid2, T)]
+        default = fields._LINEARIZE_BLOCK
+        monkeypatch.setattr(fields, "_LINEARIZE_BLOCK", 10 ** 6)  # the stack in one block
+        whole = [case() for case in cases]
+        for block in (1, 7, default):
+            monkeypatch.setattr(fields, "_LINEARIZE_BLOCK", block)
+            for case, want in zip(cases, whole):
+                assert np.array_equal(case(), want)
+
 
 class TestTabulatedStack:
     M = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -370,6 +401,29 @@ class TestTabulatedNeighbours:
             A = np.concatenate([np.ones((10, 1)), points[idx] - q], axis=1)
             want = vals[idx[0]] if i == 7 else np.linalg.lstsq(A, vals[idx], rcond=None)[0][0]
             assert np.max(np.abs(got[i] - want)) < 1e-12
+
+
+class TestSearchBudget:
+    """The brute-force budget counts the queries of every call to one table."""
+
+    def test_blocks_switch_to_the_tree_as_one_call_would(self, euclid2, tmp_path, monkeypatch):
+        F, _ = TestTableLinearization()._linear(euclid2, tmp_path)  # 441 rows
+        monkeypatch.setattr(fields, "_BRUTE_MAX_PAIRS", 441 * 300)
+        modes, neighbours = [], fields._LocalFit.neighbours
+
+        def recorded(self, q, brute):
+            modes.append((len(q), brute))
+            return neighbours(self, q, brute)
+
+        monkeypatch.setattr(fields._LocalFit, "neighbours", recorded)
+        S = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 600)
+        P = fields.linearize(F, euclid2, S)
+        # 256 queries fit the budget of 300; 512 do not, so the tree serves
+        # the second block and every later call
+        assert modes == [(256, True), (256, False), (88, False)]
+        fields.linearize(F, euclid2, S[:1])
+        assert modes[-1] == (1, False)
+        assert np.max(np.abs(P - TestTableLinearization.M)) < 1e-12
 
 
 class TestSearchBlocks:
@@ -554,7 +608,8 @@ class TestGradientField:
 
     @staticmethod
     def _entry(so3, bad=None, grad_shape=None):
-        # c = (g_22, 0, 0), so grad_0 is the unit matrix at (2, 2)
+        # c = (g_22, 0, 0), so grad_0 is the unit matrix at (2, 2); with
+        # ``bad``, grad_1 is NaN at the elements whose g_22 is ``bad``
         def coeff(g, t):
             c = np.zeros(g.shape[:-2] + (3,))
             c[..., 0] = g[..., 2, 2]
@@ -564,7 +619,7 @@ class TestGradientField:
             grad = np.zeros(g.shape[:-2] + (3, 3, 3))
             grad[..., 0, 2, 2] = 1.0
             if bad is not None:
-                grad[bad + (1, 0, 0)] = np.nan
+                grad[g[..., 2, 2] == bad, 1, 0, 0] = np.nan
             return coeff(g, t), grad.reshape(grad_shape or grad.shape)
 
         return fields.HorizontalField("entry", so3.name, coeff, gradient=gradient)
@@ -576,10 +631,11 @@ class TestGradientField:
         assert np.max(np.abs(fields.linearize(F, so3, G) - fd)) < 1e-9
 
     def test_nonfinite_gradient_names_its_index(self, so3):
-        G = np.broadcast_to(np.eye(3), (4, 5, 3, 3))
+        G = np.broadcast_to(np.eye(3), (4, 5, 3, 3)).copy()
+        G[2, 3] = G[3, 1] = np.diag([-1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match=r"entry: non-finite gradients at t=0\.0 at stack "
                                              r"index \(2, 3\) of \(4, 5\)"):
-            fields.linearize(self._entry(so3, bad=(2, 3)), so3, G)
+            fields.linearize(self._entry(so3, bad=-1.0), so3, G)
 
     def test_wrong_gradient_shape_rejected(self, so3):
         with pytest.raises(ValueError, match=r"gradient shape \(4, 27\), expected \(4, 3, 3, 3\)"):

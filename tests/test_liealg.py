@@ -223,6 +223,19 @@ def test_tiny_element_solved_alone_in_a_stack(name):
                                        rel=1e-6)
 
 
+@pytest.mark.parametrize("name", sorted(STACK_SPACES))
+def test_subnormal_element_in_the_span(name):
+    """An element whose entries are the smallest subnormal lies in the span, and
+    gets the coordinates of its 2^1074-fold copy scaled back, stacked or alone."""
+    dec = STACK_SPACES[name].dec
+    X = oracles.hat3(np.array([[5e-324] * 3, [1.0, 2.0, 3.0]]))
+    stacked = np.concatenate(dec.split_coords(X), axis=-1)
+    alone = np.concatenate(dec.split_coords(X[0]), axis=-1)
+    assert np.array_equal(stacked[0], alone)
+    big = np.concatenate(dec.split_coords(np.ldexp(X[0], 1074)), axis=-1)
+    assert np.array_equal(alone, np.ldexp(big, -1074))
+
+
 @st.composite
 def spd_grams(draw):
     """A random 3x3 SPD Gram matrix whose eigenvalue ratio the Gram check accepts:

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +17,13 @@ AX, AY, AZ = SO3_BASIS
 # every shipped distance, by CLI spec
 DISTANCE_SPACES = {spec: cli._resolve_space(spec) for spec in
                    ("so3", "sphere2", "circle", "euclidean:2")}
+
+
+def _reductions(dists):
+    """What a tube keeps of its dense (T+1, n) distances: the envelope and
+    the sample range."""
+    return ((dists.min(axis=1), dists.max(axis=1)),
+            (dists[0], dists.min(axis=0), dists.max(axis=0)))
 
 
 def _elements(space, x) -> np.ndarray:
@@ -268,7 +274,8 @@ class TestMonteCarloContainment:
 
     def test_report_shapes(self, so3):
         F, tube = TestReachTube()._nonexpansive_tube(so3, horizon=0.2, dt=0.01, n_samples=7)
-        assert tube.distances.shape == (len(tube.center.times), 7)
+        assert [a.shape for a in tube.envelope] == [(len(tube.center.times),)] * 2
+        assert [a.shape for a in tube.sample_range] == [(7,)] * 3
         assert tube.n_samples == 7
 
 
@@ -326,7 +333,7 @@ class TestSmallDistances:
         # 20 + 2 * 30 uniforms, the top 53 bits of little-endian 64-bit words
         words = np.frombuffer(random.Random(3).randbytes(8 * 80), "<u8")
         radii = r0 * ((words[:20] >> 11) * 2.0 ** -53) ** (1.0 / 3.0)
-        assert np.max(np.abs(tube.distances[0] - radii)) <= 1e-9 * r0
+        assert np.max(np.abs(tube.sample_range[0] - radii)) <= 1e-9 * r0
 
 
 class TestLockstepTube:
@@ -350,7 +357,9 @@ class TestLockstepTube:
         assert np.array_equal(tube.center.states, center)
         assert np.array_equal(tube.center.times, 0.01 * np.arange(101))
         assert tube.center.states.flags.c_contiguous
-        assert np.array_equal(tube.distances, dists)
+        envelope, sample_range = _reductions(dists)
+        assert all(map(np.array_equal, tube.envelope, envelope))
+        assert all(map(np.array_equal, tube.sample_range, sample_range))
         assert (tube.n_samples, tube.seed) == (100, 7)
         assert tube.max_margin == (dists - tube.radius(tube.center.times)[:, None]).max()
         assert tube.max_drift == np.abs(dists - dists[0]).max()
@@ -363,7 +372,9 @@ class TestLockstepTube:
         tube = reach.reach_tube(F, sphere, g0, 0.15, cert, 2.0, 0.01, n_samples=40, seed=2)
         center, dists = self._alone(F, sphere, g0, 0.15, 40, 2, 2.0, 0.01)
         assert np.max(np.abs(tube.center.states - center)) <= 1e-12
-        assert np.max(np.abs(tube.distances - dists)) <= 1e-12
+        envelope, sample_range = _reductions(dists)
+        for got, want in zip(tube.envelope + tube.sample_range, envelope + sample_range):
+            assert np.max(np.abs(got - want)) <= 1e-12
         radii = tube.radius(tube.center.times)[:, None]
         assert tube.max_margin == pytest.approx((dists - radii).max(), abs=1e-12)
         assert tube.max_drift == pytest.approx(np.abs(dists - dists[0]).max(), abs=1e-12)
@@ -405,27 +416,46 @@ class TestStreamedIntegrate:
 
 
 class TestStreamedTube:
-    """A tube keeps the center and the distances, and reduces them in O(T)."""
+    """A tube keeps the center and the extremes of its distances, O(T + n)."""
 
-    def test_memory_flat_in_step_count(self, so3):
+    @pytest.mark.parametrize("space_name, horizon, dt", [
+        ("so3", 0.05, 0.01),  # one partial chunk
+        ("so3", 0.64, 0.01),  # whole chunks, then one of the last state alone
+        ("sphere", 1.0, 0.01),  # a whole chunk and a partial one; stages on the stack
+    ])
+    def test_reductions_equal_dense(self, request, space_name, horizon, dt):
+        space = request.getfixturevalue(space_name)
+        if space_name == "so3":
+            F, g0, c = fields.so3_demo_schedule(space), np.eye(3), 0.0
+            samples = contraction.generator_box_samples(space, [-2.0] * 3, [2.0] * 3, 16)
+        else:
+            F, g0, c = fields.sphere_height_gradient(space), expm(0.3 * AX), -0.5
+            samples = contraction.sphere_cap_grid(space, np.radians(60.0), 10, 10)
+        cert = contraction.certify_region(F, space, samples, c=c)
+        tube = reach.reach_tube(F, space, g0, 0.15, cert, horizon, dt, n_samples=30, seed=4)
+        dists = oracles.dense_tube_distances(F, space, g0, 0.15, 30, 4, horizon, dt)
+        assert dists.shape == (round(horizon / dt) + 1, 30)
+        envelope, sample_range = _reductions(dists)
+        assert all(map(np.array_equal, tube.envelope, envelope))
+        assert all(map(np.array_equal, tube.sample_range, sample_range))
+        assert tube.max_margin == (dists - tube.radius(tube.center.times)[:, None]).max()
+        assert tube.max_drift == np.abs(dists - dists[0]).max()
+
+    def test_memory_flat_in_step_count(self, so3, traced_peak):
         F = fields.so3_demo_schedule(so3)
         samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 30)
         cert = contraction.certify_region(F, so3, samples, c=0.0)
-        peaks = []
-        # the first call allocates about 0.75 MB of one-time caches; keep them out
-        for horizon in (0.1, 1.0, 2.0):
-            tracemalloc.start()
-            try:
-                tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, horizon, 1e-3,
-                                        n_samples=100, seed=7)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert tube.distances.shape == (2001, 100)
-        # 1,000 more steps add (100 distances + a 3x3 center) of float64 each;
-        # a stored (T+1, 101, 3, 3) stack alone would add 7.3 MB
-        kept = 1000 * (100 + 9) * 8
-        assert peaks[2] - peaks[1] <= 1.5 * kept
+        peaks = {(n, horizon): traced_peak(lambda: reach.reach_tube(
+            F, so3, np.eye(3), 0.1, cert, horizon, 1e-3, n_samples=n, seed=7))
+            for n in (100, 400) for horizon in (1.0, 2.0)}
+        # 1,000 more steps keep a 3x3 center state, the envelope's two
+        # distances and a time of float64 each, at 100 samples and at 400:
+        # a stored (T+1, n) distance table would add 0.8 and 3.2 MB.  So the
+        # growth with n_samples (the working set of one chunk of steps) is
+        # the same at both horizons.
+        kept = 1000 * (9 + 2 + 1) * 8
+        for n in (100, 400):
+            assert peaks[n, 2.0] - peaks[n, 1.0] <= 1.5 * kept
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -435,7 +465,8 @@ class TestStreamedTube:
     def test_tube_extremes_equal_dense(self, case):
         dists, rate = case
         radii = 0.1 * np.exp(rate * np.linspace(0.0, 1.0, len(dists)))
-        margin, drift = reach._tube_extremes(dists, radii, dists.max(axis=1))
+        margin, drift = reach._tube_extremes(radii, dists.max(axis=1), dists[0],
+                                             dists.min(axis=0), dists.max(axis=0))
         assert margin == (dists - radii[:, None]).max()
         assert drift == np.abs(dists - dists[0][None, :]).max()
 
@@ -524,7 +555,7 @@ class TestStateIndependentStages:
         cert = contraction.certify_region(F, so3, samples, c=0.0)
         tube = reach.reach_tube(replace(F, coeff=recorded), so3, np.eye(3), 0.1, cert,
                                 0.05, 0.01, n_samples=100, seed=7)
-        assert tube.distances.shape == (6, 100)
+        assert (len(tube.envelope[0]), tube.n_samples) == (6, 100)
         # the block's check of the declaration sees start row 0 and the stack once;
         # every stage one call on the block's 5 times, with one state broadcast
         assert shapes == [(102, 3, 3)] + [(5, 3, 3)] * stages

@@ -133,6 +133,15 @@ class TestStackedCheckGroup:
         with pytest.raises(ValueError, match=r"at stack index \(23,\)"):
             sphere.check_group(G)
 
+    def test_names_its_index_across_blocks(self, sphere):
+        # flattened element 550 is in the third block of 256
+        G = sphere.algebra_exp(np.linspace(0.0, 1.0, 600)[:, None, None] * AX)
+        G = G.reshape(3, 200, 3, 3)
+        sphere.check_group(G)
+        G[2, 150] *= 1.01
+        with pytest.raises(ValueError, match=r"at stack index \(2, 150\)"):
+            sphere.check_group(G)
+
     def test_nan_element_rejected(self, euclid2):
         G = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
         G[2, 0, 0] = np.nan

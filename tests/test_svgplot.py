@@ -139,6 +139,26 @@ def old_heatmap(Z, title="", xlabel="", ylabel=""):
     return "\n".join(parts)
 
 
+def one_pass_heatmap(Z, title="", xlabel="", ylabel=""):
+    """The heatmap text with every cell formatted in one pass."""
+    Z = np.asarray(Z, dtype=float)
+    lo, hi = float(Z.min()), float(Z.max())
+    span = hi - lo if hi > lo else 1.0
+    ny, nx = Z.shape
+    cw = (svgplot._W - svgplot._ML - svgplot._MR) / nx
+    ch = (svgplot._H - svgplot._MT - svgplot._MB) / ny
+    f = (Z - lo) / span
+    cells = np.stack(np.broadcast_arrays(svgplot._ML + np.arange(nx) * cw,
+                                         (svgplot._H - svgplot._MB - (np.arange(ny) + 1) * ch)
+                                         [:, None], 255 * f, 255 * (1 - f)), axis=-1)
+    rect = (f'\n<rect x="%.2f" y="%.2f" width="{cw:.2f}" height="{ch:.2f}" '
+            'fill="rgb(%d,60,%d)"/>')
+    return ("\n".join(svgplot._frame(title, xlabel, ylabel, 0, nx, 0, ny))
+            + rect * Z.size % tuple(cells.ravel().tolist())
+            + f'\n<text x="{svgplot._W - svgplot._MR}" y="{svgplot._MT - 8}" '
+            f'text-anchor="end" font-size="10">range [{lo:.4g}, {hi:.4g}]</text>\n</svg>')
+
+
 class TestBatchedElements:
     """The heatmap's cells and the frame's ticks, each formatted in one pass,
     match the per-cell and per-tick text byte for byte."""
@@ -157,6 +177,15 @@ class TestBatchedElements:
         svgplot.heatmap(path, Z, title="mu", xlabel="azimuth index", ylabel="polar index")
         want = old_heatmap(Z, title="mu", xlabel="azimuth index", ylabel="polar index")
         assert path.read_text().split("\n") == want.split("\n")
+
+    @pytest.mark.parametrize("shape", [(300, 300), (3, 1500), (7, 1)])
+    def test_heatmap_blocks_match_one_pass(self, tmp_path, shape):
+        # rows of 300 cells: three rows a block; a row wider than a block; one column
+        Z = np.random.default_rng(9).normal(size=shape)
+        path = tmp_path / "heat.svg"
+        svgplot.heatmap(path, Z, title="mu", xlabel="azimuth index", ylabel="polar index")
+        assert path.read_text() == one_pass_heatmap(Z, title="mu", xlabel="azimuth index",
+                                                    ylabel="polar index")
 
     def test_ticks_match_per_tick_text(self):
         rng = np.random.default_rng(8)

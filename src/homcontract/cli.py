@@ -141,6 +141,7 @@ def _certify(space, args, step: float):
                    contraction.generator_box_samples(space, [a] * m, [b] * m, n))
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"region {region!r}: its samples overflow {space.name}'s exponential")
+    samples.flags.writeable = False  # certify_region keeps it rather than a copy
     F = _resolve_field(space, args.field)
     return F, contraction.certify_region(F, space, samples, args.c, region=region,
                                          step=step), grid

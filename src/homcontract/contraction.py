@@ -90,12 +90,16 @@ def certify_region(F: HorizontalField, space: Space, samples,
     """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
-    copied onto the certificate and checked as one stack, then linearized
-    and measured a block of ``fields._LINEARIZE_BLOCK`` samples at a time,
-    so the memory beyond the N samples and their N measures is fixed.
+    copied onto the certificate, unless it is a read-only float64 array that
+    owns its data, as the CLI passes its regions: the certificate keeps that
+    array itself.  It is checked as one stack, then linearized and measured a
+    block of ``fields._LINEARIZE_BLOCK`` samples at a time, so the memory
+    beyond the N samples and their N measures is fixed.
     Deterministic: ties at the maximum resolve to the lowest sample index.
     """
-    G = np.array(samples, dtype=float)
+    frozen = (isinstance(samples, np.ndarray) and samples.dtype == np.float64
+              and samples.flags.owndata and not samples.flags.writeable)
+    G = samples if frozen else np.array(samples, dtype=float)
     if G.size == 0:
         raise ValueError("no samples supplied")
     space.check_group(G)
@@ -148,16 +152,20 @@ def generator_box_samples(space: Space, lows, highs, count: int) -> np.ndarray:
     if not np.all((lows < highs) & (width < np.inf)):  # False for NaN bounds too
         raise ValueError(f"a box needs lows < highs a finite width apart, got {lows} and {highs}")
     coords = lows + _halton(count, m) * width
-    return _blocked_exp(space, space.algebra_from_coords(coords))
+    A = space.algebra_from_coords(coords)
+    return _blocked_exp(space, count, lambda lo, hi: A[lo:hi])
 
 
-def _blocked_exp(space: Space, A) -> np.ndarray:
-    """The exponentials of the algebra elements A (N, d, d), a block of
-    ``_STACK_BLOCK`` at a time, so the only (N, d, d) arrays of a large
-    region or loop are A and the result."""
-    out = np.empty(A.shape)
-    for lo in range(0, len(A), _STACK_BLOCK):
-        out[lo:lo + _STACK_BLOCK] = space.algebra_exp(A[lo:lo + _STACK_BLOCK])
+def _blocked_exp(space: Space, count: int, algebra) -> np.ndarray:
+    """The exponentials of ``count`` algebra elements, ``algebra(lo, hi)``
+    giving elements lo to hi - 1 as (hi - lo, d, d), a block of
+    ``_STACK_BLOCK`` at a time, so the memory beyond the (count, d, d)
+    result is fixed unless ``algebra`` slices a stack it holds."""
+    d = space.embed_dim
+    out = np.empty((count, d, d))
+    for lo in range(0, count, _STACK_BLOCK):
+        hi = min(lo + _STACK_BLOCK, count)
+        out[lo:hi] = space.algebra_exp(algebra(lo, hi))
     return out
 
 
@@ -177,11 +185,16 @@ def sphere_cap_grid(space: Space, max_angle: float, n_theta: int,
                          f"got {n_theta} and {max_angle:g}")
     if n_phi < 3:
         raise ValueError(f"a cap grid needs n_phi >= 3, got {n_phi}: fewer lie on a great circle")
-    thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None, None]
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[None, :, None, None]
+    thetas = np.linspace(0.0, max_angle, n_theta)[:, None, None]
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
     B = space.dec.m_basis
-    A = thetas * (np.cos(phis) * B[0] + np.sin(phis) * B[1])
-    return _blocked_exp(space, A.reshape((-1,) + B.shape[1:]))
+
+    def algebra(lo, hi):  # element i has polar angle i // n_phi and azimuth i % n_phi
+        t, p = np.divmod(np.arange(lo, hi), n_phi)
+        return thetas[t] * (cos[p] * B[0] + sin[p] * B[1])
+
+    return _blocked_exp(space, n_theta * n_phi, algebra)
 
 
 def find_period(space: Space, A) -> Optional[float]:
@@ -286,6 +299,6 @@ def loop_obstruction_check(F: HorizontalField, space: Space, generator,
         raise ValueError("generator does not produce a periodic subgroup")
 
     ts = np.linspace(0.0, period, n_quad + 1)
-    G = base @ _blocked_exp(space, ts[:, None, None] * A1)
+    G = base @ _blocked_exp(space, len(ts), lambda lo, hi: ts[lo:hi, None, None] * A1)
     fs = linearize(F, space, G) @ u @ u
     return LoopReport(space.name, F.name, A1, base, ts, fs, Uuu, c, tol)

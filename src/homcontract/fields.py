@@ -11,8 +11,8 @@ coefficient call per block.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -415,15 +415,107 @@ class _LocalFit:
         return c, slope
 
 
+# Bytes per read of the line count; under glibc's 128 KiB mmap threshold, so
+# every chunk reuses the same heap memory.
+_LINE_CHUNK = 2 ** 16
+# Information separators: str.isspace() and numpy's text reader take them for
+# spaces around a number, float() does not.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _plain_lines(path) -> int | None:
+    """The number of lines of the file at ``path``, ended by \\n, \\r or \\r\\n
+    as ``open`` reads them, or None if it holds an information separator."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_LINE_CHUNK):
+            if any(sep in chunk for sep in _SEPARATORS):
+                return None
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines -= last == b"\r" and chunk[:1] == b"\n"  # a \r\n split between chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
+
+
+def _plain_number(cell: str) -> bool:
+    """Whether numpy's text reader and float() both read ``cell``: float() also
+    reads digit group underscores and non-ASCII digits, the reader does not."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    text = cell.strip()
+    return text.isascii() and "_" not in text
+
+
+def _scanned_table(path, width: int) -> np.ndarray:
+    """The data rows of the CSV table at ``path``, read line by line with
+    ``csv``, as an (N, width) float array; ValueError names the file and its
+    first line with other than ``width`` fields, a missing header or data
+    row, or else the first line with a cell that is not a plain number."""
+    import csv
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for line, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"table {path}, line {line}: expected {width} columns "
+                             f"(d^2 + m), found {len(row)}")
+    if len(rows) < 2:
+        raise ValueError(f"table {path}, line {len(rows) + 1}: expected a "
+                         f"{'data row' if rows else 'header'}, found the end of the file")
+    for line, row in enumerate(rows[1:], 2):
+        for cell in row:
+            if not _plain_number(cell):
+                raise ValueError(f"table {path}, line {line}: expected a number, "
+                                 f"found {cell!r}")
+    return np.array(rows[1:], dtype=float)
+
+
+def _read_table(path, width: int) -> np.ndarray:
+    """The data rows of the CSV table at ``path`` as one (N, width) float array.
+
+    ``np.loadtxt`` reads them in one pass, with no Python object per cell.
+    Its result stands when the header, the first line, has ``width`` fields
+    and no quote, every data row has ``width`` cells it reads as numbers, and
+    the rows it returns are all the file's lines after the header: the
+    reader skips blank lines, and a count of the lines shows it skipped none.
+    Otherwise, and in a file holding an information separator (which the
+    reader takes for a space and float() does not), ``_scanned_table`` reads
+    the file again and names its first bad line.
+    """
+    with open(path, newline="") as fh:
+        header = fh.readline()
+    if '"' not in header and header.count(",") + 1 == width:
+        try:
+            with warnings.catch_warnings():  # a file without data rows is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                                  quotechar='"')
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == width and len(data) and _plain_lines(path) == len(data) + 1:
+                return data
+    return _scanned_table(path, width)
+
+
 def tabulated_field(space: Space, path) -> HorizontalField:
     """Field interpolated from a CSV coefficient table.
 
     Header ``g00,...,g{d-1}{d-1},x1,...,xm``; each row is a flattened
-    group element followed by its m coefficients.  A file without a header
-    or data rows, with any line of other than d^2 + m fields or a cell that
-    is not a number, or with a row that has a non-finite entry or is not a
-    group element (one stacked check of the space's group constraint),
-    raises ValueError naming the file and the first bad line.  A query is fitted local-linearly, by
+    group element followed by its m coefficients.  A cell is a plain
+    decimal float (``-1``, ``0.25``, ``1.5e-3``), optionally double-quoted;
+    ``inf`` and ``nan`` are read and then refused as non-finite.  The rows
+    load in one numpy read into one float array of N (d^2 + m) entries, with
+    no Python object per cell (see ``_read_table``).  A file without a
+    header or data rows, with a blank line, with any line of other than
+    d^2 + m fields or a cell that is not such a number, or with a row that
+    has a non-finite entry or is not a group element (a blocked check of
+    the space's group constraint), raises ValueError naming the file and
+    the first bad line.  A query is fitted local-linearly, by
     least squares, on its d^2 + 1 nearest table points.  ``coeff`` is the
     fit's intercept, or the tabulated value on an exact hit; ``gradient``
     is the same intercept with the fit's slope, so ``linearize`` takes one
@@ -438,31 +530,12 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     """
     d = space.embed_dim
     m = space.dim_m
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    for line, row in enumerate(rows, 1):
-        if len(row) != d * d + m:
-            raise ValueError(f"table {path}, line {line}: expected {d * d + m} columns "
-                             f"(d^2 + m), found {len(row)}")
-    if len(rows) < 2:
-        raise ValueError(f"table {path}, line {len(rows) + 1}: expected a "
-                         f"{'data row' if rows else 'header'}, found the end of the file")
-    try:
-        data = np.asarray(rows[1:], dtype=float)
-    except ValueError:  # numpy reads each cell with float(); find the bad one
-        for line, row in enumerate(rows[1:], 2):
-            for cell in row:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(f"table {path}, line {line}: expected a number, "
-                                     f"found {cell!r}") from None
-        raise
+    data = _read_table(path, d * d + m)
     finite = np.isfinite(data).all(axis=1)
-    err = np.full(len(data), np.inf)
-    err[finite] = space.ops.residual(data[finite, : d * d].reshape(-1, d, d))
+    err = space.group_errors(data[:, : d * d].reshape(-1, d, d))
+    err[~finite] = np.inf
     if not np.all(err <= _GROUP_TOL):
-        line = int(np.argmax(err > _GROUP_TOL))
+        line = int(np.argmax(~(err <= _GROUP_TOL)))
         found = f"group constraint error {err[line]:.2e}" if finite[line] else "a non-finite entry"
         raise ValueError(f"table {path}, line {line + 2}: expected a group element and "
                          f"finite coefficients, found {found}")

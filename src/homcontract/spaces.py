@@ -172,19 +172,25 @@ class Space:
         d = self.embed_dim
         if g.shape[-2:] != (d, d):
             raise ValueError(f"group element has wrong shape {g.shape}")
-        flat = g.reshape(-1, d, d)
-        err = np.full(len(flat), np.nan)
-        for lo in range(0, len(flat), _STACK_BLOCK):
-            block = flat[lo:lo + _STACK_BLOCK]
-            finite = np.isfinite(block).all(axis=(-2, -1))
-            err[lo:lo + _STACK_BLOCK][finite] = self.ops.residual(block[finite])
-        err = err.reshape(g.shape[:-2])
+        err = self.group_errors(g.reshape(-1, d, d)).reshape(g.shape[:-2])
         bad = ~(err <= _GROUP_TOL)
         if np.any(bad):
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
             where = f" at stack index {idx}" if idx else ""
             raise ValueError(
                 f"element violates the group constraint (error {err[idx]:.2e}){where}")
+
+    def group_errors(self, flat: np.ndarray) -> np.ndarray:
+        """The group-constraint residual of each element of the stack (N, d, d),
+        NaN where an element has a non-finite entry, found a block of
+        ``_STACK_BLOCK`` elements at a time, so the memory beyond the N
+        residuals is fixed."""
+        err = np.full(len(flat), np.nan)
+        for lo in range(0, len(flat), _STACK_BLOCK):
+            block = flat[lo:lo + _STACK_BLOCK]
+            finite = np.isfinite(block).all(axis=(-2, -1))
+            err[lo:lo + _STACK_BLOCK][finite] = self.ops.residual(block[finite])
+        return err
 
     def algebra_from_coords(self, c) -> np.ndarray:
         return self.dec.from_coords(c)

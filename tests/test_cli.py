@@ -706,6 +706,23 @@ class TestTabulatedFieldCli:
         assert err.startswith(f"error: table {table}, line ") and err.count("\n") == 1
         assert not (tmp_path / "certificate.json").exists()
 
+    @pytest.mark.parametrize("bad,message", [
+        ("", "line 3: expected 11 columns (d^2 + m), found 0"),
+        ("1,0,1_000,0,1,0,0,0,1,0,0", "line 3: expected a number, found '1_000'"),
+    ], ids=["blank-line", "underscore-cell"])
+    def test_refused_line_is_named(self, tmp_path, capsys, bad, message):
+        # numpy's reader would skip the blank line and refuse the cell with its
+        # own message; the table names both lines as a line-by-line read does
+        row = "1,0,0.5,0,1,0.5,0,0,1,-0.5,-0.5"
+        table = tmp_path / "field.csv"
+        table.write_text("g00,g01,g02,g10,g11,g12,g20,g21,g22,x1,x2\n"
+                         f"{row}\n{bad}\n{row}\n")
+        code = run(tmp_path, "certify", "--space", "euclidean:2", "--field", str(table),
+                   "--region", "box:-1:1:16", "--c", "-0.9")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: table {table}, {message}\n"
+        assert not (tmp_path / "certificate.json").exists()
+
 
 class TestImports:
     @staticmethod
@@ -751,6 +768,12 @@ class TestImports:
         argvs = [["certify", "--space", "euclidean:2", "--field", str(table),
                   "--region", "box:-1:1:16", "--c", "-0.9"], self.REACH]
         assert self._loaded_after(tmp_path, argvs, "scipy") == "[]"
+
+    def test_table_certify_loads_no_csv(self, tmp_path):
+        # numpy's reader loads the table; csv reads only a table it refuses
+        argvs = [["certify", "--space", "euclidean:2", "--field", str(self._table(tmp_path)),
+                  "--region", "box:-1:1:16", "--c", "-0.9"]]
+        assert self._loaded_after(tmp_path, argvs, "csv") == "[]"
 
     def test_no_command_loads_numpy_random(self, tmp_path):
         # the reach ball comes from the standard library's generator

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from homcontract import contraction, fields
@@ -267,6 +269,111 @@ class TestTabulatedField:
         with pytest.raises(ValueError, match=f"table {re.escape(str(path))}, line 3: "
                                              f"expected a number, found '{cell}'$"):
             fields.tabulated_field(euclid2, path)
+
+
+# a finite float as a table writes it: repr, %.17g, %.3e, or an integer
+_CELLS = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format])).map(
+        lambda pair: pair[1](pair[0])),
+    st.integers(-10 ** 30, 10 ** 30).map(str))
+# pieces of cells and lines, the numbers and the characters on which a line
+# by line read and numpy's reader could part
+_PIECES = ["1", "-0", ".5", "2e3", "inf", "nan", "1_0", " ", "\t", '"', ",", "\n", "\r",
+           "\r\n", "\x1c", "\xa0", "１", "x", ""]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _outcome(read, path, width):
+    """What ``read(path, width)`` gives: its array's bits or its refusal."""
+    try:
+        return "bits", _bits(read(path, width)).tolist()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+class TestTableReader:
+    """A table loads in one numpy read, bit for bit as float() reads each
+    cell, and refuses what the line-by-line scan refuses."""
+
+    HEADER = TestTabulatedField.HEADER
+    ROW = "1,0,0.5,0,1,0.5,0,0,1,-0.5,0.5"
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(_CELLS, min_size=4, max_size=4), min_size=1, max_size=6))
+    def test_cells_load_bit_for_bit(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(fields, "_scanned_table", None)  # the fast read alone
+        path = tmp_path / "cells.csv"
+        path.write_text("a,b,c,d\n" + "".join(",".join(row) + "\n" for row in rows))
+        want = [[float(cell) for cell in row] for row in rows]
+        assert np.array_equal(_bits(fields._read_table(path, 4)), _bits(want))
+
+    def test_signed_zero_subnormal_and_quoted_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fields, "_scanned_table", None)
+        cells = ["-0.0", "5e-324", "-2.2250738585072014e-308", '"1.5"']
+        path = tmp_path / "cells.csv"
+        path.write_text("a,b,c,d\n" + ",".join(cells) + "\n")
+        want = [-0.0, 5e-324, -2.2250738585072014e-308, 1.5]
+        assert np.array_equal(_bits(fields._read_table(path, 4)), _bits([want]))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+           newline=st.sampled_from(["\n", "\r", "\r\n"]))
+    def test_fast_read_agrees_with_the_scan(self, tmp_path, body, newline):
+        path = tmp_path / "table.csv"
+        path.write_bytes(f"a,b{newline}1,2{newline}{body}".encode())
+        assert _outcome(fields._read_table, path, 2) == _outcome(fields._scanned_table, path, 2)
+
+    @pytest.mark.parametrize("text,match", [
+        (HEADER + ROW + "\n\n" + ROW + "\n", "line 3: expected 11 columns .*found 0$"),
+        (HEADER + ROW + "\n" + ROW + "\n\n", "line 4: expected 11 columns .*found 0$"),
+        (HEADER.replace("\n", "\r") + ROW + "\r\r" + ROW, "line 3: expected 11 columns .*found 0$"),
+        (HEADER + "\n" + ROW + "\n", "line 2: expected 11 columns .*found 0$"),
+        (HEADER + ROW + "\n  \n", "line 3: expected 11 columns .*found 1$"),
+        (HEADER + ROW + "\n" + ROW.replace("-0.5", "1_000") + "\n",
+         "line 3: expected a number, found '1_000'$"),
+        (HEADER + ROW + "\n" + ROW.replace("-0.5", "１") + "\n",
+         "line 3: expected a number, found '１'$"),
+        (HEADER + ROW + "\n" + ROW.replace("-0.5", "\x1f1") + "\n",
+         r"line 3: expected a number, found '\\x1f1'$"),
+        (HEADER + ROW + "\n" + ROW.replace("-0.5", '"1,5"') + "\n",
+         "line 3: expected a number, found '1,5'$"),
+    ], ids=["blank-inside", "blank-at-end", "blank-cr", "blank-first-row", "spaces-line",
+            "underscore", "fullwidth-digit", "separator", "quoted-comma"])
+    def test_refusals_name_their_line(self, euclid2, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=f"table {re.escape(str(path))}, {match}"):
+            fields.tabulated_field(euclid2, path)
+
+    def test_quoted_header_reads_as_csv(self, euclid2, tmp_path):
+        # a header with a quote is read by the scan, as csv splits it: here
+        # into 10 fields, where a split at every comma finds 11
+        path = tmp_path / "quoted.csv"
+        path.write_text('"g00,g01",g02,g10,g11,g12,g20,g21,g22,x1,x2\n' + self.ROW + "\n")
+        with pytest.raises(ValueError, match="line 1: expected 11 columns .*found 10$"):
+            fields.tabulated_field(euclid2, path)
+        path.write_text('"g00","g01",g02,g10,g11,g12,g20,g21,g22,x1,"x2"\n' + self.ROW + "\n")
+        assert np.array_equal(fields.eval_coeff(fields.tabulated_field(euclid2, path),
+                                                _translations(np.array([0.5, 0.5]))), [-0.5, 0.5])
+
+    def test_load_memory_grows_with_the_table_alone(self, euclid2, tmp_path, traced_peak):
+        # a read that made a Python str per cell grew by about 14x the extra
+        # rows' floats; the numpy read with the blocked group check by 2.1x
+        tables = []
+        for side in (71, 141):  # 5,041 and 19,881 rows
+            axis = np.linspace(-1.0, 1.0, side)
+            xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            tables.append(_write_table(tmp_path / f"t{side}.csv", _translations(xy), -xy))
+        small, big = (traced_peak(lambda p=p: fields.tabulated_field(euclid2, p))
+                      for p in tables)
+        extra_rows = 141 ** 2 - 71 ** 2
+        assert big - small <= 3 * extra_rows * (9 + 2) * 8
 
 
 class TestStackedErrors:

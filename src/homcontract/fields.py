@@ -109,21 +109,26 @@ def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
 
 
 def _differenced(F: HorizontalField, space: Space, g: np.ndarray, t: float, hs: np.ndarray,
-                 E: np.ndarray, origin: tuple) -> tuple[np.ndarray, np.ndarray]:
+                 shifts: np.ndarray, origin: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Frame derivatives (n, m, m) and coefficients (n, m) at g (n, d, d).
 
     Column j of the first result is the central difference of the
-    coefficients along g exp(s A_j), for each step s in ``hs``, E holding
-    exp(+-s A_j) as (n_h, 2, m, d, d); with two steps (Richardson) the
-    second is half the first, and the differences are extrapolated.  All
-    2m (or 4m) shifted elements and g itself go to the field in one
-    stacked call, checked as in ``_checked`` with ``origin``.
+    coefficients along g exp(s A_j), for each step s in ``hs``; ``shifts``
+    holds the k = 2m n_h matrices exp(+-s A_j), ordered (step, sign, j),
+    side by side as one (d, k d) matrix.  Every shifted element is a row
+    block of one (n d, d) x (d, k d) GEMM, the same bits as the stacked
+    3x3 products.  With two steps (Richardson) the second is half the
+    first, and the differences are extrapolated.  All 2m (or 4m) shifted
+    elements and g itself go to the field in one stacked call, checked as
+    in ``_checked`` with ``origin``.
     """
     m, d = space.dim_m, space.embed_dim
-    moved = g[:, None, None, None] @ E  # (n, n_h, 2, m, d, d)
-    stack = np.concatenate([moved.reshape(len(g), -1, d, d), g[:, None]], axis=1)
+    n, k = len(g), shifts.shape[1] // d
+    stack = np.empty((n, k + 1, d, d))
+    stack[:, :k] = (g.reshape(-1, d) @ shifts).reshape(n, d, k, d).swapaxes(1, 2)
+    stack[:, k] = g
     c = _checked(F, stack, t, "coefficient", F.coeff(stack, t), (m,), origin)
-    shifted = c[:, :-1].reshape(len(g), len(hs), 2, m, m)  # [n, h, sign, j, i]
+    shifted = c[:, :-1].reshape(n, len(hs), 2, m, m)  # [n, h, sign, j, i]
     D = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * hs[:, None, None])
     D = (4.0 * D[:, 1] - D[:, 0]) / 3.0 if len(hs) == 2 else D[:, 0]
     return np.swapaxes(D, -1, -2), c[:, -1]
@@ -148,18 +153,22 @@ def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
     coefficient or gradient is named by its index in the whole stack."""
     g = np.asarray(g, dtype=float)
     batch = g.shape[:-2]
+    m, d = space.dim_m, space.embed_dim
     flat = g.reshape((-1,) + g.shape[-2:])
     if F.gradient is None:
         hs = np.array([step, step / 2.0] if richardson else [step])
         E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
                               * space.dec.m_basis)
+        shifts = E.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)  # side by side
+    # alpha as (m, m^2): c @ conn is sum_k c_k alpha[:, :, k], one GEMM per block
+    conn = space.alpha.reshape(m * m, m).T
     for lo in range(0, len(flat), _LINEARIZE_BLOCK):
         block = flat[lo:lo + _LINEARIZE_BLOCK]
         if F.gradient is None:
-            D, c = _differenced(F, space, block, t, hs, E, (lo, batch))
+            D, c = _differenced(F, space, block, t, hs, shifts, (lo, batch))
         else:
             D, c = _from_gradient(F, space, block, t, (lo, batch))
-        yield lo, D + np.einsum("ijk,...k->...ij", space.alpha, c)
+        yield lo, D + (c @ conn).reshape(D.shape)
 
 
 def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
@@ -226,12 +235,18 @@ def sphere_height_gradient(space: Space) -> HorizontalField:
     """Gradient ascent of the height function p -> o . p on the sphere."""
     o = space.base_point
     tangents = space.dec.m_basis @ o  # (m, 3)
+    m = len(tangents)
 
     def coeff(R, t):
-        p = R @ o
-        grad = o - (p @ o)[..., None] * p
-        frames = np.einsum("...ab,ib->...ia", R, tangents)
-        return np.einsum("...ia,...a->...i", frames, grad)
+        # R o is one GEMV and the frames R t_i one GEMM over the stack's rows.
+        # On sphere2 each t_i is a signed unit vector, so those frames are
+        # exact.  Copied to the (n, m, 3) layout the einsum had (its sum order
+        # follows the layout), they give the coefficients the same bits.
+        rows = R.reshape(-1, 3)
+        p = (rows @ o).reshape(-1, 3)
+        grad = o - (p @ o)[:, None] * p
+        frames = np.ascontiguousarray((rows @ tangents.T).reshape(-1, 3, m).swapaxes(1, 2))
+        return np.einsum("nia,na->ni", frames, grad).reshape(R.shape[:-2] + (m,))
 
     return HorizontalField("sphere-grad-height", space.name, coeff)
 

@@ -324,7 +324,14 @@ def sample_metric_ball(space: Space, g0, r0: float, n: int, seed: int = 0) -> np
 
 
 def trajectory_to_csv(space: Space, traj: Trajectory, path) -> None:
-    """Write (t, state coordinates) rows; sphere states export as 3-vectors."""
+    """Write (t, state coordinates) rows; sphere states export as 3-vectors.
+
+    A trajectory without states, as ``integrate(..., consume=...)`` returns
+    it, raises ValueError.
+    """
+    if traj.states is None:
+        raise ValueError("trajectory holds no states: integrate passed them to its "
+                         "consume callback, so there are no rows to write")
     flat = space.ops.project(space, traj.states).reshape(len(traj.times), -1)
     with open(path, "w") as fh:
         d = flat.shape[-1]

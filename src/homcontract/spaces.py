@@ -48,10 +48,22 @@ _GROUP_TOL = 1e-8  # largest group-constraint (or base-point) residual counted a
 _STACK_BLOCK = 256
 
 
+def _det(g) -> np.ndarray:
+    """Determinant per stacked element.  A 3x3 one is the cofactor expansion
+    along the first row, nine elementwise products over the stack, within a
+    few units in the last place of the product of its row norms; every
+    other size takes ``np.linalg.det``."""
+    if g.shape[-1] != 3:
+        return np.linalg.det(g)
+    (a, b, c), (d, e, f), (p, q, r) = np.moveaxis(g, (-2, -1), (0, 1))
+    return a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+
+
 def _rotation_residual(g) -> np.ndarray:
-    """max(|g^T g - I|, |det g - 1|) per stacked element."""
+    """max(|g^T g - I|, |det g - 1|) per stacked element, det from :func:`_det`:
+    cofactors for so3 and sphere2 (d = 3), LU for the circle (d = 2)."""
     gtg = np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1])
-    return np.maximum(np.abs(gtg).max(axis=(-2, -1)), np.abs(np.linalg.det(g) - 1.0))
+    return np.maximum(np.abs(gtg).max(axis=(-2, -1)), np.abs(_det(g) - 1.0))
 
 
 def _translation_residual(g) -> np.ndarray:

@@ -18,6 +18,18 @@ _PLOT_W = _W - _ML - _MR  # pixel columns of the plot area
 _HEAT_CELLS = 1024
 
 
+def _require_plottable(what: str, values: np.ndarray) -> None:
+    """Refuse an empty array or one with a NaN or infinite entry, naming it:
+    either would reach the SVG as a "nan" coordinate or a failed reduction."""
+    if values.size == 0:
+        raise ValueError(f"{what} is empty: nothing to plot")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{what} has a non-finite value {float(values[idx])!r} at index "
+                         f"{idx[0] if len(idx) == 1 else idx}")
+
+
 def _scale(vals, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
     return out_lo + (np.asarray(vals, dtype=float) - lo) / span * (out_hi - out_lo)
@@ -76,13 +88,19 @@ def _m4_keep(px, py) -> np.ndarray:
 
 def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
     """Write a polyline plot; ``series`` is a list of (label, y-array), each
-    y-array one line of len(x) points, thinned by :func:`_m4_keep`.
+    y-array one line of len(x) points, thinned by :func:`_m4_keep`.  No
+    series, a series of another shape, and an empty or non-finite series
+    or x raise ValueError naming it.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
-    for y in ys:
+    if not ys:
+        raise ValueError("no series to plot")
+    for i, ((label, _), y) in enumerate(zip(series, ys)):
         if y.shape != x.shape:
             raise ValueError(f"series of shape {y.shape} does not match {len(x)} x values")
+        _require_plottable(f"series {label!r}" if label else f"series {i}", y)
+    _require_plottable("x", x)
     ylo = min(float(y.min()) for y in ys)
     yhi = max(float(y.max()) for y in ys)
     if yhi - ylo < 1e-12:
@@ -109,9 +127,14 @@ def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
     The cells are written a block of rows at a time, ``_HEAT_CELLS`` cells
     or one row if that is more: the block's x, y, red and blue are stacked
     into one (cells, 4) array and formatted in one pass, as :func:`_points`
-    formats a polyline.
+    formats a polyline.  A Z that is not 2-D, is empty or has a non-finite
+    cell raises ValueError naming the heatmap by its title.
     """
     Z = np.asarray(Z, dtype=float)
+    what = f"heatmap {title!r}" if title else "heatmap"
+    if Z.ndim != 2:
+        raise ValueError(f"{what} needs a 2-D array, got shape {Z.shape}")
+    _require_plottable(what, Z)
     lo, hi = float(Z.min()), float(Z.max())
     span = hi - lo if hi > lo else 1.0
     ny, nx = Z.shape

@@ -59,6 +59,65 @@ class TestMatrixMeasure:
             contraction.matrix_measure(P), abs=1e-12)
 
 
+class TestTwoByTwoMeasure:
+    """m = 2 takes the closed form (a + d)/2 + hypot((a - d)/2, b) of the
+    symmetric part [[a, b], [b, d]] in place of eigvalsh."""
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.integers(-300, 300),
+           st.sampled_from([None, 1e-8, 1e-16]))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_eigvalsh_and_keeps_ties(self, entries, exponent, spread):
+        X = np.reshape(entries, (2, 2))
+        if spread is not None:  # near a multiple of the identity: nearly equal eigenvalues
+            X = entries[0] * np.eye(2) + spread * X
+        assume(np.abs(X).max() > 0.0)
+        P = 10.0 ** exponent * (X / np.abs(X).max())  # largest entry 10**exponent
+        mu = contraction.matrix_measure(P)
+        ref = np.linalg.eigvalsh(0.5 * P + 0.5 * P.T)[-1]
+        assert abs(mu - ref) <= 8.0 * np.finfo(float).eps * np.abs(P).max()
+        # exact ties: the transpose, the basis order swapped, and every stack position
+        assert mu == contraction.matrix_measure(P.T) == contraction.matrix_measure(P[::-1, ::-1])
+        assert np.all(contraction.matrix_measure(np.broadcast_to(P, (37, 2, 2))) == mu)
+
+    def test_multiples_of_the_identity_exact(self):
+        for a in (-3.0, 0.1, 1e-300, 1.7e308, -0.0):
+            assert contraction.matrix_measure(a * np.eye(2)) == a
+
+    def test_no_overflow_below_the_largest_float(self):
+        # the symmetric part's 0.5 * (P + P^T) overflowed at these entries
+        P = np.array([[1e308, 1e308], [1e308, -1e308]])
+        assert contraction.matrix_measure(P) == pytest.approx(np.hypot(1e308, 1e308), rel=1e-15)
+        Q = np.array([[-1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        assert contraction.matrix_measure(Q) == 0.0
+
+
+class TestNoLapackOnTheCertifyPath:
+    """A certify on a space with m = 2 and d = 3 measures in closed form and
+    checks the group by cofactors, so a silent fallback to LAPACK fails here."""
+
+    def test_certify_calls_neither_eigvalsh_nor_det(self, sphere, euclid2, tmp_path,
+                                                    monkeypatch):
+        box = contraction.generator_box_samples(euclid2, [-1.0, -1.0], [1.0, 1.0], 300)
+        cases = [
+            (sphere, fields.sphere_height_gradient(sphere),
+             contraction.sphere_cap_grid(sphere, np.radians(60.0), 20, 16)),
+            (euclid2, fields.euclidean_linear(euclid2, [[-1.0, 0.5], [0.0, -2.0]]), box),
+            (euclid2, TestFixedBlocks._linear_table(euclid2, tmp_path / "table.csv"), box),
+        ]
+        for space, _, _ in cases:
+            space.alpha  # derived once, before the certify path runs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called on the certify path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        for space, F, samples in cases:
+            cert = contraction.certify_region(F, space, samples, c=0.0)
+            assert cert.samples_evaluated == len(samples)
+            assert np.all(np.isfinite(cert.measures))
+
+
 class TestCertifyRegion:
     def test_sphere_cap_contracting(self, sphere):
         F = fields.sphere_height_gradient(sphere)
@@ -245,6 +304,16 @@ class TestFindPeriod:
     def test_euclidean_has_none(self, euclid2):
         A = euclid2.algebra_from_coords([1.0, 0.0])
         assert contraction.find_period(euclid2, A) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("space_name", ["so3", "sphere", "circle", "euclid2"])
+    def test_non_finite_generator_refused(self, request, space_name, bad):
+        # NaN read as "never returns" and inf as a wrong period T = 0
+        space = request.getfixturevalue(space_name)
+        A = space.algebra_from_coords(np.ones(space.dim_m))
+        A[tuple(np.argwhere(A != 0.0)[0])] = bad
+        with pytest.raises(ValueError, match="generator must be finite"):
+            contraction.find_period(space, A)
 
     def test_scan_memory_bounded_in_dimension(self, traced_peak):
         # flat space has no closed-form period, so find_period answers None

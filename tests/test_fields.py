@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from homcontract import contraction, fields
+from homcontract import contraction, fields, spaces
 from homcontract.spaces import SO3_BASIS
 
 import oracles
@@ -433,6 +434,94 @@ class TestLinearizeBlocks:
             monkeypatch.setattr(fields, "_LINEARIZE_BLOCK", block)
             for case, want in zip(cases, whole):
                 assert np.array_equal(case(), want)
+
+
+SHIPPED = {
+    "sphere2": spaces.make_sphere2,
+    "so3": spaces.make_so3_biinvariant,
+    "so3-left:1,1,4": lambda: spaces.make_so3_left_invariant([1.0, 1.0, 4.0]),
+    "circle": spaces.make_circle,
+    "euclidean:2": lambda: spaces.make_euclidean(2),
+    "euclidean:3": lambda: spaces.make_euclidean(3),
+}
+
+
+def _stacked_linearization(F, space, g, step, richardson):
+    """The shifted stack and the linearization as one broadcast 3x3 product
+    per shifted element and an einsum for the connection term make them."""
+    m, d = space.dim_m, space.embed_dim
+    hs = np.array([step, step / 2.0] if richardson else [step])
+    E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
+                          * space.dec.m_basis)
+    moved = g[:, None, None, None] @ E
+    stack = np.concatenate([moved.reshape(len(g), -1, d, d), g[:, None]], axis=1)
+    c = F.coeff(stack, 0.0)
+    shifted = c[:, :-1].reshape(len(g), len(hs), 2, m, m)
+    D = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * hs[:, None, None])
+    D = (4.0 * D[:, 1] - D[:, 0]) / 3.0 if len(hs) == 2 else D[:, 0]
+    return stack, np.swapaxes(D, -1, -2) + np.einsum("ijk,...k->...ij", space.alpha, c[:, -1])
+
+
+class TestShiftAndConnectionGemm:
+    """The shifted elements of a block are one GEMM and its connection term
+    another; both give the bits of the stacked products and the einsum."""
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("name", list(SHIPPED))
+    def test_same_bits_as_stacked_products(self, name, richardson):
+        space = SHIPPED[name]()
+        m = space.dim_m
+        rng = np.random.default_rng(30)
+        # 300 elements: a whole block of 256 and a partial one
+        g = space.algebra_exp(space.algebra_from_coords(rng.uniform(-2.0, 2.0, (300, m))))
+        seen = []
+
+        def coeff(G, t):
+            seen.append(G.copy())
+            return G[..., 0, :m] + 2.0 * G[..., 1, :m] * G[..., -1, :m]
+
+        F = fields.HorizontalField("probe", space.name, coeff)
+        P = fields.linearize(F, space, g, richardson=richardson)
+        blocks = np.concatenate(seen)
+        stack, want = _stacked_linearization(F, space, g, fields._FD_STEP, richardson)
+        assert np.array_equal(blocks, stack)
+        assert np.array_equal(P, want)
+        single = fields.linearize(F, space, g[5], richardson=richardson)
+        assert np.array_equal(single, want[5])
+
+    @pytest.mark.parametrize("name", list(SHIPPED))
+    def test_connection_term_of_a_constant_field(self, name):
+        # central differences of a constant are exactly 0, so P is the term alone
+        space = SHIPPED[name]()
+        rng = np.random.default_rng(31)
+        u = rng.normal(size=space.dim_m)
+        g = space.algebra_exp(space.algebra_from_coords(rng.uniform(-1.0, 1.0,
+                                                                    (40, space.dim_m))))
+        P = fields.linearize(fields.constant_field(space, u), space, g)
+        assert np.array_equal(P, np.broadcast_to(np.einsum("ijk,k->ij", space.alpha, u), P.shape))
+
+    def test_sphere_height_frames_keep_their_bits(self, sphere):
+        # the frames R t_i as one GEMM give the broadcast einsums' coefficients,
+        # signed zeros included, on the cap grid, its shifted stack and
+        # signed permutation matrices holding -0.0
+        o = sphere.base_point
+        tangents = sphere.dec.m_basis @ o
+
+        def einsums(R):
+            p = R @ o
+            grad = o - (p @ o)[..., None] * p
+            return np.einsum("...ia,...a->...i", np.einsum("...ab,ib->...ia", R, tangents), grad)
+
+        perms = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(3))
+                          for s in itertools.product([1.0, -1.0], repeat=3)])
+        cap = contraction.sphere_cap_grid(sphere, np.radians(90.0), 16, 16)
+        stack, _ = _stacked_linearization(fields.constant_field(sphere, [0.0, 0.0]), sphere,
+                                          cap, fields._FD_STEP, True)
+        coeff = fields.sphere_height_gradient(sphere).coeff
+        for R in (cap, stack, perms, np.where(perms == 0.0, -0.0, perms), np.eye(3)):
+            want, got = einsums(R), coeff(R, 0.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTabulatedStack:

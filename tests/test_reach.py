@@ -280,6 +280,14 @@ class TestMonteCarloContainment:
 
 
 class TestCsv:
+    def test_consumed_trajectory_refused(self, so3, tmp_path):
+        F = fields.constant_field(so3, [0.2, 0.0, -0.1])
+        traj = reach.integrate(F, so3, np.eye(3), 0.3, 0.1, consume=lambda lo, chunk: None)
+        assert traj.states is None
+        with pytest.raises(ValueError, match="trajectory holds no states"):
+            reach.trajectory_to_csv(so3, traj, tmp_path / "traj.csv")
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_trajectory_round_trip_columns(self, so3, tmp_path):
         F = fields.constant_field(so3, [0.2, 0.0, -0.1])
         traj = reach.integrate(F, so3, np.eye(3), 0.3, 0.1)

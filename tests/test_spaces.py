@@ -149,6 +149,48 @@ class TestStackedCheckGroup:
             euclid2.check_group(G)
 
 
+class TestCofactorDeterminant:
+    """A 3x3 group check takes its determinant by cofactors, not LU."""
+
+    def test_agrees_with_lapack(self):
+        rng = np.random.default_rng(30)
+        eps = np.finfo(float).eps
+        G = rng.normal(size=(2000, 3, 3))
+        hadamard = np.prod(np.linalg.norm(G, axis=-1), axis=-1)  # bounds |det G|
+        assert np.all(np.abs(spaces._det(G) - np.linalg.det(G)) <= 16.0 * eps * hadamard)
+        G2 = rng.normal(size=(50, 2, 2))  # other sizes keep LU
+        assert np.array_equal(spaces._det(G2), np.linalg.det(G2))
+
+    def test_exact_to_rounding_at_any_scale(self):
+        # np.linalg.det returns sign * exp(log|det|), which loses up to 1e-13
+        # relative where |det| is near 1e-300; the cofactors lose no more than
+        # a few units in the last place of the rational determinant
+        from fractions import Fraction
+
+        rng = np.random.default_rng(32)
+        eps = np.finfo(float).eps
+        for scale in (1e-100, 1.0, 1e100):
+            for g in scale * rng.normal(size=(20, 3, 3)):
+                (a, b, c), (d, e, f), (p, q, r) = [[Fraction(float(x)) for x in row] for row in g]
+                exact = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+                hadamard = np.prod(np.linalg.norm(g, axis=-1))
+                assert abs(float(spaces._det(g)) - float(exact)) <= 4.0 * eps * hadamard
+
+    def test_same_verdicts_near_the_tolerance(self, so3):
+        # rotations perturbed by 1e-9 to 1e-7: some pass the 1e-8 check, some fail,
+        # and each gets the verdict of the LU determinant
+        rng = np.random.default_rng(31)
+        R = so3.algebra_exp(so3.algebra_from_coords(rng.uniform(-3.0, 3.0, (4000, 3))))
+        G = R + 10.0 ** rng.uniform(-9.0, -7.0, (4000, 1, 1)) * rng.uniform(-1.0, 1.0,
+                                                                             (4000, 3, 3))
+        gtg = np.abs(np.swapaxes(G, -1, -2) @ G - np.eye(3)).max(axis=(-2, -1))
+        lu = np.maximum(gtg, np.abs(np.linalg.det(G) - 1.0))
+        err = so3.group_errors(G)
+        assert np.abs(err - lu).max() <= 1e-15
+        assert 0.1 < np.mean(lu <= spaces._GROUP_TOL) < 0.9
+        assert np.array_equal(err <= spaces._GROUP_TOL, lu <= spaces._GROUP_TOL)
+
+
 BUILTINS = {
     "sphere": spaces.make_sphere2,
     "so3": spaces.make_so3_biinvariant,

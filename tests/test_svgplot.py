@@ -214,3 +214,41 @@ class TestAlwaysThinned:
         keep = svgplot._m4_keep(px, py)
         assert len(keep) < len(x)
         assert got == svgplot._points(px[keep], py[keep])
+
+
+class TestUnplottable:
+    """An empty or non-finite series is refused by name, before the file is opened."""
+
+    def test_non_finite_series_named(self, tmp_path):
+        x = np.arange(5.0)
+        y = np.ones(5)
+        y[3] = np.nan
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="series 'mu' has a non-finite value nan at index 3"):
+            svgplot.line_plot(path, x, [("radius", np.ones(5)), ("mu", y)])
+        with pytest.raises(ValueError, match="series 1 has a non-finite value inf at index 0"):
+            svgplot.line_plot(path, x, [("radius", np.ones(5)), ("", np.r_[np.inf, y[:4]])])
+        with pytest.raises(ValueError, match="x has a non-finite value -inf at index 4"):
+            svgplot.line_plot(path, np.r_[x[:4], -np.inf], [("mu", np.ones(5))])
+        assert not path.exists()
+
+    def test_empty_series_named(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="series 'mu' is empty"):
+            svgplot.line_plot(path, [], [("mu", [])])
+        with pytest.raises(ValueError, match="no series to plot"):
+            svgplot.line_plot(path, np.arange(3.0), [])
+        assert not path.exists()
+
+    def test_heatmap_refusals(self, tmp_path):
+        path = tmp_path / "heat.svg"
+        Z = np.zeros((3, 4))
+        Z[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"heatmap 'mu' has a non-finite value nan "
+                                             r"at index \(1, 2\)"):
+            svgplot.heatmap(path, Z, title="mu")
+        with pytest.raises(ValueError, match="heatmap is empty"):
+            svgplot.heatmap(path, np.zeros((0, 4)))
+        with pytest.raises(ValueError, match=r"heatmap needs a 2-D array, got shape \(4,\)"):
+            svgplot.heatmap(path, np.zeros(4))
+        assert not path.exists()

@@ -107,7 +107,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _certify(space, args, step: float):
+def _certify(space, args):
     """Certify ``args.field`` on ``space`` over ``args.region`` at rate ``args.c``.
 
     The region, ``cap:DEG:NT:NP`` (sphere only, NT >= 2, NP >= 3, 0 < DEG <= 180) or
@@ -143,13 +143,12 @@ def _certify(space, args, step: float):
         raise ValueError(f"region {region!r}: its samples overflow {space.name}'s exponential")
     samples.flags.writeable = False  # certify_region keeps it rather than a copy
     F = _resolve_field(space, args.field)
-    return F, contraction.certify_region(F, space, samples, args.c, region=region,
-                                         step=step), grid
+    return F, contraction.certify_region(F, space, samples, args.c, region=region), grid
 
 
 def cmd_certify(args) -> int:
     space = _resolve_space(args.space)
-    _, cert, grid = _certify(space, args, args.fd_step)
+    _, cert, grid = _certify(space, args)
     out = _write_result(args, "certificate.json", cert.to_dict())
     if grid:
         svgplot.heatmap(
@@ -211,7 +210,7 @@ def cmd_reach(args) -> int:
         raise ValueError(f"--horizon {args.horizon:g} is not a multiple of --dt {args.dt:g}")
     space = _resolve_space(args.space)
     reach._require_distance(space)
-    F, cert, _ = _certify(space, args, fields._FD_STEP)
+    F, cert, _ = _certify(space, args)
     if not cert.passed:
         print(f"certificate FAIL (mu_max={cert.mu_max:.6g} > c={args.c:g})", file=sys.stderr)
         return 2
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--region", required=True, help="cap:DEG:NT:NP or box:LO:HI:N")
     pr.add_argument("--c", type=real, required=True)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fd-step", type=positive, default=fields._FD_STEP)
     pr.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("loop-check", help="loop obstruction along a periodic subgroup")

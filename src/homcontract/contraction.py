@@ -106,7 +106,8 @@ def certify_region(F: HorizontalField, space: Space, samples,
     owns its data, as the CLI passes its regions: the certificate keeps that
     array itself.  It is checked as one stack, then linearized and measured a
     block of ``fields._LINEARIZE_BLOCK`` samples at a time, so the memory
-    beyond the N samples and their N measures is fixed.
+    beyond the N samples and their N measures is fixed.  ``step`` is the
+    central-difference step of a field without a ``jacobian``.
     Deterministic: ties at the maximum resolve to the lowest sample index.
     """
     frozen = (isinstance(samples, np.ndarray) and samples.dtype == np.float64

@@ -1,11 +1,13 @@
 """Vector fields as horizontal-lift coefficient maps on the group.
 
 A field is specified by a coefficient function g -> R^m giving the
-components in the left-invariant frame of the m-basis.  Frame-direction
-derivatives are taken by central differences along g exp(t A_j), with an
-optional Richardson step, and assemble into the m x m linearization used
-by the matrix-measure machinery.  Group elements may be stacked
-(..., d, d); a stack is linearized in fixed blocks of elements, with one
+components in the left-invariant frame of the m-basis.  Its frame
+derivatives along g exp(t A_j) assemble into the m x m linearization used
+by the matrix-measure machinery.  Every built-in field, and a table, gives
+them in closed form through its ``jacobian``; central differences, with an
+optional Richardson step, are the fallback for coefficient-only fields
+that library callers supply.  Group elements may be stacked (..., d, d); a
+stack is linearized in fixed blocks of elements, with one Jacobian or
 coefficient call per block.
 """
 
@@ -21,7 +23,9 @@ import numpy as np
 from .spaces import _GROUP_TOL, Space
 
 _COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
-_FD_STEP = 1e-5  # default central-difference step of linearize, certify and reach
+# Default central-difference step of ``linearize`` and ``certify_region``,
+# used only for a field without a ``jacobian``: no built-in field is differenced.
+_FD_STEP = 1e-5
 # Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
 _FIT_CHUNK = 256
 # Elements per block of a stacked linearization: one fit chunk, so a
@@ -49,18 +53,19 @@ class HorizontalField:
     row.  It verifies the declaration at each block's first time and
     raises ValueError where the stack's coefficients differ.
 
-    ``gradient``, when given, maps (g, t) to the pair (c, grad): c of shape
-    (..., m) as ``coeff`` returns it, and grad of shape (..., m, d, d),
-    entry i the derivative of coefficient i with respect to the ambient
-    entries of g.  ``linearize`` then reads the frame derivatives from it
-    instead of taking finite differences.
+    ``jacobian``, when given, maps (g, t), g a stack (n, d, d), to the pair
+    (c, D): c of shape (n, m), the coefficients as ``coeff`` gives them to
+    rounding, and D of shape (n, m, m), D[:, i, j] the derivative of c_i
+    along g exp(s A_j) at s = 0, A_j the m-basis of the field's space.
+    ``linearize`` then reads the frame derivatives from it instead of
+    taking finite differences.
     """
 
     name: str
     space_name: str
     coeff: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     state_independent: bool = False
-    gradient: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
+    jacobian: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _checked(F: HorizontalField, g: np.ndarray, t, what: str, out, tail,
@@ -134,28 +139,28 @@ def _differenced(F: HorizontalField, space: Space, g: np.ndarray, t: float, hs: 
     return np.swapaxes(D, -1, -2), c[:, -1]
 
 
-def _from_gradient(F: HorizontalField, space: Space, g: np.ndarray, t: float,
+def _from_jacobian(F: HorizontalField, space: Space, g: np.ndarray, t: float,
                    origin: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Frame derivatives <grad_i, g A_j> (n, m, m) and coefficients (n, m) at g
-    (n, d, d), from one call of F's ``gradient``, checked as in ``_checked``."""
-    m, d = space.dim_m, space.embed_dim
-    c, grad = F.gradient(g, t)
+    """Frame derivatives (n, m, m) and coefficients (n, m) at g (n, d, d),
+    from one call of F's ``jacobian``, checked as in ``_checked``."""
+    m = space.dim_m
+    c, D = F.jacobian(g, t)
     c = _checked(F, g, t, "coefficient", c, (m,), origin)
-    grad = _checked(F, g, t, "gradient", grad, (m, d, d), origin)
-    return np.einsum("...iab,...jab->...ij", grad, g[..., None, :, :] @ space.dec.m_basis), c
+    return _checked(F, g, t, "Jacobian", D, (m, m), origin), c
 
 
 def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
                        step: float = _FD_STEP, richardson: bool = False):
     """(lo, P) for each block of ``_LINEARIZE_BLOCK`` elements of the stack g
     flattened: P the (n, m, m) linearization of elements lo, ..., lo + n - 1,
-    from one stacked coefficient (or gradient) call.  A non-finite
-    coefficient or gradient is named by its index in the whole stack."""
+    from one Jacobian call, or for a field without one one stacked
+    coefficient call at the shifted elements.  A non-finite coefficient or
+    Jacobian is named by its index in the whole stack."""
     g = np.asarray(g, dtype=float)
     batch = g.shape[:-2]
     m, d = space.dim_m, space.embed_dim
     flat = g.reshape((-1,) + g.shape[-2:])
-    if F.gradient is None:
+    if F.jacobian is None:
         hs = np.array([step, step / 2.0] if richardson else [step])
         E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
                               * space.dec.m_basis)
@@ -164,10 +169,10 @@ def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
     conn = space.alpha.reshape(m * m, m).T
     for lo in range(0, len(flat), _LINEARIZE_BLOCK):
         block = flat[lo:lo + _LINEARIZE_BLOCK]
-        if F.gradient is None:
+        if F.jacobian is None:
             D, c = _differenced(F, space, block, t, hs, shifts, (lo, batch))
         else:
-            D, c = _from_gradient(F, space, block, t, (lo, batch))
+            D, c = _from_jacobian(F, space, block, t, (lo, batch))
         yield lo, D + (c @ conn).reshape(D.shape)
 
 
@@ -182,11 +187,12 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
     grow with the stack.  Column j is the frame derivative of the
     coefficients along g exp(s A_j), A_j the m-basis of ``space``, plus the
     connection correction sum_k coeff_k alpha[:, j, k].  A field with a
-    ``gradient`` gives the frame derivative as <grad_i, g A_j> from one call
-    per block, whose shapes and finiteness are checked as ``eval_coeff``
-    checks coefficients; ``step`` and ``richardson`` then do not apply.
-    Any other field takes central differences of step ``step``, and with
-    ``richardson`` halves the step once and extrapolates.
+    ``jacobian`` (every built-in field and every table) gives the frame
+    derivative from one call per block, whose shapes and finiteness are
+    checked as ``eval_coeff`` checks coefficients; ``step`` and
+    ``richardson`` then do not apply.  Any other field takes central
+    differences of step ``step``, and with ``richardson`` halves the step
+    once and extrapolates.
     """
     g = np.asarray(g, dtype=float)
     m = space.dim_m
@@ -231,11 +237,26 @@ def coset_consistency_check(F: HorizontalField, space: Space, g, h_samples=None)
 # Built-in demo fields
 
 
+def _zero_jacobian(coeff, m: int):
+    """The ``jacobian`` of coefficients that do not change along the group: D = 0."""
+    return lambda g, t: (coeff(g, t), np.zeros(g.shape[:-2] + (m, m)))
+
+
 def sphere_height_gradient(space: Space) -> HorizontalField:
-    """Gradient ascent of the height function p -> o . p on the sphere."""
+    """Gradient ascent of the height function p -> o . p on the sphere.
+
+    Its coefficients are c_i = q . t_i, with q = R^T o and t_i = A_i o: the
+    gradient's other term, (p . o) p, is normal to every frame R t_i.  Along
+    R exp(s A_j), q turns at rate -A_j q, so the Jacobian is
+    D_ij = q . (A_j t_i).  Both are linear in the entries of R, and
+    ``jacobian`` reads them from R with one (n, 9) x (9, m + m^2) GEMM.
+    """
     o = space.base_point
     tangents = space.dec.m_basis @ o  # (m, 3)
     m = len(tangents)
+    # rows w = t_i, then A_j t_i; W[(a, b), w] = o_a w_b, so R.ravel() @ W = R^T o . w
+    K = np.einsum("jab,ib->ija", space.dec.m_basis, tangents).reshape(m * m, 3)
+    W = (o[:, None, None] * np.concatenate([tangents, K]).T).reshape(9, m + m * m)
 
     def coeff(R, t):
         # R o is one GEMV and the frames R t_i one GEMM over the stack's rows.
@@ -248,7 +269,11 @@ def sphere_height_gradient(space: Space) -> HorizontalField:
         frames = np.ascontiguousarray((rows @ tangents.T).reshape(-1, 3, m).swapaxes(1, 2))
         return np.einsum("nia,na->ni", frames, grad).reshape(R.shape[:-2] + (m,))
 
-    return HorizontalField("sphere-grad-height", space.name, coeff)
+    def jacobian(R, t):
+        cD = R.reshape(-1, 9) @ W
+        return cD[:, :m].reshape(R.shape[:-2] + (m,)), cD[:, m:].reshape(R.shape[:-2] + (m, m))
+
+    return HorizontalField("sphere-grad-height", space.name, coeff, jacobian=jacobian)
 
 
 def sphere_nonequivariant(space: Space) -> HorizontalField:
@@ -262,7 +287,14 @@ def sphere_nonequivariant(space: Space) -> HorizontalField:
         c[..., 0] = R[..., 0, 2]
         return c
 
-    return HorizontalField("sphere-noneq", space.name, coeff)
+    cols = space.dec.m_basis[:, :, 2].T  # column j: A_j's last column
+
+    def jacobian(R, t):  # d c_0 along A_j is (R A_j)_02; c_1 = 0
+        D = np.zeros(R.shape[:-2] + (space.dim_m, space.dim_m))
+        D[..., 0, :] = R[..., 0, :] @ cols
+        return coeff(R, t), D
+
+    return HorizontalField("sphere-noneq", space.name, coeff, jacobian=jacobian)
 
 
 def constant_field(space: Space, u) -> HorizontalField:
@@ -279,7 +311,8 @@ def constant_field(space: Space, u) -> HorizontalField:
         return out
 
     label = ",".join(repr(float(x)) for x in u)
-    return HorizontalField(f"constant[{label}]", space.name, coeff, state_independent=True)
+    return HorizontalField(f"constant[{label}]", space.name, coeff, state_independent=True,
+                           jacobian=_zero_jacobian(coeff, len(u)))
 
 
 def so3_demo_schedule(space: Space) -> HorizontalField:
@@ -295,7 +328,8 @@ def so3_demo_schedule(space: Space) -> HorizontalField:
         out[...] = u
         return out
 
-    return HorizontalField("so3-demo-schedule", space.name, coeff, state_independent=True)
+    return HorizontalField("so3-demo-schedule", space.name, coeff, state_independent=True,
+                           jacobian=_zero_jacobian(coeff, 3))
 
 
 def euclidean_linear(space: Space, M) -> HorizontalField:
@@ -304,6 +338,8 @@ def euclidean_linear(space: Space, M) -> HorizontalField:
     The coefficients are the frame coordinates of M x: the frame vector g A_j
     is A_j's translation column b_j, so c = B^-1 M x with B = [b_1 ... b_n],
     and the field is the same on every m-basis (B = I on ``euclidean:n``).
+    Moving x along b_j moves c by B^-1 M b_j, so the Jacobian is the
+    constant B^-1 M B.
     """
     M = np.asarray(M, dtype=float)
     n = space.embed_dim - 1
@@ -316,11 +352,15 @@ def euclidean_linear(space: Space, M) -> HorizontalField:
         raise ValueError(f"euclidean-linear needs an m-basis of {n} translations, "
                          f"{space.name} has {B.shape[1]}")
     T = np.linalg.solve(B, M).T
+    J = T.T @ B
 
     def coeff(g, t):
         return g[..., :n, n] @ T
 
-    return HorizontalField("euclidean-linear", space.name, coeff)
+    def jacobian(g, t):
+        return coeff(g, t), np.broadcast_to(J, g.shape[:-2] + J.shape)
+
+    return HorizontalField("euclidean-linear", space.name, coeff, jacobian=jacobian)
 
 
 def circle_sine(space: Space) -> HorizontalField:
@@ -329,7 +369,12 @@ def circle_sine(space: Space) -> HorizontalField:
     def coeff(R, t):
         return R[..., 1:2, 0]
 
-    return HorizontalField("circle-sin", space.name, coeff)
+    cols = space.dec.m_basis[:, :, 0].T  # column j: A_j's first column
+
+    def jacobian(R, t):  # d c_0 along A_j is (R A_j)_10
+        return coeff(R, t), (R[..., 1, :] @ cols)[..., None, :]
+
+    return HorizontalField("circle-sin", space.name, coeff, jacobian=jacobian)
 
 
 # A fit searches its table by brute force while the queries it has searched,
@@ -532,9 +577,10 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     the space's group constraint), raises ValueError naming the file and
     the first bad line.  A query is fitted local-linearly, by
     least squares, on its d^2 + 1 nearest table points.  ``coeff`` is the
-    fit's intercept, or the tabulated value on an exact hit; ``gradient``
-    is the same intercept with the fit's slope, so ``linearize`` takes one
-    neighbour search and one fit per element and no finite differences.
+    fit's intercept, or the tabulated value on an exact hit; ``jacobian``
+    is the same intercept with the fit's slope contracted with the frames
+    g A_j, so ``linearize`` takes one neighbour search and one fit per
+    element and no finite differences.
     Queries may be stacked (..., d, d) and are fitted in batches.  While
     the queries searched so far, this call's included, times table rows
     stay at most ``_BRUTE_MAX_PAIRS`` (the 1,024 queries of a 1,024-sample
@@ -559,12 +605,13 @@ def tabulated_field(space: Space, path) -> HorizontalField:
     def coeff(g, t):
         return fit(g.reshape(-1, d * d))[0].reshape(g.shape[:-2] + (m,))
 
-    def gradient(g, t):
+    def jacobian(g, t):
         c, slope = fit(g.reshape(-1, d * d))
+        grad = np.swapaxes(slope, -1, -2).reshape(g.shape[:-2] + (m, d, d))
         return (c.reshape(g.shape[:-2] + (m,)),
-                np.swapaxes(slope, -1, -2).reshape(g.shape[:-2] + (m, d, d)))
+                np.einsum("...iab,...jab->...ij", grad, g[..., None, :, :] @ space.dec.m_basis))
 
-    return HorizontalField(f"tabulated[{path}]", space.name, coeff, gradient=gradient)
+    return HorizontalField(f"tabulated[{path}]", space.name, coeff, jacobian=jacobian)
 
 
 def _read_numbers(text: str, count: int, refusal: str, finite: bool = False) -> list[float]:

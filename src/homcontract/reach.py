@@ -242,8 +242,9 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
 
     Requires a PASS certificate (at any rate c) for this field on this
     space, a space with a shipped distance, ``n_samples >= 1``, a positive,
-    finite ``r0`` and a step and horizon ``integrate`` takes, and raises
-    before any integration otherwise.  The ball of ``n_samples`` (drawn
+    finite ``r0``, a step and horizon ``integrate`` takes and a radius
+    K e^{ct} r0 that stays finite up to the horizon, and raises before any
+    integration otherwise.  The ball of ``n_samples`` (drawn
     with ``seed``) is integrated with the center in one stack [g0; ball],
     never stored: each chunk of steps is reduced to the center (T+1, d, d)
     and the extremes of the ball's distances to it, so the memory kept is
@@ -262,6 +263,12 @@ def reach_tube(F: HorizontalField, space: Space, g0, r0: float,
     if not 0.0 < r0 < np.inf:
         raise ValueError(f"ball radius must be positive and finite, got r0={r0}")
     n_times = _step_count(horizon, dt) + 1
+    t_end = dt * (n_times - 1)  # the center's last time
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        top = np.exp(certificate.rate_c * t_end) * r0  # the largest radius (K = 1) if c > 0
+    if not np.isfinite(top):
+        raise ValueError(f"the tube radius K e^(ct) r0 overflows by t={t_end:g} "
+                         f"(c={certificate.rate_c:g}, r0={r0:g}): lower c, the horizon or r0")
     g0 = np.asarray(g0, dtype=float)
     ball = sample_metric_ball(space, g0, r0, n_samples, seed)
     center = np.empty((n_times,) + g0.shape)

@@ -13,9 +13,11 @@ _ML, _MR, _MT, _MB = 60, 20, 30, 45
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 _PLOT_W = _W - _ML - _MR  # pixel columns of the plot area
 # Heatmap cells formatted per block: a block's format string, its text and
-# its tuple of 4,096 numbers each stay under 128 KiB, glibc's default mmap
+# its tuple of 4,096 strings each stay under 128 KiB, glibc's default mmap
 # threshold, so every block reuses the same heap memory.
 _HEAT_CELLS = 1024
+# The text of a colour channel 0..255, as "%d" formats it.
+_CHANNELS = np.array([str(i) for i in range(256)], dtype=object)
 
 
 def _require_plottable(what: str, values: np.ndarray) -> None:
@@ -124,11 +126,13 @@ def line_plot(path, x, series, title="", xlabel="t", ylabel="value") -> None:
 def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
     """Write a grid heatmap of the 2-D array Z (blue = low, red = high).
 
+    The nx x and ny y coordinates are formatted once each (``%.2f``), and
+    the colour channels truncated to integers and read from ``_CHANNELS``.
     The cells are written a block of rows at a time, ``_HEAT_CELLS`` cells
-    or one row if that is more: the block's x, y, red and blue are stacked
-    into one (cells, 4) array and formatted in one pass, as :func:`_points`
-    formats a polyline.  A Z that is not 2-D, is empty or has a non-finite
-    cell raises ValueError naming the heatmap by its title.
+    or one row if that is more: the block's x, y, red and blue strings are
+    stacked into one (cells, 4) array and copied into the text in one pass.
+    A Z that is not 2-D, is empty or has a non-finite cell raises
+    ValueError naming the heatmap by its title.
     """
     Z = np.asarray(Z, dtype=float)
     what = f"heatmap {title!r}" if title else "heatmap"
@@ -140,17 +144,20 @@ def heatmap(path, Z, title="", xlabel="", ylabel="") -> None:
     ny, nx = Z.shape
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
-    xs = _ML + np.arange(nx) * cw
-    ys = (_H - _MB - (np.arange(ny) + 1) * ch)[:, None]
+    xs = np.array(["%.2f" % x for x in (_ML + np.arange(nx) * cw).tolist()], dtype=object)
+    ys = np.array(["%.2f" % y for y in (_H - _MB - (np.arange(ny) + 1) * ch).tolist()],
+                  dtype=object)[:, None]
     rows = max(1, _HEAT_CELLS // nx)
-    # %d truncates a float as int() does
-    rect = (f'\n<rect x="%.2f" y="%.2f" width="{cw:.2f}" height="{ch:.2f}" '
-            'fill="rgb(%d,60,%d)"/>')
+    rect = (f'\n<rect x="%s" y="%s" width="{cw:.2f}" height="{ch:.2f}" '
+            'fill="rgb(%s,60,%s)"/>')
     with open(path, "w") as fh:
         fh.write("\n".join(_frame(title, xlabel, ylabel, 0, nx, 0, ny)))
         for r in range(0, ny, rows):
-            f = (Z[r:r + rows] - lo) / span
-            cells = np.stack(np.broadcast_arrays(xs, ys[r:r + rows], 255 * f, 255 * (1 - f)),
+            f = (Z[r:r + rows] - lo) / span  # in [0, 1], so each channel in [0, 255]
+            # astype(int) truncates as %d and int() do
+            cells = np.stack(np.broadcast_arrays(xs, ys[r:r + rows],
+                                                 _CHANNELS[(255 * f).astype(int)],
+                                                 _CHANNELS[(255 * (1 - f)).astype(int)]),
                              axis=-1)
             fh.write(rect * f.size % tuple(cells.ravel().tolist()))
         fh.write(f'\n<text x="{_W - _MR}" y="{_MT - 8}" text-anchor="end" font-size="10">'

@@ -59,24 +59,24 @@ def rotate_basis(space: Space, Q) -> Space:
 def rotate_field(F: HorizontalField, Q) -> HorizontalField:
     """Coefficients of the same field in a Q-rotated orthonormal m-basis.
 
-    A ``gradient`` rotates with them: grad'_j = sum_i grad_i Q_ij.
+    A ``jacobian`` rotates with them: c' = c Q and D' = Q^T D Q, since the
+    rotated frame's direction j is sum_k Q_kj A_k.
     """
     Q = np.asarray(Q, dtype=float)
 
     def coeff(g, t):
         return np.asarray(F.coeff(g, t), dtype=float) @ Q
 
-    def gradient(g, t):
-        c, grad = F.gradient(g, t)
-        return (np.asarray(c, dtype=float) @ Q,
-                np.einsum("...iab,ij->...jab", np.asarray(grad, dtype=float), Q))
+    def jacobian(g, t):
+        c, D = F.jacobian(g, t)
+        return np.asarray(c, dtype=float) @ Q, Q.T @ np.asarray(D, dtype=float) @ Q
 
     return HorizontalField(
         name=F.name + "@rot",
         space_name=F.space_name,
         coeff=coeff,
         state_independent=F.state_independent,
-        gradient=None if F.gradient is None else gradient,
+        jacobian=None if F.jacobian is None else jacobian,
     )
 
 
@@ -95,8 +95,8 @@ def basis_independence_check(F: HorizontalField, space: Space, g,
                              trials: int = 10) -> BasisIndependenceReport:
     """Recompute the measure in random orthonormal bases of m.
 
-    The measure is basis independent; the reported deviation is dominated
-    by finite differencing.
+    The measure is basis independent; the reported deviation is rounding,
+    or for a field without a ``jacobian`` finite differencing.
     """
     rng = np.random.default_rng(_BASIS_SEED)
     m = space.dim_m

@@ -275,6 +275,16 @@ class TestReach:
         assert code == 2
         assert "FAIL" in capsys.readouterr().err
 
+    def test_overflowing_radius_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # e^(1000 * 5) overflows: one message and no file, nothing integrated
+        monkeypatch.setattr(reach, "integrate", None)  # a call would raise TypeError
+        code = run(tmp_path, "reach", "--space", "so3", "--field", "so3-demo-schedule",
+                   "--c", "1000", "--horizon", "5")
+        assert code == 1
+        assert capsys.readouterr().err == ("error: the tube radius K e^(ct) r0 overflows by "
+                                           "t=5 (c=1000, r0=0.1): lower c, the horizon or r0\n")
+        assert not list(tmp_path.iterdir())
+
     def test_one_scheme_and_no_method_option(self, tmp_path, capsys):
         argv = ["reach", "--space", "so3", "--field", "so3-demo-schedule", "--region",
                 "box:-2:2:16", "--horizon", "0.05", "--dt", "0.01", "--samples", "3"]
@@ -384,7 +394,8 @@ class TestBadNumbers:
         (REACH + ("--c", "inf"), "argument --c: must be finite, got 'inf'"),
         (LOOP + ("--c", "nan"), "argument --c: must be finite, got 'nan'"),
         (CERTIFY + ("--c", "inf"), "argument --c: must be finite, got 'inf'"),
-        (CERTIFY + ("--c", "0", "--fd-step", "0"), "argument --fd-step: must be positive, got '0'"),
+        (CERTIFY + ("--c", "0", "--fd-step", "1e-5"),
+         "error: unrecognized arguments: --fd-step 1e-5"),
     ])
     def test_rejected_by_the_parser(self, tmp_path, capsys, argv, needle):
         assert run(tmp_path, *argv) == 1

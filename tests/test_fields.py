@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import re
 
 import numpy as np
@@ -752,7 +753,7 @@ class TestTableLinearization:
         assert evals == [] and sum(queries) == 1024  # one search per sample, not 2m + 1
         hit = G[137]  # an exact table point keeps its row and takes the fit's slope
         assert np.max(np.abs(fields.linearize(F, euclid2, hit) - self.M)) < 1e-12
-        c, _ = F.gradient(hit, 0.0)
+        c, _ = F.jacobian(hit, 0.0)
         assert np.array_equal(c, self.M @ hit[:2, 2])
 
     def test_curved_table_matches_analytic_jacobian(self, euclid2, tmp_path):
@@ -786,7 +787,7 @@ class TestTableLinearization:
             Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((m, m)))
             S = contraction.generator_box_samples(space, [-0.8] * m, [0.8] * m, 64)
             rotated = oracles.rotate_field(F, Q)
-            assert rotated.gradient is not None
+            assert rotated.jacobian is not None
             P = fields.linearize(F, space, S)
             P_rot = fields.linearize(rotated, rotate_basis(space, Q), S)
             assert np.max(np.abs(P_rot - Q.T @ P @ Q)) < 1e-12
@@ -794,46 +795,153 @@ class TestTableLinearization:
     def test_one_row_table_has_zero_slope(self, euclid2, tmp_path):
         F = fields.tabulated_field(euclid2, _write_table(
             tmp_path / "one.csv", _translations(np.array([[0.2, 0.3]])), np.array([[1.0, -1.0]])))
-        c, grad = F.gradient(_translations(np.array([[0.5, -0.5], [0.0, 0.0]])), 0.0)
+        c, D = F.jacobian(_translations(np.array([[0.5, -0.5], [0.0, 0.0]])), 0.0)
         assert np.array_equal(c, [[1.0, -1.0], [1.0, -1.0]])
-        assert grad.shape == (2, 2, 3, 3) and not grad.any()
+        assert D.shape == (2, 2, 2) and not D.any()
 
 
 class TestGradientField:
-    """A field that supplies ``gradient`` is linearized from it."""
+    """A field that supplies its ``jacobian`` (here from the gradient of one
+    entry of g) is linearized from it."""
 
     @staticmethod
-    def _entry(so3, bad=None, grad_shape=None):
-        # c = (g_22, 0, 0), so grad_0 is the unit matrix at (2, 2); with
-        # ``bad``, grad_1 is NaN at the elements whose g_22 is ``bad``
+    def _entry(so3, bad=None, jac_shape=None):
+        # c = (g_22, 0, 0): its gradient is the unit matrix at (2, 2), so
+        # D_0j = <unit, g A_j> = (g A_j)_22; with ``bad``, D_10 is NaN at the
+        # elements whose g_22 is ``bad``
         def coeff(g, t):
             c = np.zeros(g.shape[:-2] + (3,))
             c[..., 0] = g[..., 2, 2]
             return c
 
-        def gradient(g, t):
-            grad = np.zeros(g.shape[:-2] + (3, 3, 3))
-            grad[..., 0, 2, 2] = 1.0
+        def jacobian(g, t):
+            D = np.zeros(g.shape[:-2] + (3, 3))
+            D[..., 0, :] = g[..., 2, :] @ SO3_BASIS[:, :, 2].T
             if bad is not None:
-                grad[g[..., 2, 2] == bad, 1, 0, 0] = np.nan
-            return coeff(g, t), grad.reshape(grad_shape or grad.shape)
+                D[g[..., 2, 2] == bad, 1, 0] = np.nan
+            return coeff(g, t), D.reshape(jac_shape or D.shape)
 
-        return fields.HorizontalField("entry", so3.name, coeff, gradient=gradient)
+        return fields.HorizontalField("entry", so3.name, coeff, jacobian=jacobian)
 
     def test_matches_central_differences(self, so3):
         G = np.stack([expm(0.4 * AX + 0.2 * AY), expm(-1.1 * AZ), np.eye(3)])
         F = self._entry(so3)
-        fd = fields.linearize(dataclasses.replace(F, gradient=None), so3, G)
+        fd = fields.linearize(dataclasses.replace(F, jacobian=None), so3, G)
         assert np.max(np.abs(fields.linearize(F, so3, G) - fd)) < 1e-9
 
     def test_nonfinite_gradient_names_its_index(self, so3):
         G = np.broadcast_to(np.eye(3), (4, 5, 3, 3)).copy()
         G[2, 3] = G[3, 1] = np.diag([-1.0, 1.0, -1.0])
-        with pytest.raises(ValueError, match=r"entry: non-finite gradients at t=0\.0 at stack "
+        with pytest.raises(ValueError, match=r"entry: non-finite Jacobians at t=0\.0 at stack "
                                              r"index \(2, 3\) of \(4, 5\)"):
             fields.linearize(self._entry(so3, bad=-1.0), so3, G)
 
     def test_wrong_gradient_shape_rejected(self, so3):
-        with pytest.raises(ValueError, match=r"gradient shape \(4, 27\), expected \(4, 3, 3, 3\)"):
-            fields.linearize(self._entry(so3, grad_shape=(4, 27)), so3,
+        with pytest.raises(ValueError, match=r"Jacobian shape \(4, 9\), expected \(4, 3, 3\)"):
+            fields.linearize(self._entry(so3, jac_shape=(4, 9)), so3,
                              np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+def _descriptor(space, m_basis):
+    """``space`` read back from a descriptor with the m-basis ``m_basis``."""
+    data = json.loads(space.to_json())
+    data["m_basis"] = np.asarray(m_basis).tolist()
+    return spaces.from_json(json.dumps(data))
+
+
+def _rotation(w, flip):
+    """An orthogonal 3x3 matrix: the rotation exp(hat(w)), its first column
+    negated when ``flip``."""
+    return spaces.make_so3_biinvariant().algebra_exp(oracles.hat3(w)) * [1 - 2 * flip, 1, 1]
+
+
+# Every space the CLI accepts, by kind: the shipped ones and descriptors
+# with a rotated, or on flat space a weighted, m-basis.
+ACCEPTED = {
+    **SHIPPED,
+    "sphere2-rotated": lambda: _descriptor(spaces.make_sphere2(), np.einsum(
+        "ji,jab->iab", _rotation([0.0, 0.0, 0.7], True)[:2, :2], SO3_BASIS[:2])),
+    "so3-rotated": lambda: _descriptor(spaces.make_so3_biinvariant(), np.einsum(
+        "ji,jab->iab", _rotation([0.3, -0.5, 0.9], False), SO3_BASIS)),
+    "euclidean:2-weighted": lambda: _descriptor(spaces.make_euclidean(2), [
+        [[0, 0, 0.25], [0, 0, 0], [0, 0, 0]], [[0, 0, 0.6], [0, 0, 0.8], [0, 0, 0]]]),
+}
+_ARGS = {"constant": "0.7,-0.4,1.1", "euclidean-linear": "-1,0.3,0.2,-2,0.5,0.1,0.4,-0.6,1.5"}
+
+
+def _builtin(space, usage):
+    """The built-in field of CLI usage ``usage`` on ``space``."""
+    base = usage.partition(":")[0]
+    count = space.dim_m if base == "constant" else (space.embed_dim - 1) ** 2
+    arg = ",".join(_ARGS.get(base, "").split(",")[:count])
+    return fields.builtin_field(space, f"{base}:{arg}")
+
+
+class TestClosedFormJacobians:
+    """Every built-in field gives its frame derivatives in closed form."""
+
+    CASES = [(spec, usage) for spec, make in ACCEPTED.items()
+             for usage, (kind, _) in fields.BUILTIN_FIELDS.items()
+             if kind in (None, make().kind)]
+
+    @pytest.mark.parametrize("spec,usage", CASES)
+    def test_matches_richardson_differences(self, spec, usage):
+        # Richardson at step 1e-3 is accurate to about 1e-12 on these fields
+        # (truncation h^4 and rounding eps / h); the bound leaves 100x.
+        space = ACCEPTED[spec]()
+        F = _builtin(space, usage)
+        assert F.jacobian is not None
+        m = space.dim_m
+        rng = np.random.default_rng(31)
+        G = space.algebra_exp(space.algebra_from_coords(rng.uniform(-2.0, 2.0, (300, m))))
+        P = fields.linearize(F, space, G)
+        fd = fields.linearize(dataclasses.replace(F, jacobian=None), space, G, step=1e-3,
+                              richardson=True)
+        assert np.max(np.abs(P - fd)) < 1e-10
+        c, D = F.jacobian(G, 0.0)
+        assert c.shape == (300, m) and D.shape == (300, m, m)
+        assert np.max(np.abs(c - F.coeff(G, 0.0))) < 1e-15
+
+    @pytest.mark.parametrize("spec,usage", CASES)
+    def test_no_builtin_is_differenced(self, spec, usage, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"{usage} on {spec} took finite differences")
+
+        monkeypatch.setattr(fields, "_differenced", refuse)
+        space = ACCEPTED[spec]()
+        G = space.algebra_exp(space.algebra_from_coords(np.full((3, space.dim_m), 0.4)))
+        contraction.certify_region(_builtin(space, usage), space, G, c=100.0)
+
+    def test_sphere_cap_measure_is_minus_cos_theta(self, sphere):
+        # the 60 degree cap's boundary reads -cos(pi/3) to rounding, where
+        # central differences at the default step read -0.49999999998319
+        cap = contraction.sphere_cap_grid(sphere, np.radians(60.0), 64, 64)
+        cert = contraction.certify_region(fields.sphere_height_gradient(sphere), sphere, cap,
+                                          c=-0.4)
+        assert abs(cert.mu_max + 0.5) <= 1e-15
+        thetas = np.repeat(np.linspace(0.0, np.radians(60.0), 64), 64)
+        assert np.max(np.abs(cert.measures + np.cos(thetas))) < 1e-15
+
+    @given(angle=st.floats(0.0, 2.0 * np.pi), flip=st.booleans(),
+           w=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           coords=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_measure_is_the_same_in_a_rotated_basis(self, angle, flip, w, coords):
+        # a field given by geometry, built on a descriptor with the m-basis
+        # B'_i = sum_j Q_ji B_j, has the measure it has on the shipped space:
+        # the height gradient, the linear field x -> M x, and a constant
+        # field whose coefficients are rotated with the frame (u' = u Q)
+        Q2 = _rotation([0.0, 0.0, angle], flip)[:2, :2]
+        Q3 = _rotation(w, flip)
+        cases = [(spaces.make_sphere2(), Q2, lambda sp, Q: fields.sphere_height_gradient(sp)),
+                 (spaces.make_euclidean(2), Q2, lambda sp, Q: fields.euclidean_linear(
+                     sp, [[-1.0, 4.0], [0.5, -2.0]])),
+                 (spaces.make_so3_left_invariant([1.0, 2.0, 4.0]), Q3,
+                  lambda sp, Q: fields.constant_field(sp, np.array([0.7, -0.4, 1.1]) @ Q))]
+        for space, Q, make in cases:
+            rotated = _descriptor(space, np.einsum("ji,jab->iab", Q, space.dec.m_basis))
+            g = space.algebra_exp(space.algebra_from_coords(coords[:space.dim_m]))
+            mu = contraction.matrix_measure(fields.linearize(make(space, np.eye(len(Q))),
+                                                             space, g))
+            mu_rot = contraction.matrix_measure(fields.linearize(make(rotated, Q), rotated, g))
+            assert mu_rot == pytest.approx(mu, abs=1e-12)

@@ -207,6 +207,20 @@ class TestReachTube:
         with pytest.raises(ValueError, match="FAIL"):
             reach.reach_tube(F, sphere, np.eye(3), 0.1, cert, 1.0, 0.01)
 
+    def test_radius_overflow_refused_before_integrating(self, so3, monkeypatch):
+        F = fields.so3_demo_schedule(so3)
+        samples = contraction.generator_box_samples(so3, [-2.0] * 3, [2.0] * 3, 8)
+        cert = contraction.certify_region(F, so3, samples, c=710.0)
+        # e^(710 * 1) overflows; at c = 700 the radius is 0.1 e^700, about 1e303
+        monkeypatch.setattr(reach, "integrate", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=r"radius K e\^\(ct\) r0 overflows by t=1 "
+                                             r"\(c=710, r0=0\.1\)"):
+            reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=3)
+        monkeypatch.undo()
+        cert = contraction.certify_region(F, so3, samples, c=700.0)
+        tube = reach.reach_tube(F, so3, np.eye(3), 0.1, cert, 1.0, 0.01, n_samples=3)
+        assert tube.radius(1.0) == pytest.approx(0.1 * np.exp(700.0), rel=1e-12)
+
     @staticmethod
     def _refused(monkeypatch, F, space, cert):
         """A PASS certificate for another field or space: refused, nothing integrated."""

@@ -187,7 +187,11 @@ def cmd_loop_check(args) -> int:
     base = space.identity()
     if args.base_coords:
         coords = _m_coords(space, "--base-coords", args.base_coords)
-        base = space.algebra_exp(space.algebra_from_coords(coords))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            base = space.algebra_exp(space.algebra_from_coords(coords))
+        if not np.all(np.isfinite(base)):
+            raise ValueError(f"--base-coords {args.base_coords!r}: its element overflows "
+                             f"{space.name}'s exponential")
     report = contraction.loop_obstruction_check(F, space, gen, base, args.n_quad, args.c)
     out = _write_result(args, "loop_report.json", report.to_dict())
     svgplot.line_plot(

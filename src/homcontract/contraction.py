@@ -15,12 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .connection import compute_U, zero_tol
-from .fields import _FD_STEP, HorizontalField, _linearized_blocks, linearize
+from .fields import HorizontalField, _linearized_blocks, linearize
 from .spaces import _STACK_BLOCK, Space
 
-# A certificate passes at mu_max <= c + _SLACK: the slack absorbs finite-
-# difference noise when the true measure sits exactly on the rate (region
-# boundaries), and is recorded on the certificate.
+# A certificate passes at mu_max <= c + _SLACK: the slack absorbs rounding
+# when the true measure sits exactly on the rate, as on a cap's rim, where
+# the 60 degree cap reads mu = -0.4999999999999999 for -cos 60 degrees.  It
+# is recorded on the certificate.
 _SLACK = 1e-9
 _PERIOD_TOL = 1e-8  # find_period's exp(T A) must be the identity within this largest entry
 
@@ -98,7 +99,7 @@ class ContractionCertificate:
 
 
 def certify_region(F: HorizontalField, space: Space, samples,
-                   c: float, region: str = "", step: float = _FD_STEP) -> ContractionCertificate:
+                   c: float, region: str = "") -> ContractionCertificate:
     """Evaluate the matrix measure at every sample, at t = 0, against c + _SLACK.
 
     ``samples`` is an (N, d, d) stack (or a sequence of N elements); it is
@@ -106,8 +107,7 @@ def certify_region(F: HorizontalField, space: Space, samples,
     owns its data, as the CLI passes its regions: the certificate keeps that
     array itself.  It is checked as one stack, then linearized and measured a
     block of ``fields._LINEARIZE_BLOCK`` samples at a time, so the memory
-    beyond the N samples and their N measures is fixed.  ``step`` is the
-    central-difference step of a field without a ``jacobian``.
+    beyond the N samples and their N measures is fixed.
     Deterministic: ties at the maximum resolve to the lowest sample index.
     """
     frozen = (isinstance(samples, np.ndarray) and samples.dtype == np.float64
@@ -118,7 +118,7 @@ def certify_region(F: HorizontalField, space: Space, samples,
     space.check_group(G)
     G = G.reshape((-1,) + G.shape[-2:])
     mus = np.empty(len(G))
-    for lo, P in _linearized_blocks(F, space, G, step=step):
+    for lo, P in _linearized_blocks(F, space, G):
         mus[lo:lo + len(P)] = matrix_measure(P)
     return ContractionCertificate(space.name, F.name, region, float(c), G, mus)
 

@@ -4,11 +4,11 @@ A field is specified by a coefficient function g -> R^m giving the
 components in the left-invariant frame of the m-basis.  Its frame
 derivatives along g exp(t A_j) assemble into the m x m linearization used
 by the matrix-measure machinery.  Every built-in field, and a table, gives
-them in closed form through its ``jacobian``; central differences, with an
-optional Richardson step, are the fallback for coefficient-only fields
-that library callers supply.  Group elements may be stacked (..., d, d); a
-stack is linearized in fixed blocks of elements, with one Jacobian or
-coefficient call per block.
+them in closed form through its ``jacobian``; central differences at a
+fixed step are the fallback for coefficient-only fields that library
+callers supply.  Group elements may be stacked (..., d, d); a stack is
+linearized in fixed blocks of elements, with one Jacobian or coefficient
+call per block.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ import numpy as np
 from .spaces import _GROUP_TOL, Space
 
 _COSET_TOL = 1e-6  # largest linearization gap across coset representatives passed
-# Default central-difference step of ``linearize`` and ``certify_region``,
-# used only for a field without a ``jacobian``: no built-in field is differenced.
+# Central-difference step of a field without a ``jacobian``: no built-in
+# field is differenced.
 _FD_STEP = 1e-5
 # Queries per batched neighbour fit; bounds the (chunk, k, k) fit arrays.
 _FIT_CHUNK = 256
 # Elements per block of a stacked linearization: one fit chunk, so a
-# table's fits keep their boundaries however the stack is blocked.  On the
-# 3x3 spaces a block's largest temporary, the (256, 2m + 1, 3, 3) stack of
-# shifted elements (126 KiB on SO(3) without Richardson), stays under
-# 128 KiB, glibc's default mmap threshold: every block reuses the same heap
-# memory, and the memory beyond the (..., m, m) result is fixed.
+# table's fits keep their boundaries however the stack is blocked.  Each
+# block's temporaries have a fixed size, so the memory beyond the
+# (..., m, m) result does not grow with the stack.
 _LINEARIZE_BLOCK = _FIT_CHUNK
 
 
@@ -113,29 +111,20 @@ def eval_coeff(F: HorizontalField, g, t=0.0, dim_m=None) -> np.ndarray:
                     None if dim_m is None else (dim_m,))
 
 
-def _differenced(F: HorizontalField, space: Space, g: np.ndarray, t: float, hs: np.ndarray,
-                 shifts: np.ndarray, origin: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _differenced(F: HorizontalField, space: Space, g: np.ndarray, t: float, E: np.ndarray,
+                 origin: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Frame derivatives (n, m, m) and coefficients (n, m) at g (n, d, d).
 
-    Column j of the first result is the central difference of the
-    coefficients along g exp(s A_j), for each step s in ``hs``; ``shifts``
-    holds the k = 2m n_h matrices exp(+-s A_j), ordered (step, sign, j),
-    side by side as one (d, k d) matrix.  Every shifted element is a row
-    block of one (n d, d) x (d, k d) GEMM, the same bits as the stacked
-    3x3 products.  With two steps (Richardson) the second is half the
-    first, and the differences are extrapolated.  All 2m (or 4m) shifted
-    elements and g itself go to the field in one stacked call, checked as
-    in ``_checked`` with ``origin``.
+    Column j of the first result is the central difference, at step
+    ``_FD_STEP``, of the coefficients along g exp(s A_j); ``E`` holds the 2m
+    matrices exp(+-_FD_STEP A_j), ordered (sign, j).  The shifted elements
+    g E and g itself go to the field in one stacked call, checked as in
+    ``_checked`` with ``origin``.
     """
-    m, d = space.dim_m, space.embed_dim
-    n, k = len(g), shifts.shape[1] // d
-    stack = np.empty((n, k + 1, d, d))
-    stack[:, :k] = (g.reshape(-1, d) @ shifts).reshape(n, d, k, d).swapaxes(1, 2)
-    stack[:, k] = g
+    m = space.dim_m
+    stack = np.concatenate([g[:, None] @ E, g[:, None]], axis=1)
     c = _checked(F, stack, t, "coefficient", F.coeff(stack, t), (m,), origin)
-    shifted = c[:, :-1].reshape(n, len(hs), 2, m, m)  # [n, h, sign, j, i]
-    D = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * hs[:, None, None])
-    D = (4.0 * D[:, 1] - D[:, 0]) / 3.0 if len(hs) == 2 else D[:, 0]
+    D = (c[:, :m] - c[:, m:2 * m]) / (2.0 * _FD_STEP)  # [n, j, i]
     return np.swapaxes(D, -1, -2), c[:, -1]
 
 
@@ -149,8 +138,7 @@ def _from_jacobian(F: HorizontalField, space: Space, g: np.ndarray, t: float,
     return _checked(F, g, t, "Jacobian", D, (m, m), origin), c
 
 
-def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
-                       step: float = _FD_STEP, richardson: bool = False):
+def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0):
     """(lo, P) for each block of ``_LINEARIZE_BLOCK`` elements of the stack g
     flattened: P the (n, m, m) linearization of elements lo, ..., lo + n - 1,
     from one Jacobian call, or for a field without one one stacked
@@ -158,26 +146,22 @@ def _linearized_blocks(F: HorizontalField, space: Space, g, t: float = 0.0,
     Jacobian is named by its index in the whole stack."""
     g = np.asarray(g, dtype=float)
     batch = g.shape[:-2]
-    m, d = space.dim_m, space.embed_dim
+    m = space.dim_m
     flat = g.reshape((-1,) + g.shape[-2:])
     if F.jacobian is None:
-        hs = np.array([step, step / 2.0] if richardson else [step])
-        E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
-                              * space.dec.m_basis)
-        shifts = E.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)  # side by side
+        E = space.algebra_exp(np.concatenate([space.dec.m_basis, -space.dec.m_basis]) * _FD_STEP)
     # alpha as (m, m^2): c @ conn is sum_k c_k alpha[:, :, k], one GEMM per block
     conn = space.alpha.reshape(m * m, m).T
     for lo in range(0, len(flat), _LINEARIZE_BLOCK):
         block = flat[lo:lo + _LINEARIZE_BLOCK]
         if F.jacobian is None:
-            D, c = _differenced(F, space, block, t, hs, shifts, (lo, batch))
+            D, c = _differenced(F, space, block, t, E, (lo, batch))
         else:
             D, c = _from_jacobian(F, space, block, t, (lo, batch))
         yield lo, D + (c @ conn).reshape(D.shape)
 
 
-def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
-              step: float = _FD_STEP, richardson: bool = False) -> np.ndarray:
+def linearize(F: HorizontalField, space: Space, g, t: float = 0.0) -> np.ndarray:
     """The m x m frame linearization at g.
 
     ``g`` may be a stack (..., d, d); the result is then (..., m, m), one
@@ -189,15 +173,13 @@ def linearize(F: HorizontalField, space: Space, g, t: float = 0.0,
     connection correction sum_k coeff_k alpha[:, j, k].  A field with a
     ``jacobian`` (every built-in field and every table) gives the frame
     derivative from one call per block, whose shapes and finiteness are
-    checked as ``eval_coeff`` checks coefficients; ``step`` and
-    ``richardson`` then do not apply.  Any other field takes central
-    differences of step ``step``, and with ``richardson`` halves the step
-    once and extrapolates.
+    checked as ``eval_coeff`` checks coefficients.  Any other field takes
+    central differences at step ``_FD_STEP``.
     """
     g = np.asarray(g, dtype=float)
     m = space.dim_m
     P = np.empty((math.prod(g.shape[:-2]), m, m))
-    for lo, block in _linearized_blocks(F, space, g, t, step, richardson):
+    for lo, block in _linearized_blocks(F, space, g, t):
         P[lo:lo + len(block)] = block
     return P.reshape(g.shape[:-2] + (m, m))
 
@@ -249,7 +231,8 @@ def sphere_height_gradient(space: Space) -> HorizontalField:
     gradient's other term, (p . o) p, is normal to every frame R t_i.  Along
     R exp(s A_j), q turns at rate -A_j q, so the Jacobian is
     D_ij = q . (A_j t_i).  Both are linear in the entries of R, and
-    ``jacobian`` reads them from R with one (n, 9) x (9, m + m^2) GEMM.
+    ``jacobian`` reads them from R with one (n, 9) x (9, m + m^2) GEMM;
+    ``coeff`` is the c of that GEMM, so the two agree bit for bit.
     """
     o = space.base_point
     tangents = space.dec.m_basis @ o  # (m, 3)
@@ -258,20 +241,12 @@ def sphere_height_gradient(space: Space) -> HorizontalField:
     K = np.einsum("jab,ib->ija", space.dec.m_basis, tangents).reshape(m * m, 3)
     W = (o[:, None, None] * np.concatenate([tangents, K]).T).reshape(9, m + m * m)
 
-    def coeff(R, t):
-        # R o is one GEMV and the frames R t_i one GEMM over the stack's rows.
-        # On sphere2 each t_i is a signed unit vector, so those frames are
-        # exact.  Copied to the (n, m, 3) layout the einsum had (its sum order
-        # follows the layout), they give the coefficients the same bits.
-        rows = R.reshape(-1, 3)
-        p = (rows @ o).reshape(-1, 3)
-        grad = o - (p @ o)[:, None] * p
-        frames = np.ascontiguousarray((rows @ tangents.T).reshape(-1, 3, m).swapaxes(1, 2))
-        return np.einsum("nia,na->ni", frames, grad).reshape(R.shape[:-2] + (m,))
-
     def jacobian(R, t):
         cD = R.reshape(-1, 9) @ W
         return cD[:, :m].reshape(R.shape[:-2] + (m,)), cD[:, m:].reshape(R.shape[:-2] + (m, m))
+
+    def coeff(R, t):
+        return jacobian(R, t)[0]
 
     return HorizontalField("sphere-grad-height", space.name, coeff, jacobian=jacobian)
 

@@ -247,36 +247,57 @@ class Space:
 _DESCRIPTOR_KEYS = frozenset(("name", "kind", "h_basis", "m_basis", "base_point"))
 
 
+def _finite_array(data: dict, key: str) -> np.ndarray:
+    """The numbers a descriptor holds under ``key``, as a float array;
+    ValueError names the key if it holds anything else, NaN or infinity."""
+    try:
+        a = np.asarray(data[key])
+    except ValueError:  # nested lists of unequal lengths
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        raise ValueError(f"descriptor {key} must hold finite numbers only")
+    return a.astype(float)
+
+
 def from_json(text: str) -> Space:
     """Rebuild a space from its descriptor JSON and verify it.
 
     The descriptor holds only the defining keys of :meth:`Space.to_json`;
     everything else is derived.  Raises ValueError on any other or missing
-    key, an unknown kind, inconsistent shapes or dependent bases, or a
-    failed :func:`verify_space`.
+    key, a name that is not a string, an unknown kind, a basis or base
+    point holding other than finite numbers, inconsistent shapes or
+    dependent bases, or a failed :func:`verify_space`, naming the key.
     """
     data = json.loads(text)
     keys = set(data) if isinstance(data, dict) else set()
     if keys != _DESCRIPTOR_KEYS:
         raise ValueError(f"descriptor keys must be exactly {sorted(_DESCRIPTOR_KEYS)}, "
                          f"got {sorted(keys)}")
+    if not isinstance(data["name"], str):
+        raise ValueError(f"descriptor name must be a string, got {data['name']!r}")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in KIND_OPS:
         raise ValueError(f"unknown space kind {kind!r} (expected one of {sorted(KIND_OPS)})")
-    m_basis = np.asarray(data["m_basis"], dtype=float)
+    m_basis = _finite_array(data, "m_basis")
     if m_basis.ndim != 3 or len(m_basis) == 0 or m_basis.shape[1] != m_basis.shape[2]:
         raise ValueError(f"m_basis must be a nonempty (m, d, d) stack, got shape {m_basis.shape}")
     d = m_basis.shape[-1]
-    h_basis = np.asarray(data["h_basis"], dtype=float).reshape(-1, d, d)
-    base = data["base_point"]
-    base = None if base is None else np.asarray(base, dtype=float).reshape(d)
+    h_basis = _finite_array(data, "h_basis")
+    if h_basis.size == 0:
+        h_basis = h_basis.reshape(0, d, d)
+    if h_basis.shape[1:] != (d, d):
+        raise ValueError(f"h_basis must be empty or a (k, {d}, {d}) stack, "
+                         f"got shape {h_basis.shape}")
+    base = None if data["base_point"] is None else _finite_array(data, "base_point")
+    if base is not None and base.shape != (d,):
+        raise ValueError(f"base_point must be null or {d} numbers, got shape {base.shape}")
     rank = np.linalg.matrix_rank(np.concatenate([h_basis, m_basis]).reshape(-1, d * d))
     if len(h_basis) != KIND_OPS[kind].dim_h or rank < len(h_basis) + len(m_basis):
         raise ValueError(
             f"a {kind!r} space needs {KIND_OPS[kind].dim_h} h-basis elements and independent "
             f"bases; got {len(h_basis)} h and {len(m_basis)} m elements of rank {rank}")
     space = Space(
-        name=str(data["name"]),
+        name=data["name"],
         kind=kind,
         dec=ReductiveDecomposition(h_basis=h_basis, m_basis=m_basis),
         base_point=base,

@@ -2,7 +2,9 @@
 
 The basis-independence check recomputes the matrix measure with the field
 and the space rebuilt in random orthonormal bases of m, where it must not
-change; the rest are small helpers the tests compare the library against.
+change; ``richardson_linearize`` gives a reference linearization from a
+field's coefficients alone; the rest are small helpers the tests compare
+the library against.
 Not a test module: pytest collects ``test_*.py`` only, and puts this
 directory on ``sys.path``, so tests read it as ``import oracles``.
 """
@@ -105,6 +107,23 @@ def basis_independence_check(F: HorizontalField, space: Space, g,
         Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         mus.append(matrix_measure(linearize(rotate_field(F, Q), rotate_basis(space, Q), g)))
     return BasisIndependenceReport(np.asarray(mus))
+
+
+def richardson_linearize(F: HorizontalField, space: Space, g, step: float) -> np.ndarray:
+    """The frame linearization (..., m, m) at g (..., d, d), at t = 0, from
+    F's coefficients alone: central differences along g exp(+-h A_j) at
+    h = step and step / 2, extrapolated as (4 D_(h/2) - D_h) / 3, which
+    cancels the h^2 truncation term, plus the connection term."""
+    g = np.asarray(g, dtype=float)
+    A = space.dec.m_basis
+
+    def differences(h):  # [..., i, j]: c_i along direction j
+        plus = F.coeff(g[..., None, :, :] @ space.algebra_exp(h * A), 0.0)
+        minus = F.coeff(g[..., None, :, :] @ space.algebra_exp(-h * A), 0.0)
+        return np.swapaxes(plus - minus, -1, -2) / (2.0 * h)
+
+    D = (4.0 * differences(step / 2.0) - differences(step)) / 3.0
+    return D + np.einsum("ijk,...k->...ij", space.alpha, F.coeff(g, 0.0))
 
 
 def group_constraint_drift(space: Space, traj: Trajectory) -> float:

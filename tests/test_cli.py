@@ -369,6 +369,28 @@ class TestRejectedSpaces:
                    "--horizon", "0.1", "--dt", "0.01", "--samples", "5")
         self._assert_error(code, capsys, "no distance")
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("m_basis", "nan", "descriptor m_basis must hold finite numbers only"),
+        ("m_basis", "abc", "descriptor m_basis must hold finite numbers only"),
+        ("m_basis", [[[0.0, 1.0], [1.0]]], "descriptor m_basis must hold finite numbers only"),
+        ("base_point", [0.0, 0.0, np.inf], "descriptor base_point must hold finite numbers only"),
+        ("h_basis", [1.0, 0.0, 0.0, 1.0], "h_basis must be empty or a (k, 3, 3) stack, "
+                                           "got shape (4,)"),
+        ("base_point", [0.0, 0.0, 1.0, 0.0], "base_point must be null or 3 numbers, "
+                                              "got shape (4,)"),
+        ("name", {"a": 1}, "descriptor name must be a string, got {'a': 1}"),
+    ], ids=["m-nan", "m-text", "m-ragged", "base-inf", "h-size", "base-size", "name-dict"])
+    def test_bad_entry_refused_by_key(self, tmp_path, capsys, key, value, message):
+        # one line naming the key; the suite raises a RuntimeWarning as an error
+        sphere = spaces.make_sphere2()
+        if value == "nan":
+            value = sphere.dec.m_basis.tolist()
+            value[1][0][2] = np.nan
+        code = run(tmp_path, "classify", "--space", _descriptor(tmp_path, sphere, **{key: value}))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "classify.json").exists()
+
     def test_gram_scale_key(self, tmp_path, capsys):
         # the key was dropped: nothing read it, so any value loaded alike
         path = _descriptor(tmp_path, spaces.make_sphere2(), gram_scale=7.0)
@@ -514,6 +536,18 @@ class TestBadNumbers:
     def test_loop_coordinates_rejected(self, tmp_path, capsys, argv, needle):
         assert run(tmp_path, "loop-check", *argv) == 1
         assert capsys.readouterr().err == f"error: {needle}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("coords", ["1e300,0,0", "1e200,1e200,0"])
+    def test_loop_base_overflow_refused_where_it_enters(self, tmp_path, capsys, monkeypatch,
+                                                        coords):
+        # so3_exp's theta^2 overflows; the suite raises a RuntimeWarning as an error
+        monkeypatch.setattr(contraction, "loop_obstruction_check", None)  # a call would raise
+        code = run(tmp_path, "loop-check", "--space", "so3", "--field", "constant:1,0,0",
+                   "--generator", "1,0,0", "--base-coords", coords)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --base-coords {coords!r}: its element overflows so3's exponential\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,needle", [

@@ -505,10 +505,10 @@ class TestStackedPath:
     def test_stacked_linearize_matches_single(self, sphere):
         F = fields.sphere_height_gradient(sphere)
         samples = contraction.sphere_cap_grid(sphere, 1.0, 3, 4).reshape(3, 4, 3, 3)
-        P = fields.linearize(F, sphere, samples, richardson=True)
+        P = fields.linearize(F, sphere, samples)
         assert P.shape == (3, 4, 2, 2)
         for i in np.ndindex(3, 4):
-            single = fields.linearize(F, sphere, samples[i], richardson=True)
+            single = fields.linearize(F, sphere, samples[i])
             assert np.max(np.abs(P[i] - single)) < 1e-12
         mus = contraction.matrix_measure(P)
         assert mus.shape == (3, 4)

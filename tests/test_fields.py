@@ -88,7 +88,7 @@ class TestLieDerivative:
             expected[0] += (g @ B)[2, 2]
             assert np.max(np.abs(P[:, j] - expected)) < 1e-9
 
-    def test_richardson_tightens(self, so3):
+    def test_richardson_tightens(self, so3, monkeypatch):
         # c_0 = exp(g_01): along frame 2 the derivative is (g A_z)_01 exp(g_01)
         def coeff(g, t):
             c = np.zeros(g.shape[:-2] + (3,))
@@ -100,8 +100,9 @@ class TestLieDerivative:
         exact = np.exp(g[0, 1]) * so3.alpha[:, 2, 0]
         exact[0] += (g @ AZ)[0, 1] * np.exp(g[0, 1])
         # a coarse step, so that truncation and not rounding sets the error
-        plain = fields.linearize(F, so3, g, step=1e-3)[:, 2]
-        rich = fields.linearize(F, so3, g, step=1e-3, richardson=True)[:, 2]
+        monkeypatch.setattr(fields, "_FD_STEP", 1e-3)
+        plain = fields.linearize(F, so3, g)[:, 2]
+        rich = oracles.richardson_linearize(F, so3, g, 1e-3)[:, 2]
         assert np.max(np.abs(rich - exact)) < 1e-3 * np.max(np.abs(plain - exact))
 
 
@@ -426,7 +427,8 @@ class TestLinearizeBlocks:
         T = _translations(rng.uniform(-1.0, 1.0, (600, 2)))
         F = fields.sphere_height_gradient(sphere)
         cases = [lambda: fields.linearize(F, sphere, S),
-                 lambda: fields.linearize(F, sphere, S.reshape(20, 30, 3, 3), richardson=True),
+                 lambda: fields.linearize(dataclasses.replace(F, jacobian=None), sphere,
+                                          S.reshape(20, 30, 3, 3)),
                  lambda: fields.linearize(table, euclid2, T)]
         default = fields._LINEARIZE_BLOCK
         monkeypatch.setattr(fields, "_LINEARIZE_BLOCK", 10 ** 6)  # the stack in one block
@@ -447,31 +449,29 @@ SHIPPED = {
 }
 
 
-def _stacked_linearization(F, space, g, step, richardson):
+def _stacked_linearization(F, space, g, step):
     """The shifted stack and the linearization as one broadcast 3x3 product
     per shifted element and an einsum for the connection term make them."""
     m, d = space.dim_m, space.embed_dim
-    hs = np.array([step, step / 2.0] if richardson else [step])
-    E = space.algebra_exp(np.stack([hs, -hs], axis=-1)[..., None, None, None]
-                          * space.dec.m_basis)
-    moved = g[:, None, None, None] @ E
+    E = space.algebra_exp(np.array([step, -step])[:, None, None, None] * space.dec.m_basis)
+    moved = g[:, None, None] @ E
     stack = np.concatenate([moved.reshape(len(g), -1, d, d), g[:, None]], axis=1)
     c = F.coeff(stack, 0.0)
-    shifted = c[:, :-1].reshape(len(g), len(hs), 2, m, m)
-    D = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * hs[:, None, None])
-    D = (4.0 * D[:, 1] - D[:, 0]) / 3.0 if len(hs) == 2 else D[:, 0]
+    shifted = c[:, :-1].reshape(len(g), 2, m, m)
+    D = (shifted[:, 0] - shifted[:, 1]) / (2.0 * step)
     return stack, np.swapaxes(D, -1, -2) + np.einsum("ijk,...k->...ij", space.alpha, c[:, -1])
 
 
 class TestShiftAndConnectionGemm:
-    """The shifted elements of a block are one GEMM and its connection term
-    another; both give the bits of the stacked products and the einsum."""
+    """A block's shifted elements are the stacked products g exp(+-h A_j),
+    and its connection term one GEMM with the einsum's bits."""
 
-    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("two_d", [False, True])
     @pytest.mark.parametrize("name", list(SHIPPED))
-    def test_same_bits_as_stacked_products(self, name, richardson):
+    def test_same_bits_as_stacked_products(self, name, two_d):
+        # two_d: the same elements linearized as a (20, 15, d, d) stack
         space = SHIPPED[name]()
-        m = space.dim_m
+        m, d = space.dim_m, space.embed_dim
         rng = np.random.default_rng(30)
         # 300 elements: a whole block of 256 and a partial one
         g = space.algebra_exp(space.algebra_from_coords(rng.uniform(-2.0, 2.0, (300, m))))
@@ -482,12 +482,12 @@ class TestShiftAndConnectionGemm:
             return G[..., 0, :m] + 2.0 * G[..., 1, :m] * G[..., -1, :m]
 
         F = fields.HorizontalField("probe", space.name, coeff)
-        P = fields.linearize(F, space, g, richardson=richardson)
+        P = fields.linearize(F, space, g.reshape(20, 15, d, d) if two_d else g).reshape(-1, m, m)
         blocks = np.concatenate(seen)
-        stack, want = _stacked_linearization(F, space, g, fields._FD_STEP, richardson)
+        stack, want = _stacked_linearization(F, space, g, fields._FD_STEP)
         assert np.array_equal(blocks, stack)
         assert np.array_equal(P, want)
-        single = fields.linearize(F, space, g[5], richardson=richardson)
+        single = fields.linearize(F, space, g[5])
         assert np.array_equal(single, want[5])
 
     @pytest.mark.parametrize("name", list(SHIPPED))
@@ -501,28 +501,26 @@ class TestShiftAndConnectionGemm:
         P = fields.linearize(fields.constant_field(space, u), space, g)
         assert np.array_equal(P, np.broadcast_to(np.einsum("ijk,k->ij", space.alpha, u), P.shape))
 
-    def test_sphere_height_frames_keep_their_bits(self, sphere):
-        # the frames R t_i as one GEMM give the broadcast einsums' coefficients,
+    def test_sphere_height_coeff_is_the_jacobians_c(self, sphere):
+        # a sphere reach integrates the coefficients its certificate measured,
         # signed zeros included, on the cap grid, its shifted stack and
         # signed permutation matrices holding -0.0
-        o = sphere.base_point
-        tangents = sphere.dec.m_basis @ o
-
-        def einsums(R):
-            p = R @ o
-            grad = o - (p @ o)[..., None] * p
-            return np.einsum("...ia,...a->...i", np.einsum("...ab,ib->...ia", R, tangents), grad)
-
         perms = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(3))
                           for s in itertools.product([1.0, -1.0], repeat=3)])
         cap = contraction.sphere_cap_grid(sphere, np.radians(90.0), 16, 16)
         stack, _ = _stacked_linearization(fields.constant_field(sphere, [0.0, 0.0]), sphere,
-                                          cap, fields._FD_STEP, True)
-        coeff = fields.sphere_height_gradient(sphere).coeff
+                                          cap, fields._FD_STEP)
+        F = fields.sphere_height_gradient(sphere)
         for R in (cap, stack, perms, np.where(perms == 0.0, -0.0, perms), np.eye(3)):
-            want, got = einsums(R), coeff(R, 0.0)
-            assert got.shape == want.shape
+            want, got = F.jacobian(R, 0.0)[0], F.coeff(R, 0.0)
+            assert got.shape == want.shape == R.shape[:-2] + (2,)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        # c_i is the height gradient o - (p . o) p along the frame R t_i, to rounding
+        o = sphere.base_point
+        p = cap @ o
+        frames = cap @ (sphere.dec.m_basis @ o).T  # [n, a, i]: column i is R t_i
+        grad = np.einsum("nai,na->ni", frames, o - (p @ o)[:, None] * p)
+        assert np.max(np.abs(F.coeff(cap, 0.0) - grad)) < 1e-15
 
 
 class TestTabulatedStack:
@@ -888,6 +886,7 @@ class TestClosedFormJacobians:
     def test_matches_richardson_differences(self, spec, usage):
         # Richardson at step 1e-3 is accurate to about 1e-12 on these fields
         # (truncation h^4 and rounding eps / h); the bound leaves 100x.
+        # The oracle reads only F's coefficients.
         space = ACCEPTED[spec]()
         F = _builtin(space, usage)
         assert F.jacobian is not None
@@ -895,12 +894,11 @@ class TestClosedFormJacobians:
         rng = np.random.default_rng(31)
         G = space.algebra_exp(space.algebra_from_coords(rng.uniform(-2.0, 2.0, (300, m))))
         P = fields.linearize(F, space, G)
-        fd = fields.linearize(dataclasses.replace(F, jacobian=None), space, G, step=1e-3,
-                              richardson=True)
+        fd = oracles.richardson_linearize(F, space, G, 1e-3)
         assert np.max(np.abs(P - fd)) < 1e-10
         c, D = F.jacobian(G, 0.0)
         assert c.shape == (300, m) and D.shape == (300, m, m)
-        assert np.max(np.abs(c - F.coeff(G, 0.0))) < 1e-15
+        assert np.array_equal(c, F.coeff(G, 0.0))
 
     @pytest.mark.parametrize("spec,usage", CASES)
     def test_no_builtin_is_differenced(self, spec, usage, monkeypatch):
